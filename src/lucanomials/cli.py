@@ -92,8 +92,22 @@ def _emit_poly(poly: Poly, fmt: str) -> None:
     print(str(poly) if fmt == "text" else _dump(poly.to_json_dict()))
 
 
+def _int_text(value: int) -> str:
+    # Exact answers can pass Python's int-to-str digit limit.  Lift it for
+    # this conversion only, so parsing --n, --k and --input keeps the guard.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_int(value: int, fmt: str) -> None:
-    print(str(value) if fmt == "text" else _dump({"value": str(value)}))
+    text = _int_text(value)
+    print(text if fmt == "text" else _dump({"value": text}))
 
 
 def _emit_checks(name: str, checks: list[dict], fmt: str) -> int:

@@ -5,24 +5,39 @@ The Lucas polynomial sequence is {0} = 0, {1} = 1 and
 {0}! = 1.  The lucanomial coefficient {n choose k} = {n}!/({k}!{n-k}!) is a
 polynomial analogue of the binomial coefficient.
 
-Two independent computation routes are provided for the lucanomial:
+The primary route is the Lucas-atom factorisation (B. Sagan and J. Tirrell,
+"Lucas atoms", Adv. Math. 2020).  The atoms P_d, d >= 2, are defined by
+{n} = prod_{d | n, d > 1} P_d, so :func:`lucas_atom` obtains P_d by exactly
+dividing {d} by the atoms of the proper divisors of d.  Counting how often
+P_d divides {n}!, {k}! and {n-k}! gives
 
-* the primary, division-free route uses the Pascal-style recurrence
-  obtained from the splitting identity {n} = {k}{n-k+1} + t*{k-1}{n-k},
-  namely  {n,k} = {n-k+1}*{n-1,k-1} + t*{k-1}*{n-1,k}  with {n,0} = 1 and
-  {n,k} = 0 outside 0 <= k <= n;
+    {n choose k} = prod_{d=2..n} P_d^(floor(n/d) - floor(k/d) - floor((n-k)/d)),
+
+where every exponent is 0 or 1.  :func:`lucanomial` is that product, with
+no recursion and no table of smaller lucanomials.  Two independent routes
+are kept so that a wrong answer disagrees loudly:
+
+* :func:`lucanomial_recurrence_oracle` fills the division-free Pascal-style
+  recurrence from the splitting identity {n} = {k}{n-k+1} + t*{k-1}{n-k},
+  namely  {n,k} = {n-k+1}*{n-1,k-1} + t*{k-1}*{n-1,k}, row by row;
 * :func:`lucanomial_division_oracle` evaluates the factorial quotient with
-  exact division and exists purely so the two routes can disagree loudly.
+  exact division.
 
-Setting s = t = 1 turns {n} into the Fibonacci number F_n; the integer
-specializations (fibonacci, fib_factorial, fibonomial) are computed
-directly over int as the fast path for exhaustive enumeration, with
-agreement against polynomial evaluation asserted in the test suite.
+Setting s = t = 1 turns {n} into the Fibonacci number F_n.  The integer
+specializations (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are
+computed directly over int, the fibonomial as the same atom product, with
+agreement against polynomial evaluation and the factorial quotient
+asserted in the test suite.
 """
 
 from __future__ import annotations
 
-from .polys import ONE, Poly, S, T, ZERO, divide_exact
+from math import prod
+from typing import Callable, TypeVar
+
+from .polys import ONE, NotDivisibleError, Poly, S, T, ZERO, divide_exact
+
+_V = TypeVar("_V", Poly, int)
 
 
 class LucasTable:
@@ -66,27 +81,100 @@ def lucas_factorial(n: int) -> Poly:
     return _TABLE.factorial(n)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors d > 1 of n in ascending order, so n itself comes last."""
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return (small + large[::-1])[1:]
+
+
+def _atom(d: int, atoms: dict[int, _V], base: Callable[[int], _V],
+          divide: Callable[[_V, _V], _V]) -> _V:
+    # Fill in the atoms of the divisors of d in ascending order, so the atoms
+    # of each one's proper divisors are already known when it is divided.
+    if d < 2:
+        raise ValueError("atom index must be at least 2")
+    if d not in atoms:
+        for e in _divisors(d):
+            if e not in atoms:
+                atom = base(e)
+                for f in _divisors(e)[:-1]:
+                    atom = divide(atom, atoms[f])
+                atoms[e] = atom
+    return atoms[d]
+
+
+def _atom_indices(n: int, k: int) -> list[int]:
+    """The d whose atom divides {n choose k}, for 0 <= k <= n.
+
+    The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
+    is 0 for every d > n.
+    """
+    return [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
+
+
+_lucas_atoms: dict[int, Poly] = {}
+
+
+def lucas_atom(d: int) -> Poly:
+    """The Lucas atom P_d, d >= 2: {d} exactly divided by P_e for each e | d, 1 < e < d.
+
+    NotDivisibleError propagating from here would falsify the factorisation
+    and is treated as an internal assertion failure.
+    """
+    return _atom(d, _lucas_atoms, lucas, divide_exact)
+
+
 _lucanomials: dict[tuple[int, int], Poly] = {}
 
 
 def lucanomial(n: int, k: int) -> Poly:
     """The lucanomial {n choose k}, zero outside 0 <= k <= n.
 
-    Computed division-free via the splitting-identity recurrence; agrees
-    with the factorial quotient wherever the latter is defined.
+    Computed as the product of the Lucas atoms P_d with exponent 1; agrees
+    with the recurrence and with the factorial quotient.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    if k == 0:
-        return ONE
-    key = (n, k)
+    key = (n, min(k, n - k))
     cached = _lucanomials.get(key)
     if cached is None:
-        cached = lucas(n - k + 1) * lucanomial(n - 1, k - 1) + T * lucas(k - 1) * lucanomial(n - 1, k)
+        cached = prod((lucas_atom(d) for d in _atom_indices(n, k)), start=ONE)
         _lucanomials[key] = cached
     return cached
+
+
+def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
+    """{n choose k} from the splitting-identity recurrence, filled row by row.
+
+    Division-free and independent of the atom factorisation; must equal
+    lucanomial(n, k).  Row m holds the columns 0..min(m, k), and the column
+    past the end of the previous row is the lucanomial zero.  Row n, column k
+    reads only the columns j >= k - (n - m) of row m; the ones below are left
+    ZERO and never read.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 0 or k > n:
+        return ZERO
+    row = [ONE]
+    for m in range(1, n + 1):
+        prev = row
+        lo = max(1, k - n + m)
+        row = [ONE] + [ZERO] * (lo - 1)
+        for j in range(lo, min(m, k) + 1):
+            above = prev[j] if j < len(prev) else ZERO
+            row.append(lucas(m - j + 1) * prev[j - 1] + T * lucas(j - 1) * above)
+    return row[k]
 
 
 def lucanomial_division_oracle(n: int, k: int) -> Poly:
@@ -131,20 +219,36 @@ def fib_factorial(n: int) -> int:
     return _fib_facts[n]
 
 
+def _divide_int_exact(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise NotDivisibleError("no exact integer quotient")
+    return quotient
+
+
+_fibonacci_atoms: dict[int, int] = {}
+
+
+def fibonacci_atom(d: int) -> int:
+    """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
+    return _atom(d, _fibonacci_atoms, fibonacci, _divide_int_exact)
+
+
 _fibonomials: dict[tuple[int, int], int] = {}
 
 
 def fibonomial(n: int, k: int) -> int:
-    """The fibonomial coefficient F_n!/(F_k! F_{n-k}!), zero outside 0 <= k <= n."""
+    """The fibonomial coefficient F_n!/(F_k! F_{n-k}!), zero outside 0 <= k <= n.
+
+    Computed as the product of the integer atoms with exponent 1.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    if k == 0:
-        return 1
-    key = (n, k)
+    key = (n, min(k, n - k))
     cached = _fibonomials.get(key)
     if cached is None:
-        cached = fibonacci(n - k + 1) * fibonomial(n - 1, k - 1) + fibonacci(k - 1) * fibonomial(n - 1, k)
+        cached = prod(fibonacci_atom(d) for d in _atom_indices(n, k))
         _fibonomials[key] = cached
     return cached

@@ -1,17 +1,36 @@
 """CLI behavior: outputs, formats, exit codes, and determinism."""
 
 import json
+import sys
 
 import pytest
 
 from lucanomials.cli import main
-from lucanomials.lucas import lucanomial
+from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def decimal(value):
+    """str(value) regardless of the interpreter's int-to-str digit limit."""
+    if not HAS_DIGIT_LIMIT:
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def fibonomial_quotient(n, k):
+    return fib_factorial(n) // (fib_factorial(k) * fib_factorial(n - k))
 
 
 class TestValueCommands:
@@ -51,6 +70,49 @@ class TestValueCommands:
     def test_catalan_modes(self, capsys):
         assert run(capsys, "catalan", "--n", "3", "--mode", "fibo") == (0, "20\n")
         assert run(capsys, "catalan", "--n", "4", "--mode", "classical") == (0, "14\n")
+
+
+class TestLargeValues:
+    def test_fibonomial_deep_first_column(self, capsys):
+        code, out = run(capsys, "fibonomial", "--n", "1000", "--k", "1")
+        assert code == 0
+        assert out == decimal(fibonomial_quotient(1000, 1)) + "\n"
+
+    def test_fibonomial_past_digit_limit(self, capsys):
+        expected = decimal(fibonomial_quotient(290, 145))
+        assert len(expected) > 4300
+        assert run(capsys, "fibonomial", "--n", "290", "--k", "145") == (0, expected + "\n")
+        code, out = run(capsys, "fibonomial", "--n", "290", "--k", "145", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"value": expected}
+
+    def test_fibocatalan_past_digit_limit(self, capsys):
+        quotient, remainder = divmod(fibonomial_quotient(290, 145), fibonacci(146))
+        assert remainder == 0
+        code, out = run(capsys, "catalan", "--n", "145", "--mode", "fibo")
+        assert code == 0
+        assert out == decimal(quotient) + "\n"
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="interpreter has no int-to-str digit limit")
+    def test_digit_limit_restored_after_output(self, capsys):
+        before = sys.get_int_max_str_digits()
+        run(capsys, "fibonomial", "--n", "290", "--k", "145")
+        assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="interpreter has no int-to-str digit limit")
+    def test_huge_n_argument_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "fibonomial", "--n", "1" * 5000, "--k", "1")
+        assert excinfo.value.code == 2
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="interpreter has no int-to-str digit limit")
+    def test_huge_input_json_int_still_rejected(self, capsys, tmp_path):
+        triple = tmp_path / "triple.json"
+        triple.write_text('{"small_stair": ' + "1" * 5000 + "}")
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", "inverse", "--n", "6", "--k", "3", "--input", str(triple))
+        assert excinfo.value.code == 2
+        assert "Exceeds the limit" in capsys.readouterr().err
 
 
 class TestTilingsCommand:

@@ -1,21 +1,31 @@
 """Tests for Lucas polynomials, lucanomials, and Fibonacci specializations."""
 
+from math import gcd
+
 import pytest
 
 from lucanomials.lucas import (
     LucasTable,
     fib_factorial,
     fibonacci,
+    fibonacci_atom,
     fibonomial,
     lucanomial,
     lucanomial_division_oracle,
+    lucanomial_recurrence_oracle,
     lucas,
+    lucas_atom,
     lucas_factorial,
     split_identity,
 )
 from lucanomials.polys import ONE, S, T, ZERO, parse
 
 N_SWEEP = 12
+ATOM_SWEEP = 60
+
+
+def totient(n):
+    return sum(1 for m in range(1, n + 1) if gcd(m, n) == 1)
 
 
 def pascal_triangle(n_max):
@@ -116,6 +126,60 @@ class TestLucanomial:
         )
 
 
+class TestRecurrenceOracle:
+    def test_agrees_with_atom_product(self):
+        for n in range(31):
+            for k in range(n + 1):
+                assert lucanomial_recurrence_oracle(n, k) == lucanomial(n, k), (n, k)
+
+    def test_agrees_at_60_30(self):
+        assert lucanomial_recurrence_oracle(60, 30) == lucanomial(60, 30)
+
+    def test_out_of_range_is_zero(self):
+        assert lucanomial_recurrence_oracle(4, -1) == ZERO
+        assert lucanomial_recurrence_oracle(4, 5) == ZERO
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            lucanomial_recurrence_oracle(-1, 0)
+
+
+class TestLucasAtom:
+    def test_first_atoms_by_hand(self):
+        # {2} = s, {3} = s^2 + t, {4} = {2} * (s^2 + 2t), {6} = {2}{3} * (s^2 + 3t).
+        assert lucas_atom(2) == parse("s")
+        assert lucas_atom(3) == parse("s^2 + t")
+        assert lucas_atom(4) == parse("s^2 + 2*t")
+        assert lucas_atom(6) == parse("s^2 + 3*t")
+
+    def test_positive_coefficients(self):
+        assert all(lucas_atom(d).is_nonneg() for d in range(2, ATOM_SWEEP + 1))
+
+    def test_s_degree_is_totient(self):
+        for d in range(2, ATOM_SWEEP + 1):
+            assert max(se for se, _ in lucas_atom(d).terms) == totient(d), d
+
+    def test_divisor_product_is_lucas(self):
+        for n in range(2, ATOM_SWEEP + 1):
+            product = ONE
+            for d in range(2, n + 1):
+                if n % d == 0:
+                    product = product * lucas_atom(d)
+            assert product == lucas(n), n
+
+    def test_integer_form_is_value_at_one_one(self):
+        assert all(
+            fibonacci_atom(d) == lucas_atom(d).evaluate(1, 1) for d in range(2, ATOM_SWEEP + 1)
+        )
+
+    def test_index_below_two_rejected(self):
+        for d in (-1, 0, 1):
+            with pytest.raises(ValueError):
+                lucas_atom(d)
+            with pytest.raises(ValueError):
+                fibonacci_atom(d)
+
+
 class TestDivisionOracle:
     def test_single_row(self):
         assert lucanomial_division_oracle(3, 1) == parse("s^2 + t")
@@ -125,7 +189,7 @@ class TestDivisionOracle:
 
     def test_agrees_with_recurrence(self):
         assert all(
-            lucanomial_division_oracle(n, k) == lucanomial(n, k)
+            lucanomial_division_oracle(n, k) == lucanomial_recurrence_oracle(n, k) == lucanomial(n, k)
             for n in range(N_SWEEP + 1)
             for k in range(n + 1)
         )
@@ -181,9 +245,17 @@ class TestFibonacci:
         assert fibonomial(5, 6) == 0
 
     def test_fibonomial_matches_factorial_quotient(self):
-        for n in range(N_SWEEP + 1):
+        for n in range(121):
             for k in range(n + 1):
                 assert fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k) == fib_factorial(n)
+
+    def test_deep_first_column(self):
+        # Past the interpreter's recursion limit for a per-level recurrence.
+        assert fibonomial(1000, 1) == fibonacci(1000)
+        assert fibonomial(1000, 1) * fib_factorial(999) == fib_factorial(1000)
+
+    def test_large_central_value(self):
+        assert fibonomial(1500, 700) * fib_factorial(700) * fib_factorial(800) == fib_factorial(1500)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

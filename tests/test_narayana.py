@@ -102,6 +102,12 @@ class TestGeneralizedNarayana:
             for k in range(1, n + 1):
                 assert generalized_narayana(n, k).evaluate(2, -1) == classical_narayana(n, k)
 
+    def test_definition_divides_exactly_at_40(self):
+        # divide_exact raises NotDivisibleError on any nonzero remainder.
+        for k in range(1, 41):
+            quotient = generalized_narayana_definition_oracle(40, k)
+            assert quotient.evaluate(1, 1) == fibonarayana(40, k), k
+
 
 class TestCatalan:
     def test_fibocatalan_values(self):
@@ -113,6 +119,12 @@ class TestCatalan:
             assert poly.is_nonneg()
             assert poly.evaluate(1, 1) == fibocatalan(n)
             assert poly.evaluate(2, -1) == catalan(n)
+
+    def test_generalized_catalan_divides_exactly_at_40(self):
+        poly = generalized_catalan(40)
+        assert poly.is_nonneg()
+        assert poly.evaluate(1, 1) == fibocatalan(40)
+        assert poly.evaluate(2, -1) == catalan(40)
 
     def test_classical_values(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
