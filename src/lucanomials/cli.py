@@ -16,11 +16,11 @@ from pathlib import Path
 from . import bijection, narayana, tilings
 from .lucas import fibonomial, lucanomial
 from .lucas import lucas as lucas_poly
-from .polys import Poly
+from .polys import Poly, int_text
 from .tilings import ShapeError
 
 _VERIFY_DEFAULTS = {
-    "theorem1": 10,
+    "theorem1": 16,
     "theorem2": 25,
     "theorem3": 12,
     "bijection": 6,
@@ -92,21 +92,8 @@ def _emit_poly(poly: Poly, fmt: str) -> None:
     print(str(poly) if fmt == "text" else _dump(poly.to_json_dict()))
 
 
-def _int_text(value: int) -> str:
-    # Exact answers can pass Python's int-to-str digit limit.  Lift it for
-    # this conversion only, so parsing --n, --k and --input keeps the guard.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _emit_int(value: int, fmt: str) -> None:
-    text = _int_text(value)
+    text = int_text(value)
     print(text if fmt == "text" else _dump({"value": text}))
 
 
@@ -142,7 +129,7 @@ def _check_catalan(n: int) -> dict:
     nonneg = poly.is_nonneg()
     return {
         "n": n,
-        "lhs": str(value),
+        "lhs": int_text(value),
         "rhs": str(poly),
         "nonneg": nonneg,
         "pass": agrees and nonneg,
@@ -160,8 +147,12 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
     if n_max < 0:
         parser.error("--n-max must be nonnegative")
     single = args.n is not None
+    if single and args.n_max is not None:
+        parser.error("--n-max cannot be combined with --n")
     if args.k is not None and not single:
         parser.error("--k requires --n")
+    if args.k is not None and args.target in ("catalan", "classical"):
+        parser.error(f"--k does not apply to verify {args.target}")
     if single and args.n < 0:
         parser.error("--n must be nonnegative")
     if single and args.target == "classical" and args.n < 1:
@@ -325,7 +316,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if not 0 <= args.k <= args.n:
             parser.error("need 0 <= --k <= --n")
         if args.action == "count":
-            _emit_int(sum(1 for _ in tilings.enumerate_rect_tilings(args.n, args.k)), args.format)
+            _emit_int(tilings.lucanomial_tiling_oracle(args.n, args.k).evaluate(1, 1), args.format)
         else:
             items = [rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k)]
             if args.format == "json":

@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import comb
 
 from .lucas import fibonacci, fibonomial, lucanomial, lucas
-from .polys import ONE, NotDivisibleError, Poly, T, ZERO, divide_exact
+from .polys import ONE, NotDivisibleError, Poly, T, ZERO, divide_exact, int_text
 
 
 def fibonarayana(n: int, k: int) -> int:
@@ -122,12 +122,13 @@ def fibonarayana_report(n: int, k: int) -> dict:
     """
     value = fibonarayana(n, k)
     oracle = fibonarayana_definition_oracle(n, k)
+    text = int_text(value)
     return {
         "n": n,
         "k": k,
-        "value_or_poly": str(value),
-        "lhs": str(value),
-        "rhs": str(oracle),
+        "value_or_poly": text,
+        "lhs": text,
+        "rhs": int_text(oracle),
         "oracle_agrees": value == oracle,
         "nonneg": value > 0,
     }
@@ -165,11 +166,11 @@ def table_text(n_max: int, mode: str = "fibo") -> str:
     lines = []
     for n in range(1, n_max + 1):
         if mode == "fibo":
-            values = [str(fibonarayana(n, k)) for k in range(1, n + 1)]
+            values = [int_text(fibonarayana(n, k)) for k in range(1, n + 1)]
         elif mode == "general":
             values = [str(generalized_narayana(n, k)) for k in range(1, n + 1)]
         else:
-            values = [str(generalized_narayana(n, k).evaluate(2, -1)) for k in range(1, n + 1)]
+            values = [int_text(generalized_narayana(n, k).evaluate(2, -1)) for k in range(1, n + 1)]
         lines.append("\t".join(values))
     return "\n".join(lines)
 

@@ -20,6 +20,7 @@ has an empty term mapping and renders as "0".
 
 from __future__ import annotations
 
+import sys
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -199,6 +200,23 @@ T = Poly({(0, 1): 1})
 # ---------------------------------------------------------------------------
 # Rendering and parsing
 # ---------------------------------------------------------------------------
+
+def int_text(value: int) -> str:
+    """Decimal text of an exact integer result, of any number of digits.
+
+    Python refuses int-to-str conversions past 4300 digits by default.  The
+    limit is lifted for this conversion only, so parsing untrusted input
+    elsewhere in the process keeps the guard.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 def _format_term(se: int, te: int, coeff: int) -> str:
     parts = []

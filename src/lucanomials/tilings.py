@@ -10,12 +10,19 @@ A :class:`RectTiling` combines a partition in a rectangle with a linear
 tiling of each partition row and a tiling of each complement column that
 must begin with a domino when the column is nonempty.  Its weight is the
 monomial s^(#squares) * t^(#dominos).  Summing weights over all rectangle
-tilings of a k x (n-k) rectangle produces the lucanomial {n choose k};
-:func:`lucanomial_tiling_oracle` computes that sum as a route entirely
-independent of the recurrence in :mod:`lucanomials.lucas`, using per-row
-generating polynomials maintained by their own recurrence (the product of
-row polynomials equals the weight sum over the cross product of row
-tilings, which the test suite checks by full enumeration at small sizes).
+tilings of a k x (n-k) rectangle produces the lucanomial {n choose k}.
+
+:func:`lucanomial_tiling_oracle` computes that sum without listing the
+partitions.  A partition is a lattice path from the top-right corner
+(0 rows emitted, column m) to the bottom-left corner (k, 0) of the
+rectangle: a down step at column x emits a row of length x, and a left step
+after i rows closes column x, whose complement has length k - i.  The weight
+of a tiling set factors over the steps of its path (one row polynomial per
+row, one domino-initial polynomial per column), so a transfer DP over the
+(i, x) grid sums all C(n, k) paths with O(k * (n-k)) polynomial products.
+The per-step polynomials are Lucas polynomials, and the route never uses
+the lucanomial formulas of :mod:`lucanomials.lucas`.  The test suite
+checks the factorisation by full enumeration at small sizes.
 
 All enumeration orders are deterministic: partitions stream in
 lexicographically descending order, and row tilings stream square-first.
@@ -28,8 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from . import polys
-from .polys import ONE, Poly, ZERO
+from .lucas import lucas
+from .polys import ONE, Poly, T, ZERO
 
 SQUARE = "S"
 DOMINO = "D"
@@ -125,22 +132,17 @@ def domino_initial_tilings(length: int) -> Iterator[str]:
             yield DOMINO + rest
 
 
-_row_polys: list[Poly] = [ONE, polys.S]
-
-
 def row_weight_poly(length: int, domino_initial: bool = False) -> Poly:
-    """Sum of s^(#squares) * t^(#dominos) over one row's admissible tilings."""
+    """Sum of s^(#squares) * t^(#dominos) over one row's admissible tilings.
+
+    A free row of length L gives {L+1}; a domino-initial one gives t*{L-1},
+    or 1 for the empty row.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if domino_initial:
-        if length == 0:
-            return ONE
-        if length == 1:
-            return ZERO
-        return polys.T * row_weight_poly(length - 2)
-    while len(_row_polys) <= length:
-        _row_polys.append(polys.S * _row_polys[-1] + polys.T * _row_polys[-2])
-    return _row_polys[length]
+    if not domino_initial:
+        return lucas(length + 1)
+    return ONE if length == 0 else T * lucas(length - 1)
 
 
 def partitions_in_rectangle(k: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -256,18 +258,22 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
 def lucanomial_tiling_oracle(n: int, k: int) -> Poly:
     """Weight sum over all rectangle tilings of the k x (n-k) rectangle.
 
-    Computed per partition as a product of per-row generating polynomials;
-    must equal lucanomial(n, k).
+    A transfer DP along the partition's boundary path: after i rows,
+    ``paths[x]`` is the weight sum of the path prefixes that stand at
+    column x.  A left step from x multiplies by the domino-initial
+    polynomial of the closed column's length k - i; a down step emits a row
+    of length x.  Must equal lucanomial(n, k).
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     m = n - k
-    total = ZERO
-    for lam in partitions_in_rectangle(k, m):
-        term = ONE
-        for part in lam:
-            term = term * row_weight_poly(part)
-        for part in star(lam, k, m):
-            term = term * row_weight_poly(part, domino_initial=True)
-        total = total + term
-    return total
+    paths = [ZERO] * m + [ONE]
+    for i in range(k):
+        column = row_weight_poly(k - i, domino_initial=True)
+        for x in range(m, 0, -1):
+            paths[x - 1] = paths[x - 1] + paths[x] * column
+        for x in range(m + 1):
+            paths[x] = paths[x] * row_weight_poly(x)
+    # After the last row every column still open has an empty complement,
+    # of weight 1, so each path walks left to the corner unchanged.
+    return sum(paths, ZERO)

@@ -8,6 +8,7 @@ import pytest
 from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
+from lucanomials.tilings import enumerate_rect_tilings
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -119,6 +120,21 @@ class TestTilingsCommand:
     def test_count(self, capsys):
         assert run(capsys, "tilings", "count", "--n", "4", "--k", "2") == (0, "6\n")
 
+    def test_count_equals_enumeration(self, capsys):
+        for n in range(9):
+            for k in range(n + 1):
+                expected = len(list(enumerate_rect_tilings(n, k)))
+                assert run(capsys, "tilings", "count", "--n", str(n), "--k", str(k)) == (
+                    0, f"{expected}\n"), (n, k)
+
+    def test_count_equals_fibonomial(self, capsys):
+        # Past n = 12 listing the tilings one by one is out of reach:
+        # --n 16 --k 8 alone has 19 344 810 307 020 of them.
+        for n in range(21):
+            for k in range(n + 1):
+                assert run(capsys, "tilings", "count", "--n", str(n), "--k", str(k)) == (
+                    0, f"{fibonomial_quotient(n, k)}\n"), (n, k)
+
     def test_list_text_is_one_json_object_per_line(self, capsys):
         code, out = run(capsys, "tilings", "list", "--n", "4", "--k", "2")
         assert code == 0
@@ -205,6 +221,28 @@ class TestVerifyCommands:
         _, first = run(capsys, "verify", "theorem3", "--n-max", "5", "--format", "json")
         _, second = run(capsys, "verify", "theorem3", "--n-max", "5", "--format", "json")
         assert first == second
+
+    def test_default_theorem1_sweep_reaches_16(self, capsys):
+        code, out = run(capsys, "verify", "theorem1")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert "theorem1 n=16 k=8 ok" in lines
+        assert lines[-1] == "theorem1: 153 checks passed"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "catalan", "--n", "3", "--k", "5"),
+            ("verify", "classical", "--n", "3", "--k", "9"),
+            ("verify", "theorem1", "--n", "2", "--n-max", "9"),
+            ("verify", "bijection", "--n", "4", "--k", "2", "--n-max", "5"),
+        ],
+    )
+    def test_ignored_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, *argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_k_without_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from lucanomials.narayana import (
     fibocatalan,
     fibonarayana,
     fibonarayana_definition_oracle,
+    fibonarayana_report,
     fibonarayana_row_sum,
     generalized_catalan,
     generalized_narayana,
@@ -53,6 +54,14 @@ class TestFibonarayana:
             for n in range(1, 14)
             for k in range(1, n + 1)
         )
+
+    def test_report_past_digit_limit(self):
+        # n = 204 is the first row of the verify theorem2 sweep whose values
+        # pass Python's 4300-digit int-to-str limit.
+        report = fibonarayana_report(204, 102)
+        assert len(report["lhs"]) > 4300
+        assert report["lhs"] == report["rhs"]
+        assert report["oracle_agrees"] and report["nonneg"]
 
     def test_row_sum_is_reported_not_asserted(self):
         # No identity is claimed for this sum; it only has to be computable.

@@ -199,9 +199,32 @@ class TestWeightSums:
         assert all(lucanomial_tiling_oracle(n, 0) == ONE for n in range(6))
 
     def test_oracle_equals_lucanomial(self):
-        for n in range(9):
+        for n in range(21):
             for k in range(n + 1):
-                assert lucanomial_tiling_oracle(n, k) == lucanomial(n, k)
+                assert lucanomial_tiling_oracle(n, k) == lucanomial(n, k), (n, k)
+        assert lucanomial_tiling_oracle(40, 20) == lucanomial(40, 20)
+
+    def test_oracle_equals_per_partition_products(self):
+        # The boundary-path DP must sum exactly the per-partition products
+        # it replaces: one row polynomial per part, one domino-initial
+        # polynomial per complement column.
+        for n in range(11):
+            for k in range(n + 1):
+                m = n - k
+                total = ZERO
+                for lam in partitions_in_rectangle(k, m):
+                    term = ONE
+                    for part in lam:
+                        term = term * row_weight_poly(part)
+                    for part in star(lam, k, m):
+                        term = term * row_weight_poly(part, domino_initial=True)
+                    total = total + term
+                assert lucanomial_tiling_oracle(n, k) == total, (n, k)
+
+    def test_oracle_rejects_out_of_range_k(self):
+        for n, k in ((3, -1), (3, 4)):
+            with pytest.raises(ValueError):
+                lucanomial_tiling_oracle(n, k)
 
     def test_product_form_equals_cross_product_up_to_4x4(self):
         # Per partition: the product of per-row generating polynomials must
