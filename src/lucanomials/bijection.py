@@ -48,19 +48,37 @@ two cases of :func:`verify_pair_decomposition` realizes the identity
 
 by exhaustion: the bracket is exactly the integer Narayana-style recurrence
 value for (n, k).
+
+Where validation happens.  Shapes are validated at the boundary: when a
+:class:`StairstepTiling` or :class:`TilingTriple` is constructed (so also
+when :func:`forward` builds its result) and by the CLI on its input.  The
+forward scan itself is one private core, :func:`_scan_key`, that trusts its
+rows: it tracks row lengths and the comparison column as ints, reads cut
+positions from a per-row offset table, and checks the image's shape with
+O(1) int comparisons per event (a cut column has one cell per partition row
+still to emit, the other-stairstep rows have lengths n-k-1, ..., 1, and the
+path completes).  Its output is one flat string per image, so the
+exhaustive verifiers key their injectivity sets on strings instead of
+nested frozen dataclasses, and :func:`verify_pair_decomposition` scans each
+distinct remainder once instead of twice per pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .lucas import fib_factorial, fibonomial
 from .tilings import (
+    DOMINO,
+    SQUARE,
     RectTiling,
     ShapeError,
     _domino_covers,
+    _json_field,
+    _linear_tilings,
     covered_length,
     linear_tilings,
     split_after,
@@ -101,10 +119,15 @@ class StairstepTiling:
 
     def tile_counts(self) -> tuple[int, int]:
         """(squares, dominos) over all rows."""
-        return sum(r.count("S") for r in self.rows), sum(r.count("D") for r in self.rows)
+        return _tile_counts(self.rows)
 
 
 EMPTY_STAIRSTEP = StairstepTiling(())
+
+
+def _tile_counts(rows: tuple[str, ...]) -> tuple[int, int]:
+    tiles = "".join(rows)
+    return tiles.count(SQUARE), tiles.count(DOMINO)
 
 
 def enumerate_stairstep_tilings(m: int) -> Iterator[StairstepTiling]:
@@ -125,12 +148,9 @@ class TilingTriple:
     rect: RectTiling  # partition inside the (n-k) x k rectangle
 
     def tile_counts(self) -> tuple[int, int]:
-        squares, dominos = self.small_stair.tile_counts()
-        s2, d2 = self.other_stair.tile_counts()
-        rows = self.rect.lambda_rows + self.rect.star_rows
-        return (
-            squares + s2 + sum(r.count("S") for r in rows),
-            dominos + d2 + sum(r.count("D") for r in rows),
+        return _tile_counts(
+            self.small_stair.rows + self.other_stair.rows
+            + self.rect.lambda_rows + self.rect.star_rows
         )
 
     def to_json_dict(self) -> dict:
@@ -142,14 +162,97 @@ class TilingTriple:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> TilingTriple:
-        try:
-            return cls(
-                StairstepTiling(tuple(str(r) for r in data["small_stair"])),
-                StairstepTiling(tuple(str(r) for r in data["other_stair"])),
-                RectTiling.from_json_dict(data["rect"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"malformed triple JSON: missing {exc}") from exc
+        return cls(
+            StairstepTiling(tuple(str(r) for r in _json_field(data, "small_stair", "triple", list))),
+            StairstepTiling(tuple(str(r) for r in _json_field(data, "other_stair", "triple", list))),
+            RectTiling.from_json_dict(_json_field(data, "rect", "triple", dict)),
+        )
+
+
+@lru_cache(maxsize=4096)
+def _cut_offsets(row: str) -> tuple[int, ...]:
+    """String offset of every cell boundary of a row tiling; -1 inside a domino.
+
+    Entry c ends the piece that covers cells 1..c, so
+    ``row[offsets[a]:offsets[b]]`` covers cells a+1..b, and a domino covers
+    cells c and c+1 exactly when entry c is -1.  The row must be a valid
+    tiling.
+    """
+    offsets = [0]
+    for index, ch in enumerate(row, 1):
+        if ch == DOMINO:
+            offsets.append(-1)
+        offsets.append(index)
+    return tuple(offsets)
+
+
+def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
+    """The forward scan of the top rows of a size-(n-1) stairstep tiling.
+
+    ``top`` holds the rows the scan reads, trusted to be valid: row i
+    covers n-1-i cells, and there are n-k rows (n-1 when k = 0).  Returns
+    the image's n-k partition rows (top first, "" for a zero part), its k
+    complement columns (right to left) and its n-k-1 other-stairstep rows,
+    joined by "|"; the small stairstep rows follow in the full key (see
+    :func:`_stairstep_key`).  Raises RuntimeError if the image is not
+    shape-valid, which would be an implementation fault.
+    """
+    height = n - k
+    scan_count = len(top)
+    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
+    offsets = [_cut_offsets(row) for row in top]
+    lam_rows: list[str] = []
+    star_cols: list[str] = []
+    other_rows: list[str] = []
+    other_length = height - 1  # the next other-stairstep row's length
+    alive = scan_count
+    c = k
+    r = 0
+    while alive:
+        while not lengths[r]:
+            r = r + 1 if r + 1 < scan_count else 0
+        length = lengths[r]
+        cuts = offsets[r]
+        if c < length and cuts[c] < 0:
+            # The complement column closed here has one cell per partition
+            # row still to emit.
+            if length - c + 1 != height - len(lam_rows):
+                raise RuntimeError("a cut column does not fit the rows left to emit")
+            star_cols.append(top[r][cuts[c - 1]:cuts[length]])
+            c -= 1
+            lengths[r] = c
+            if not c:
+                alive -= 1
+        else:
+            if c > length:
+                raise RuntimeError("comparison column drifted past the end of a row")
+            if len(lam_rows) == height:
+                raise RuntimeError("scan emitted more partition rows than the rectangle has")
+            row = top[r]
+            lam_rows.append(row[:cuts[c]])
+            if c < length:
+                if length - c != other_length:
+                    raise RuntimeError("scan produced a stairstep row of the wrong length")
+                other_rows.append(row[cuts[c]:cuts[length]])
+                other_length -= 1
+            lengths[r] = 0
+            alive -= 1
+        r = r + 1 if r + 1 < scan_count else 0
+
+    # Complete the path to the bottom-left corner: one of the two remainders
+    # is always zero, otherwise cells would have been left unplaced.
+    missing_down = height - len(lam_rows)
+    if missing_down and c:
+        raise RuntimeError("scan ended with both path directions unfinished")
+    if other_length > 0:
+        raise RuntimeError("scan produced a stairstep of the wrong size")
+    return "|".join(lam_rows + [""] * missing_down + star_cols + [""] * c + other_rows)
+
+
+def _stairstep_key(rows: tuple[str, ...], k: int) -> str:
+    """Flat key of forward(StairstepTiling(rows), k): scan pieces, then small rows."""
+    scan_count = len(rows) - max(k - 1, 0)
+    return "|".join((_scan_key(rows[:scan_count], len(rows) + 1, k),) + rows[scan_count:])
 
 
 def forward(t: StairstepTiling, k: int) -> TilingTriple:
@@ -157,63 +260,17 @@ def forward(t: StairstepTiling, k: int) -> TilingTriple:
     n = t.size + 1
     if not 0 <= k <= n:
         raise ShapeError(f"need 0 <= k <= {n} for a stairstep of size {n - 1}")
-    small_count = max(k - 1, 0)
-    scan_count = (n - 1) - small_count
-    small_stair = StairstepTiling(t.rows[scan_count:])
-    rect_height = n - k
-
-    remaining = list(t.rows[:scan_count])
-    lengths = [covered_length(row) for row in remaining]
-    consumed = [False] * scan_count
-    alive = scan_count
-
-    c = k
-    lam_parts: list[int] = []
-    lam_rows: list[str] = []
-    star_cols: list[str] = []
-    stair_rows: list[str] = []
-    cursor = 0
-    while alive:
-        while consumed[cursor % scan_count]:
-            cursor += 1
-        r = cursor % scan_count
-        if _domino_covers(remaining[r], c):
-            left, segment = split_after(remaining[r], c - 1)
-            star_cols.append(segment)
-            remaining[r] = left
-            lengths[r] = c - 1
-            if lengths[r] == 0:
-                consumed[r] = True
-                alive -= 1
-            c -= 1
-        else:
-            if c > lengths[r]:
-                raise RuntimeError("comparison column drifted past the end of a row")
-            left, right = split_after(remaining[r], c)
-            lam_parts.append(c)
-            lam_rows.append(left)
-            stair_rows.append(right)
-            consumed[r] = True
-            alive -= 1
-        cursor += 1
-
-    # Complete the path to the bottom-left corner: one of the two remainders
-    # is always zero, otherwise cells would have been left unplaced.
-    missing_down = rect_height - len(lam_parts)
-    if missing_down and c:
-        raise RuntimeError("scan ended with both path directions unfinished")
-    lam_parts.extend([0] * missing_down)
-    lam_rows.extend([""] * missing_down)
-    star_cols.extend([""] * c)
-
+    pieces = tuple(_stairstep_key(t.rows, k).split("|"))
+    height = n - k
+    small_start = n + max(height - 1, 0)
+    lam_rows = pieces[:height]
+    lam = tuple(len(row) + row.count(DOMINO) for row in lam_rows)
     try:
-        other_stair = StairstepTiling(tuple(row for row in stair_rows if row))
-        rect = RectTiling(tuple(lam_parts), tuple(lam_rows), tuple(star_cols))
+        rect = RectTiling(lam, lam_rows, pieces[height:n])
+        other_stair = StairstepTiling(pieces[n:small_start])
     except ShapeError as exc:
         raise RuntimeError(f"scan produced an inconsistent triple: {exc}") from exc
-    if other_stair.size != max(rect_height - 1, 0):
-        raise RuntimeError("scan produced a stairstep of the wrong size")
-    return TilingTriple(small_stair, other_stair, rect)
+    return TilingTriple(StairstepTiling(pieces[small_start:]), other_stair, rect)
 
 
 def _path_from_partition(lam: tuple[int, ...], width: int) -> list[str]:
@@ -333,7 +390,7 @@ def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
 
 
 def verify_cardinality(n: int, k: int) -> dict:
-    """Exhaustively check F_n! = fibonomial(n,k) * F_k! * F_{n-k}! via forward.
+    """Exhaustively check F_n! = fibonomial(n,k) * F_k! * F_{n-k}! via the forward scan.
 
     Returns a report with both side counts plus injectivity and surjectivity
     flags.  Surjectivity uses the count argument: images are shape-valid by
@@ -342,11 +399,18 @@ def verify_cardinality(n: int, k: int) -> dict:
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    image = set()
+    # The bottom k-1 rows pass through verbatim, so each choice of the top
+    # n-k rows is scanned once and its key is completed by every choice of
+    # the bottom rows: head + suffix == _stairstep_key(top + bottom, k).
+    tops = itertools.product(*(_linear_tilings(length) for length in range(n - 1, k - 1, -1)))
+    bottoms = itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1)))
+    suffixes = ["".join("|" + row for row in rows) for rows in bottoms]
+    image: set[str] = set()
     total = 0
-    for tiling in enumerate_stairstep_tilings(n - 1):
-        image.add(forward(tiling, k))
-        total += 1
+    for top in tops:
+        head = _scan_key(top, n, k)
+        image.update([head + suffix for suffix in suffixes])
+        total += len(suffixes)
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")
     rhs = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
@@ -373,6 +437,19 @@ class PairDecomposition:
     triple_2: TilingTriple
 
 
+def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str]]:
+    """Case tag and flanking pieces of T1's first row at the cells k-1|k boundary."""
+    if _domino_covers(first, k - 1):
+        left, tail = split_after(first, k - 2)
+        return "domino", (left, tail[1:])
+    return "no_domino", split_after(first, k - 1)
+
+
+def _remainder_params(case_tag: str, k: int) -> tuple[int, int]:
+    """Column parameters that T1's remainder and T2 map forward with."""
+    return (k - 2, k) if case_tag == "domino" else (k - 1, k - 1)
+
+
 def decompose_pair(t1: StairstepTiling, t2: StairstepTiling, k: int) -> PairDecomposition:
     """Split (T1 of size n-1, T2 of size n-2) along T1's first row at k-1|k.
 
@@ -387,53 +464,49 @@ def decompose_pair(t1: StairstepTiling, t2: StairstepTiling, k: int) -> PairDeco
         raise ShapeError(f"second tiling has size {t2.size}, expected {n - 2}")
     if not 1 <= k <= n - 1:
         raise ShapeError(f"need 1 <= k <= {n - 1}")
-    first = t1.rows[0]
+    case_tag, parts = _split_first_row(t1.rows[0], k)
+    k1, k2 = _remainder_params(case_tag, k)
     rest = StairstepTiling(t1.rows[1:])
-    if _domino_covers(first, k - 1):
-        left, tail = split_after(first, k - 2)
-        return PairDecomposition(
-            "domino", (left, tail[1:]), forward(rest, k - 2), forward(t2, k)
-        )
-    left, right = split_after(first, k - 1)
-    return PairDecomposition(
-        "no_domino", (left, right), forward(rest, k - 1), forward(t2, k - 1)
-    )
+    return PairDecomposition(case_tag, parts, forward(rest, k1), forward(t2, k2))
 
 
 def recompose_pair(dec: PairDecomposition, n: int, k: int) -> tuple[StairstepTiling, StairstepTiling]:
     """Invert :func:`decompose_pair`; documents that the splitting loses nothing."""
     left, right = dec.first_row_parts
-    if dec.case_tag == "domino":
-        first = left + "D" + right
-        rest = inverse(dec.triple_1, n - 1, k - 2)
-        t2 = inverse(dec.triple_2, n - 1, k)
-    else:
-        first = left + right
-        rest = inverse(dec.triple_1, n - 1, k - 1)
-        t2 = inverse(dec.triple_2, n - 1, k - 1)
+    first = left + "D" + right if dec.case_tag == "domino" else left + right
+    k1, k2 = _remainder_params(dec.case_tag, k)
+    rest = inverse(dec.triple_1, n - 1, k1)
+    t2 = inverse(dec.triple_2, n - 1, k2)
     return StairstepTiling((first,) + rest.rows), t2
 
 
 def verify_pair_decomposition(n: int, k: int) -> dict:
     """Exhaustively verify the pair-decomposition counting identity at (n, k).
 
-    Checks that decompose_pair is injective over all F_n! * F_{n-1}! pairs
-    and that the per-case image sizes match
+    Checks that the decomposition of :func:`decompose_pair` (case, first-row
+    pieces, and the scan keys of both remainders in place of their triples)
+    is injective over all F_n! * F_{n-1}! pairs and that the per-case image
+    sizes match
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k-1)^2   (no domino) and
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k) * fib(n-1,k-2)  (domino).
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    seconds = list(enumerate_stairstep_tilings(n - 2))
-    seen: set[PairDecomposition] = set()
+    # T1's remainder and T2 are both stairsteps of size n-2: key each of them
+    # once per column parameter a case can ask for, instead of once per pair.
+    stairs = list(itertools.product(*(_linear_tilings(length) for length in range(n - 2, 0, -1))))
+    keys = {p: [_stairstep_key(rows, p) for rows in stairs] for p in range(max(k - 2, 0), k + 1)}
+    seen: set[tuple[str, tuple[str, str], str, str]] = set()
     counts = {"no_domino": 0, "domino": 0}
     total = 0
-    for t1 in enumerate_stairstep_tilings(n - 1):
-        for t2 in seconds:
-            dec = decompose_pair(t1, t2, k)
-            seen.add(dec)
-            counts[dec.case_tag] += 1
-            total += 1
+    for first in _linear_tilings(n - 1):
+        case_tag, parts = _split_first_row(first, k)
+        k1, k2 = _remainder_params(case_tag, k)
+        pairs = itertools.product((case_tag,), (parts,), keys[k1], keys[k2])
+        seen.update(pairs)
+        count = len(keys[k1]) * len(keys[k2])
+        counts[case_tag] += count
+        total += count
     prefactor = (
         fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
     )

@@ -122,12 +122,10 @@ def fibonarayana_report(n: int, k: int) -> dict:
     """
     value = fibonarayana(n, k)
     oracle = fibonarayana_definition_oracle(n, k)
-    text = int_text(value)
     return {
         "n": n,
         "k": k,
-        "value_or_poly": text,
-        "lhs": text,
+        "lhs": int_text(value),
         "rhs": int_text(oracle),
         "oracle_agrees": value == oracle,
         "nonneg": value > 0,
@@ -144,7 +142,6 @@ def generalized_narayana_report(n: int, k: int) -> dict:
     return {
         "n": n,
         "k": k,
-        "value_or_poly": str(value),
         "lhs": str(value),
         "rhs": str(oracle),
         "oracle_agrees": value == oracle,

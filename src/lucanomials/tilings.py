@@ -49,12 +49,11 @@ class ShapeError(ValueError):
 
 def covered_length(tiling: str) -> int:
     """Number of cells covered by a row tiling string."""
-    total = 0
-    for ch in tiling:
-        if ch not in _TILE_LEN:
-            raise ShapeError(f"invalid tile {ch!r}; expected 'S' or 'D'")
-        total += _TILE_LEN[ch]
-    return total
+    dominos = tiling.count(DOMINO)
+    if tiling.count(SQUARE) + dominos != len(tiling):
+        invalid = next(ch for ch in tiling if ch not in _TILE_LEN)
+        raise ShapeError(f"invalid tile {invalid!r}; expected 'S' or 'D'")
+    return len(tiling) + dominos
 
 
 def is_breakable(tiling: str, i: int) -> bool:
@@ -228,14 +227,33 @@ class RectTiling:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> RectTiling:
+        what = "rectangle tiling"
         try:
-            return cls(
-                tuple(int(p) for p in data["lambda"]),
-                tuple(str(r) for r in data["lambda_rows"]),
-                tuple(str(r) for r in data["star_rows"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"malformed rectangle tiling JSON: missing {exc}") from exc
+            lam = tuple(int(p) for p in _json_field(data, "lambda", what, list))
+        except TypeError as exc:
+            raise ValueError(f"malformed {what} JSON: 'lambda' must hold integers") from exc
+        return cls(
+            lam,
+            tuple(str(r) for r in _json_field(data, "lambda_rows", what, list)),
+            tuple(str(r) for r in _json_field(data, "star_rows", what, list)),
+        )
+
+
+def _json_field(data, key: str, what: str, kind: type):
+    """Field ``key`` of the JSON object ``data``, of type ``kind``.
+
+    Raises ValueError, never KeyError or TypeError, so that malformed input
+    files are usage errors.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what} JSON: expected an object")
+    if key not in data:
+        raise ValueError(f"malformed {what} JSON: missing {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"malformed {what} JSON: {key!r} must be {expected}")
+    return value
 
 
 def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:

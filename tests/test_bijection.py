@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucanomials.bijection import (
     EMPTY_STAIRSTEP,
     StairstepTiling,
     TilingTriple,
+    _stairstep_key,
     decompose_pair,
     enumerate_stairstep_tilings,
     forward,
@@ -29,6 +32,39 @@ def triple_space(n, k):
     return {
         TilingTriple(s, o, r) for s, o, r in itertools.product(smalls, others, rects)
     }
+
+
+def triple_key(triple):
+    """The scan core's key format, serialized from a triple's fields."""
+    rect = triple.rect
+    return "|".join(
+        rect.lambda_rows + rect.star_rows + triple.other_stair.rows + triple.small_stair.rows
+    )
+
+
+@st.composite
+def stairsteps(draw, size):
+    """A random stairstep tiling of the given size, one tile at a time."""
+    rows = []
+    for length in range(size, 0, -1):
+        tiles = []
+        covered = 0
+        while covered < length:
+            if length - covered >= 2 and draw(st.booleans()):
+                tiles.append("D")
+                covered += 2
+            else:
+                tiles.append("S")
+                covered += 1
+        rows.append("".join(tiles))
+    return StairstepTiling(tuple(rows))
+
+
+@st.composite
+def stairstep_and_k(draw):
+    """(T, n, k): a stairstep of size n-1 for n in 10..30, and 0 <= k <= n."""
+    n = draw(st.integers(10, 30))
+    return draw(stairsteps(n - 1)), n, draw(st.integers(0, n))
 
 
 class TestStairstepTiling:
@@ -123,6 +159,49 @@ class TestForward:
         assert inverse(high, 4, 4) == t
 
 
+class TestScanKey:
+    def test_keys_match_forward_one_to_one(self):
+        for n in range(1, 8):
+            stairs = list(enumerate_stairstep_tilings(n - 1))
+            for k in range(0, n + 1):
+                pairs = {(_stairstep_key(t.rows, k), forward(t, k)) for t in stairs}
+                keys = {key for key, _ in pairs}
+                triples = {triple for _, triple in pairs}
+                assert len(keys) == len(triples) == len(pairs), (n, k)
+                assert all(key == triple_key(triple) for key, triple in pairs), (n, k)
+
+
+class TestBeyondExhaustion:
+    """Properties on random stairsteps far past the exhaustive range."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(stairstep_and_k())
+    def test_inverse_undoes_forward(self, case):
+        t, n, k = case
+        assert inverse(forward(t, k), n, k) == t
+
+    @settings(max_examples=25, deadline=None)
+    @given(stairstep_and_k())
+    def test_tile_multiset_conserved(self, case):
+        t, _, k = case
+        assert forward(t, k).tile_counts() == t.tile_counts()
+
+    @settings(max_examples=25, deadline=None)
+    @given(stairstep_and_k())
+    def test_key_agrees_with_forward(self, case):
+        t, _, k = case
+        assert _stairstep_key(t.rows, k) == triple_key(forward(t, k))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_recompose_undoes_decompose(self, data):
+        n = data.draw(st.integers(10, 30))
+        t1 = data.draw(stairsteps(n - 1))
+        t2 = data.draw(stairsteps(n - 2))
+        k = data.draw(st.integers(1, n - 1))
+        assert recompose_pair(decompose_pair(t1, t2, k), n, k) == (t1, t2)
+
+
 class TestInverse:
     def test_roundtrip_n_up_to_6(self):
         for n in range(2, 7):
@@ -172,6 +251,21 @@ class TestVerifyCardinality:
     def test_k_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             verify_cardinality(4, 4)
+
+    def test_reports_up_to_seven(self):
+        for n in range(2, 8):
+            count = str(fib_factorial(n))
+            for k in range(1, n):
+                assert verify_cardinality(n, k) == {
+                    "n": n, "k": k, "lhs": count, "rhs": count,
+                    "injective": True, "surjective": True, "pass": True,
+                }
+
+    def test_eight_four(self):
+        # 65 520 stairstep tilings, one past the default exhaustive range.
+        report = verify_cardinality(8, 4)
+        assert report["pass"] and report["injective"] and report["surjective"]
+        assert report["lhs"] == report["rhs"] == "65520"
 
 
 class TestDecomposePair:
@@ -237,3 +331,28 @@ class TestVerifyPairDecomposition:
                 )
                 assert report["pass"]
                 assert int(report["rhs"]) == prefactor * fibonarayana(n, k)
+
+    def test_reports_up_to_six(self):
+        for n in range(2, 7):
+            for k in range(1, n):
+                prefactor = (
+                    fib_factorial(k)
+                    * fib_factorial(n - k)
+                    * fib_factorial(k - 1)
+                    * fib_factorial(n - k + 1)
+                )
+                no_domino = prefactor * fibonomial(n - 1, k - 1) ** 2
+                domino = prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
+                total = str(fib_factorial(n) * fib_factorial(n - 1))
+                assert verify_pair_decomposition(n, k) == {
+                    "n": n, "k": k, "lhs": total, "rhs": total,
+                    "no_domino": str(no_domino), "domino": str(domino),
+                    "injective": True, "surjective": True, "pass": True,
+                }, (n, k)
+
+    def test_seven_three(self):
+        # 748 800 pairs: F_7! * F_6! = 3120 * 240.
+        report = verify_pair_decomposition(7, 3)
+        assert report["pass"] and report["injective"] and report["surjective"]
+        assert report["lhs"] == report["rhs"] == "748800"
+        assert (report["no_domino"], report["domino"]) == ("576000", "172800")

@@ -170,6 +170,26 @@ class TestBijectionCommand:
             run(capsys, "bijection", "forward", "--n", "6", "--k", "3", "--input", str(stair))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1, 2]",
+            '{"small_stair": 5, "other_stair": [], "rect": {}}',
+            '{"small_stair": [], "other_stair": [], "rect": [1]}',
+            '{"small_stair": [], "other_stair": [], '
+            '"rect": {"lambda": [null], "lambda_rows": [], "star_rows": []}}',
+        ],
+    )
+    def test_malformed_inverse_input_is_usage_error(self, capsys, tmp_path, payload):
+        triple = tmp_path / "triple.json"
+        triple.write_text(payload)
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", "inverse", "--n", "6", "--k", "3", "--input", str(triple))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed" in captured.err
+
     def test_missing_input_file(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, "bijection", "forward", "--n", "4", "--k", "2",
@@ -198,10 +218,27 @@ class TestVerifyCommands:
         code, out = run(capsys, "verify", "bijection", "--n", "6", "--k", "3",
                         "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        payload = json.loads(out)
+        assert set(payload) == {"target", "pass", "checks"}
+        assert payload["target"] == "bijection"
+        assert payload["pass"] is True
+        (report,) = payload["checks"]
         assert set(report) == {"n", "k", "lhs", "rhs", "injective", "surjective", "pass"}
         assert report["pass"] is True
         assert report["lhs"] == "240"
+
+    def test_narayana_checks_have_no_duplicate_value_field(self, capsys):
+        for target in ("theorem2", "theorem3"):
+            code, out = run(capsys, "verify", target, "--n-max", "4", "--format", "json")
+            assert code == 0
+            for check in json.loads(out)["checks"]:
+                assert "value_or_poly" not in check
+                assert set(check) == {"n", "k", "lhs", "rhs", "oracle_agrees", "nonneg", "pass"}
+
+    def test_single_theorem2_past_the_old_exhaustive_range(self, capsys):
+        # 748 800 pairs of stairstep tilings, each decomposed and keyed.
+        code, out = run(capsys, "verify", "theorem2", "--n", "7", "--k", "3")
+        assert (code, out) == (0, "theorem2 n=7 k=3 ok\ntheorem2: 1 checks passed\n")
 
     def test_single_theorem2_runs_pair_decomposition(self, capsys):
         code, out = run(capsys, "verify", "theorem2", "--n", "5", "--k", "2",
