@@ -227,10 +227,9 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("the classical sweep needs a positive bound")
     report = narayana.classical_specialization_report(bound)
     if args.format == "json":
-        print(_dump(report))
-    else:
-        status = "ok" if report["pass"] else f"FAIL {report['first_failure']}"
-        print(f"classical n_max={report['n_max']} {status}")
+        return _emit_checks("classical", [report], args.format)
+    status = "ok" if report["pass"] else f"FAIL {report['first_failure']}"
+    print(f"classical n_max={report['n_max']} {status}")
     return 0 if report["pass"] else 1
 
 

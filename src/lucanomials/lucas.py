@@ -132,14 +132,30 @@ def lucas_atom(d: int) -> Poly:
     return _atom(d, _lucas_atoms, lucas, divide_exact)
 
 
+def _balanced_product(factors: list[Poly]) -> Poly:
+    """The product of factors, multiplied in adjacent pairs, level by level.
+
+    The operands of each level's products have about equal size, which is
+    where the Kronecker kernel of Poly.__mul__ gains; a running product
+    would multiply a large partial product by one small atom at a time.
+    """
+    if not factors:
+        return ONE
+    while len(factors) > 1:
+        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[-1:] if len(factors) % 2 else paired
+    return factors[0]
+
+
 _lucanomials: dict[tuple[int, int], Poly] = {}
 
 
 def lucanomial(n: int, k: int) -> Poly:
     """The lucanomial {n choose k}, zero outside 0 <= k <= n.
 
-    Computed as the product of the Lucas atoms P_d with exponent 1; agrees
-    with the recurrence and with the factorial quotient.
+    Computed as the product of the Lucas atoms P_d with exponent 1,
+    multiplied as a balanced tree; agrees with the recurrence and with the
+    factorial quotient.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -148,7 +164,7 @@ def lucanomial(n: int, k: int) -> Poly:
     key = (n, min(k, n - k))
     cached = _lucanomials.get(key)
     if cached is None:
-        cached = prod((lucas_atom(d) for d in _atom_indices(n, k)), start=ONE)
+        cached = _balanced_product([lucas_atom(d) for d in _atom_indices(n, k)])
         _lucanomials[key] = cached
     return cached
 

@@ -7,6 +7,30 @@ canonical form: a mapping from exponent pairs (s_exp, t_exp) to nonzero int
 coefficients.  Equality is therefore plain dict equality, and no operation
 ever rounds or overflows.
 
+Multiplication packs each operand into one big int (Kronecker
+substitution) and takes a single big-int product:
+
+* Slots.  A term s^se t^te has weight w = se + 2*te.  It goes to slot
+  (w - wmin) * span + (te - tmin), where wmin and tmin are the operand's
+  least weight and t exponent, and span = (tmax_a - tmin_a) +
+  (tmax_b - tmin_b) + 1 is the number of t exponents the product can
+  reach at one weight, so sums of t exponents never spill into the next
+  weight.  Every Lucas object is weighted-homogeneous (one weight), so its
+  slots are dense: one per term, no zeros.  Other polynomials leave some
+  slots zero.
+* Width.  Each slot is `width` bytes, with 8*width - 1 >= bits(max|a|) +
+  bits(max|b|) + bits(min(len a, len b)); every product coefficient then
+  has absolute value below 2^(8*width - 1).
+* Sign.  An operand is the int read from its positive coefficients' slots
+  minus the int read from its negative ones'.  Adding 2^(8*width - 1) to
+  every slot of the product makes each slot nonnegative, so one
+  `to_bytes` splits it; the bias is subtracted again per slot and zero
+  slots are dropped, which leaves the result canonical.
+* Cutoff.  When the smaller operand has at most SCHOOLBOOK_MAX_TERMS terms,
+  or the product's slot grid would hold more slots than there are term
+  pairs (sparse, non-homogeneous operands), the pairwise loop runs
+  instead; it is the kernel's base case, not a second kernel.
+
 Division exists only as :func:`divide_exact`, which treats its operands as
 univariate in s with coefficients in Z[t] and fails fast with
 :class:`NotDivisibleError` when no exact quotient exists.  All quotients
@@ -120,26 +144,28 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for (sa, ta), ca in self._terms.items():
-            for (sb, tb), cb in other._terms.items():
-                key = (sa + sb, ta + tb)
-                total = out.get(key, 0) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return _from_canonical(out)
+        a, b = self._terms, other._terms
+        if min(len(a), len(b)) > SCHOOLBOOK_MAX_TERMS:
+            ea, eb = _extent(a), _extent(b)
+            if _slot_count(ea, eb) <= len(a) * len(b):
+                return _from_canonical(_mul_kronecker(a, b, ea, eb))
+        return _from_canonical(_mul_schoolbook(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative int")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        # Square-and-multiply over the bits of the exponent, low bit first.
+        result = None
+        base = self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return ONE if result is None else result
+            base = base * base
 
     def evaluate(self, s0: int, t0: int) -> int:
         """Exact integer value at (s, t) = (s0, t0)."""
@@ -174,6 +200,100 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({render(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# Multiplication kernel
+# ---------------------------------------------------------------------------
+
+# Products whose smaller operand has at most this many terms use the pairwise
+# loop; packing and unpacking cost more than they save below it.
+SCHOOLBOOK_MAX_TERMS = 8
+
+
+def _mul_schoolbook(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Canonical product of two canonical term maps, one step per term pair."""
+    out: dict[Monomial, int] = {}
+    for (sa, ta), ca in a.items():
+        for (sb, tb), cb in b.items():
+            key = (sa + sb, ta + tb)
+            total = out.get(key, 0) + ca * cb
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
+
+
+_Extent = tuple[int, int, int, int]
+
+
+def _extent(terms: dict[Monomial, int]) -> _Extent:
+    """(least weight, greatest weight, least t exponent, greatest t exponent)."""
+    weights = [se + 2 * te for se, te in terms]
+    ts = [te for _, te in terms]
+    return min(weights), max(weights), min(ts), max(ts)
+
+
+def _span(ea: _Extent, eb: _Extent) -> int:
+    # Slots per weight: the range of t exponents the product can reach.
+    return (ea[3] - ea[2]) + (eb[3] - eb[2]) + 1
+
+
+def _slot_count(ea: _Extent, eb: _Extent) -> int:
+    return (ea[1] - ea[0] + eb[1] - eb[0] + 1) * _span(ea, eb)
+
+
+def _pack(terms: dict[Monomial, int], e: _Extent, span: int, width: int) -> int:
+    # One signed int: the positive coefficients' slots minus the negative ones'.
+    w0, w1, t0, t1 = e
+    zero = bytes(width)
+    pos = [zero] * ((w1 - w0) * span + t1 - t0 + 1)
+    neg = None
+    for (se, te), c in terms.items():
+        at = (se + 2 * te - w0) * span + te - t0
+        if c > 0:
+            pos[at] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = [zero] * len(pos)
+            neg[at] = (-c).to_bytes(width, "little")
+    packed = int.from_bytes(b"".join(pos), "little")
+    return packed if neg is None else packed - int.from_bytes(b"".join(neg), "little")
+
+
+def _mul_kronecker(
+    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent
+) -> dict[Monomial, int]:
+    """Canonical product of two nonempty term maps by one big-int product.
+
+    ea and eb are the operands' extents.  See the module docstring for the
+    slot layout, the width and the bias.
+    """
+    span = _span(ea, eb)
+    slots = _slot_count(ea, eb)
+    bits = (
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+    width = bits // 8 + 1  # 8 * width - 1 >= bits
+    packed_a = _pack(a, ea, span, width)
+    packed_b = packed_a if b is a else _pack(b, eb, span, width)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (packed_a * packed_b + bias).to_bytes(slots * width, "little")
+    w0, t0 = ea[0] + eb[0], ea[2] + eb[2]
+    from_bytes = int.from_bytes
+    out: dict[Monomial, int] = {}
+    at = 0
+    for w in range(w0, w0 + slots // span):
+        for te in range(t0, t0 + span):
+            c = from_bytes(data[at:at + width], "little") - half
+            at += width
+            if c:
+                out[(w - 2 * te, te)] = c
+    return out
 
 
 def _from_canonical(terms: dict[Monomial, int]) -> Poly:

@@ -227,6 +227,19 @@ class TestVerifyCommands:
         assert report["pass"] is True
         assert report["lhs"] == "240"
 
+    def test_classical_json_schema(self, capsys):
+        code, out = run(capsys, "verify", "classical", "--n-max", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "target": "classical",
+            "pass": True,
+            "checks": [{"n_max": 8, "pass": True, "first_failure": None}],
+        }
+
+    def test_classical_text(self, capsys):
+        assert run(capsys, "verify", "classical", "--n-max", "8") == (0, "classical n_max=8 ok\n")
+        assert run(capsys, "verify", "classical", "--n", "3") == (0, "classical n_max=3 ok\n")
+
     def test_narayana_checks_have_no_duplicate_value_field(self, capsys):
         for target in ("theorem2", "theorem3"):
             code, out = run(capsys, "verify", target, "--n-max", "4", "--format", "json")

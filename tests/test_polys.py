@@ -1,12 +1,17 @@
 """Unit and property tests for the exact polynomial layer."""
 
+from functools import reduce
+from operator import mul
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucanomials import polys
 from lucanomials.polys import (
     ONE,
     S,
+    SCHOOLBOOK_MAX_TERMS,
     T,
     ZERO,
     NotDivisibleError,
@@ -22,6 +27,34 @@ coefficients = st.integers(min_value=-30, max_value=30)
 poly_strategy = st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=6).map(Poly)
 nonzero_polys = poly_strategy.filter(bool)
 points = st.integers(min_value=-4, max_value=4)
+
+big_coefficients = st.integers(min_value=-(2**256), max_value=2**256).filter(bool)
+
+
+@st.composite
+def wide_polys(draw, homogeneous, min_terms=SCHOOLBOOK_MAX_TERMS + 1, max_terms=40):
+    """Polys with min_terms..max_terms terms and coefficients up to +-2^256.
+
+    A homogeneous support has one weight w = s_exp + 2 * t_exp, like every
+    Lucas object; the other kind mixes weights over a small grid.
+    """
+    if homogeneous:
+        weight = draw(st.integers(min_value=2 * max_terms, max_value=2 * max_terms + 9))
+        monomials = st.integers(min_value=0, max_value=weight // 2).map(lambda te: (weight - 2 * te, te))
+    else:
+        monomials = st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+    terms = draw(st.dictionaries(monomials, big_coefficients, min_size=min_terms, max_size=max_terms))
+    return Poly(terms)
+
+
+def kronecker(p, q):
+    a = dict(p.terms)
+    b = a if q is p else dict(q.terms)  # the kernel packs a square once
+    return Poly(polys._mul_kronecker(a, b, polys._extent(a), polys._extent(b)))
+
+
+def schoolbook(p, q):
+    return Poly(polys._mul_schoolbook(dict(p.terms), dict(q.terms)))
 
 
 class TestArithmetic:
@@ -82,6 +115,113 @@ class TestArithmetic:
     def test_equal_polys_hash_equal(self, p, q):
         if p == q:
             assert hash(p) == hash(q)
+
+
+class TestPow:
+    @given(poly_strategy)
+    def test_matches_repeated_multiplication(self, p):
+        for e in range(10):
+            assert p**e == reduce(mul, [p] * e, ONE)
+
+    @pytest.mark.parametrize("exponent,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (9, 4)])
+    def test_square_and_multiply(self, exponent, products, monkeypatch):
+        calls = []
+        original = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        S**exponent
+        assert len(calls) == products
+
+
+class TestKroneckerKernel:
+    """The packed big-int product against the pairwise loop it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_polys(homogeneous=True), wide_polys(homogeneous=True))
+    def test_homogeneous(self, p, q):
+        expected = schoolbook(p, q)
+        assert kronecker(p, q) == expected
+        assert p * q == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_polys(homogeneous=False), wide_polys(homogeneous=False))
+    def test_non_homogeneous(self, p, q):
+        expected = schoolbook(p, q)
+        assert kronecker(p, q) == expected
+        assert p * q == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wide_polys(homogeneous=False, min_terms=1),
+        wide_polys(homogeneous=False, min_terms=1),
+    )
+    def test_every_size(self, p, q):
+        expected = schoolbook(p, q)
+        assert kronecker(p, q) == expected
+        assert p * q == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_polys(homogeneous=True))
+    def test_square(self, p):
+        assert kronecker(p, p) == schoolbook(p, p)
+        assert p * p == p**2 == schoolbook(p, p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_polys(homogeneous=False))
+    def test_cancels_to_zero(self, p):
+        assert p * (-p) + p * p == ZERO
+        assert kronecker(p, -p) == -kronecker(p, p)
+
+    def test_cancels_to_sparse(self):
+        assert kronecker(S - T, S + T) == parse("s^2 - t^2") == (S - T) * (S + T)
+        # (1 + s + ... + s^9)(1 - s)(1 + s^10 + ... + s^90) = 1 - s^100
+        a = sum((S**j for j in range(10)), ZERO)
+        b = (1 - S) * sum((S ** (10 * j) for j in range(10)), ZERO)
+        assert len(a.terms) == 10 and len(b.terms) == 20
+        assert a * b == kronecker(a, b) == 1 - S**100
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("bits_a", [253, 254])
+    def test_coefficient_at_slot_bound(self, bits_a, sign):
+        # The middle coefficient of the product is 15 (2^bits_a - 1)(2^254 - 1),
+        # within a sixteenth of 2^(bits_a + 258).  At bits_a = 253 it fills
+        # 64-byte slots up to the bias bit; at 254 it needs a 65th byte.
+        a = Poly({(30 - 2 * j, j): 2**bits_a - 1 for j in range(15)})
+        b = Poly({(30 - 2 * j, j): sign * (2**254 - 1) for j in range(15)})
+        product = a * b
+        assert product == kronecker(a, b) == schoolbook(a, b)
+        assert product.terms[(32, 14)] == sign * 15 * (2**bits_a - 1) * (2**254 - 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(wide_polys(homogeneous=True))
+    def test_int_operands(self, p):
+        assert 3 * p == p * 3 == p + p + p
+        assert p * 0 == 0 * p == ZERO
+        assert p * 1 == p
+
+    def test_dense_products_use_the_kernel(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("pairwise loop called")
+
+        a = Poly({(20 - 2 * j, j): j + 1 for j in range(11)})
+        expected = schoolbook(a, a)
+        monkeypatch.setattr(polys, "_mul_schoolbook", refuse)
+        assert a * a == expected
+
+    def test_sparse_products_use_the_loop(self, monkeypatch):
+        # Nine terms spread over t^0 .. t^800 would need 1601 slots for 81
+        # term pairs.
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        a = Poly({(j, 100 * j): 1 for j in range(9)})
+        expected = schoolbook(a, a)
+        monkeypatch.setattr(polys, "_mul_kronecker", refuse)
+        assert a * a == expected
 
 
 class TestCanonicalForm:
