@@ -31,11 +31,29 @@ substitution) and takes a single big-int product:
   pairs (sparse, non-homogeneous operands), the pairwise loop runs
   instead; it is the kernel's base case, not a second kernel.
 
-Division exists only as :func:`divide_exact`, which treats its operands as
-univariate in s with coefficients in Z[t] and fails fast with
+Division exists only as :func:`divide_exact`, which raises
 :class:`NotDivisibleError` when no exact quotient exists.  All quotients
 taken elsewhere in the package are guaranteed exact by identities, so a
 NotDivisibleError signals a violated identity or a bug, never a user error.
+When both operands are weighted-homogeneous, as every Lucas object is, it
+divides a series:
+
+* Series.  With u = t/s^2 a polynomial of weight W is s^W p(u), so the
+  quotient has weight W_num - W_den and is p_num(u) / p_den(u).  The
+  weights and the two t ranges fix the quotient's t range; a range that is
+  empty or starts below t^0, or one that would need a negative s exponent,
+  admits no quotient.
+* Steps.  The coefficients, held in dense int lists, are taken in
+  ascending powers of u, each one inner product of the divisor's tail with
+  the quotient so far, then a divmod by the divisor's lowest-t
+  coefficient; a nonzero remainder means no quotient.
+* Certificate.  The numerator's coefficients past the quotient's length
+  must equal the same convolution, so quotient times divisor is the
+  numerator exactly.
+
+Other operands take long division in s with coefficients in Z[t], one
+s-degree row at a time.  The package never divides such operands; the loop
+is the kernel's base case and its reference in the tests.
 
 Rendering uses graded lexicographic term order (total degree first, then
 s exponent), descending, so output is deterministic.  The zero polynomial
@@ -45,6 +63,7 @@ has an empty term mapping and renders as "0".
 from __future__ import annotations
 
 import sys
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -467,9 +486,75 @@ def parse(text: str) -> Poly:
 # Exact division
 # ---------------------------------------------------------------------------
 
-def _group_by_s(poly: Poly) -> dict[int, dict[int, int]]:
+def divide_exact(num: Poly | int, den: Poly | int) -> Poly:
+    """Exact quotient num / den, or raise.
+
+    Int operands are taken as constant polynomials; any other type raises
+    TypeError.  Raises NotDivisibleError when no exact quotient exists and
+    ZeroDivisionError when den is the zero polynomial.
+    """
+    num, den = _coerce(num), _coerce(den)
+    if num is NotImplemented or den is NotImplemented:
+        raise TypeError("divide_exact operands must be Poly or int")
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not num:
+        return ZERO
+    a, b = num._terms, den._terms
+    if _is_homogeneous(a) and _is_homogeneous(b):
+        return _from_canonical(_divide_series(a, b))
+    return _from_canonical(_divide_rows(a, b))
+
+
+def _is_homogeneous(terms: dict[Monomial, int]) -> bool:
+    # Every term has the same weight se + 2*te.
+    return len({se + 2 * te for se, te in terms}) == 1
+
+
+def _divide_series(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Exact quotient of two nonempty weighted-homogeneous term maps.
+
+    See the module docstring: the coefficients of p_a / p_b in ascending
+    powers of u = t/s^2, each checked by a divmod, then a certificate over
+    the numerator's remaining coefficients.
+    """
+    (sa, ta), (sb, tb) = next(iter(a)), next(iter(b))
+    weight = sa + 2 * ta - sb - 2 * tb
+    a_lo, a_hi = min(te for _, te in a), max(te for _, te in a)
+    b_lo, b_hi = min(te for _, te in b), max(te for _, te in b)
+    q_lo, q_hi = a_lo - b_lo, a_hi - b_hi
+    if q_lo < 0 or q_hi < q_lo or 2 * q_hi > weight:
+        raise NotDivisibleError("no exact quotient: the weights or t ranges do not fit")
+    num = [0] * (a_hi - a_lo + 1)
+    for (_, te), c in a.items():
+        num[te - a_lo] = c
+    den = [0] * (b_hi - b_lo + 1)
+    for (_, te), c in b.items():
+        den[te - b_lo] = c
+    lead, tail = den[0], den[1:]
+    size = q_hi - q_lo + 1
+    # rev[size - 1 - i] is the i-th quotient coefficient, so rev[size - i:]
+    # lists the ones already found, latest first, ready for an inner product.
+    rev = [0] * size
+    for i in range(size):
+        at = size - i
+        q, r = divmod(num[i] - sum(map(mul, tail, rev[at:at + len(tail)])), lead)
+        if r:
+            raise NotDivisibleError("no exact quotient: a series coefficient is not an integer")
+        rev[at - 1] = q
+    for i in range(size, len(num)):
+        if num[i] != sum(map(mul, den[i - size + 1:], rev)):
+            raise NotDivisibleError("no exact quotient: the numerator's top coefficients disagree")
+    out: dict[Monomial, int] = {}
+    for te, c in enumerate(reversed(rev), q_lo):
+        if c:
+            out[(weight - 2 * te, te)] = c
+    return out
+
+
+def _group_by_s(terms: dict[Monomial, int]) -> dict[int, dict[int, int]]:
     grouped: dict[int, dict[int, int]] = {}
-    for (se, te), c in poly.terms.items():
+    for (se, te), c in terms.items():
         grouped.setdefault(se, {})[te] = c
     return grouped
 
@@ -499,21 +584,16 @@ def _divide_t_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
     return quotient
 
 
-def divide_exact(num: Poly, den: Poly) -> Poly:
-    """Exact quotient num / den, or raise.
+def _divide_rows(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Exact quotient of two nonempty term maps, one s-degree row at a time.
 
-    The division runs univariately in s with coefficients in Z[t] and
-    raises NotDivisibleError at the first non-exact step.  Raises
-    ZeroDivisionError when den is the zero polynomial.
+    Long division in s with coefficients in Z[t]; raises NotDivisibleError
+    at the first non-exact step.
     """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return ZERO
-    den_by_s = _group_by_s(den)
+    den_by_s = _group_by_s(b)
     ds = max(den_by_s)
     den_lead = den_by_s[ds]
-    rem = _group_by_s(num)
+    rem = _group_by_s(a)
     out: dict[Monomial, int] = {}
     while rem:
         rs = max(rem)
@@ -535,4 +615,4 @@ def divide_exact(num: Poly, den: Poly) -> Poly:
                         target.pop(key, None)
             if not target:
                 rem.pop(qs + se, None)
-    return _from_canonical(out)
+    return out

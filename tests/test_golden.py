@@ -40,6 +40,11 @@ GOLDEN = [
     ("catalan --n 20 --mode general", "d0130086c7cae7506dfdbcda557bd21e882fc561793ade82ea678cfbd6452f99"),
     ("verify theorem3 --n-max 14 --format json", "f6c7ce741684428c26f6cb46076482d39a95833259bfbad4b379ded875520732"),
     ("verify classical --n-max 20", "cc01af851a715befc746b272b5efa7c1e7f5a9b63a34fb4ad0f8cb233526999a"),
+    # Recorded before exact division of weighted-homogeneous operands became
+    # a series kernel: the rhs of each catalan check is a quotient, and every
+    # atom behind the lucanomial is one.
+    ("verify catalan --n-max 18 --format json", "da4d9390b0ed8462c733b4cbe43a178ba8473b5a80cab077563915e4d3c41d71"),
+    ("lucanomial --n 84 --k 13", "dcc673b7871c5be53f0fa9617dfb490d28bfcadedb6219b5139c6744f9205336"),
 ]
 
 

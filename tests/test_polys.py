@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucanomials import polys
+from lucanomials.lucas import lucanomial, lucas
 from lucanomials.polys import (
     ONE,
     S,
@@ -287,6 +288,144 @@ class TestDivideExact:
     @given(poly_strategy, nonzero_polys)
     def test_product_quotient_roundtrip(self, p, q):
         assert divide_exact(p * q, q) == p
+
+    def test_int_operands(self):
+        assert divide_exact(parse("2*s + 4*t"), 2) == parse("s + 2*t")
+        assert divide_exact(6, 3) == Poly({(0, 0): 2})
+        assert divide_exact(4, parse("2")) == parse("2")
+        assert divide_exact(0, S) == ZERO
+        with pytest.raises(NotDivisibleError):
+            divide_exact(4, S)
+        with pytest.raises(NotDivisibleError):
+            divide_exact(parse("2*s + 3*t"), 2)
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(S, 0)
+
+    @pytest.mark.parametrize("num,den", [(S, 2.0), ("s", S), (None, ONE), (S, [1])])
+    def test_other_operand_types_rejected(self, num, den):
+        with pytest.raises(TypeError):
+            divide_exact(num, den)
+
+
+@st.composite
+def homogeneous_polys(draw, min_terms=1, max_terms=6):
+    """Polys whose terms all have one weight se + 2*te, with small coefficients."""
+    weight = draw(st.integers(min_value=2 * (min_terms - 1), max_value=12))
+    monomials = st.integers(min_value=0, max_value=weight // 2).map(lambda te: (weight - 2 * te, te))
+    terms = draw(
+        st.dictionaries(monomials, coefficients.filter(bool), min_size=min_terms, max_size=max_terms)
+    )
+    return Poly(terms)
+
+
+def series(num, den):
+    return Poly(polys._divide_series(dict(num.terms), dict(den.terms)))
+
+
+def rows(num, den):
+    return Poly(polys._divide_rows(dict(num.terms), dict(den.terms)))
+
+
+def assert_not_divisible(num, den):
+    for divide in (series, rows, divide_exact):
+        with pytest.raises(NotDivisibleError):
+            divide(num, den)
+
+
+class TestSeriesKernel:
+    """Series division of weighted-homogeneous operands against the s-row loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        homogeneous_polys(),
+        homogeneous_polys(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_exact_quotient(self, q, d, i, j):
+        # Negative coefficients, any lowest-t coefficient, t^i and t^j factors
+        # and gaps in the quotient's support all come from the draw.
+        q, d = q * T**i, d * T**j
+        n = q * d
+        assert series(n, d) == rows(n, d) == divide_exact(n, d) == q
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        wide_polys(homogeneous=True, min_terms=1, max_terms=20),
+        wide_polys(homogeneous=True, min_terms=1, max_terms=20),
+    )
+    def test_big_coefficients(self, q, d):
+        n = q * d
+        assert series(n, d) == rows(n, d) == q
+
+    @settings(max_examples=50, deadline=None)
+    @given(homogeneous_polys())
+    def test_non_monic_lowest_coefficient(self, q):
+        d = parse("2*s^2 + 2*t")
+        assert series(q * d, d) == rows(q * d, d) == q
+
+    def test_zero_interior_quotient_coefficients(self):
+        q = parse("s^6 - t^3")
+        d = parse("s^2 + t")
+        n = q * d
+        assert n == parse("s^8 + s^6*t - s^2*t^3 - t^4")
+        assert series(n, d) == rows(n, d) == divide_exact(n, d) == q
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_polys(), homogeneous_polys(min_terms=2), st.sampled_from([1, -1]), st.data())
+    def test_coefficient_off_by_one(self, q, d, delta, data):
+        # A divisor of two or more terms divides no monomial, so changing one
+        # coefficient of q * d by one leaves no exact quotient.
+        n = q * d
+        se, te = next(iter(n.terms))
+        weight = se + 2 * te
+        ts = [te for _, te in n.terms]
+        at = data.draw(st.integers(min(ts), max(ts)))
+        assert_not_divisible(n + Poly({(weight - 2 * at, at): delta}), d)
+
+    def test_off_by_one_in_a_low_coefficient(self):
+        # (2s^2 + 2t)(s^2 - t) = 2s^4 - 2t^2.  With 3s^4 the first step leaves
+        # a remainder, although the numerator's top coefficient still fits.
+        assert_not_divisible(parse("3*s^4 - 2*t^2"), parse("2*s^2 + 2*t"))
+
+    def test_off_by_one_in_a_top_coefficient(self):
+        # Every step divides by 1; only the certificate sees the -t^2 change.
+        # (s^2 + t)(s^2 - t) = s^4 - t^2.
+        assert_not_divisible(parse("s^4 - 2*t^2"), parse("s^2 + t"))
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            ("t", "s^2"),  # the quotient t / s^2 needs a negative s exponent
+            ("s", "s^2"),  # the divisor's weight exceeds the numerator's
+            ("s^3", "s^2*t"),  # and again, with the quotient's t range below t^0
+            ("s^2", "t"),  # the quotient's t range starts below t^0
+            ("s^4", "s^2 + t"),  # the divisor spans more t exponents than the numerator
+        ],
+    )
+    def test_impossible_ranges(self, num, den):
+        assert_not_divisible(parse(num), parse(den))
+
+    def test_lucas_quotient(self):
+        n, d = lucanomial(24, 12), lucas(13)
+        assert series(n, d) == rows(n, d) == divide_exact(n, d)
+
+    def test_homogeneous_operands_use_the_kernel(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("s-row loop called")
+
+        q, d = parse("s^4 + 3*s^2*t - t^2"), parse("s^2 + t")
+        monkeypatch.setattr(polys, "_divide_rows", refuse)
+        assert divide_exact(q * d, d) == q
+
+    def test_non_homogeneous_operands_use_the_loop(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("series kernel called")
+
+        num, den = parse("6*s^2 + 6*s*t"), parse("2*s + 2*t")
+        expected = rows(num, den)
+        monkeypatch.setattr(polys, "_divide_series", refuse)
+        assert divide_exact(num, den) == expected == parse("3*s")
 
 
 class TestIsNonneg:
