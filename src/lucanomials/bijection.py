@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .lucas import fib_factorial, fibonomial
+from .lucas import MEMO_SIZE, fib_factorial, fibonomial
 from .tilings import (
     DOMINO,
     SQUARE,
@@ -169,7 +169,7 @@ class TilingTriple:
         )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=MEMO_SIZE)
 def _cut_offsets(row: str) -> tuple[int, ...]:
     """String offset of every cell boundary of a row tiling; -1 inside a domino.
 
@@ -489,24 +489,30 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     sizes match
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k-1)^2   (no domino) and
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k) * fib(n-1,k-2)  (domino).
+
+    The image is the disjoint union, over first rows, of the products
+    {(case, pieces)} x keys[k1] x keys[k2], so the map is injective exactly
+    when (case, pieces) differs between first rows and every key list it
+    uses is duplicate-free; those two conditions are checked in place of
+    storing F_n! * F_{n-1}! tuples.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    splits = [_split_first_row(first, k) for first in _linear_tilings(n - 1)]
+    params = {case_tag: _remainder_params(case_tag, k) for case_tag, _ in splits}
     # T1's remainder and T2 are both stairsteps of size n-2: key each of them
-    # once per column parameter a case can ask for, instead of once per pair.
+    # once per column parameter a case asks for, instead of once per pair.
     stairs = list(itertools.product(*(_linear_tilings(length) for length in range(n - 2, 0, -1))))
-    keys = {p: [_stairstep_key(rows, p) for rows in stairs] for p in range(max(k - 2, 0), k + 1)}
-    seen: set[tuple[str, tuple[str, str], str, str]] = set()
+    used = set(itertools.chain(*params.values()))
+    keys = {p: [_stairstep_key(rows, p) for rows in stairs] for p in used}
     counts = {"no_domino": 0, "domino": 0}
-    total = 0
-    for first in _linear_tilings(n - 1):
-        case_tag, parts = _split_first_row(first, k)
-        k1, k2 = _remainder_params(case_tag, k)
-        pairs = itertools.product((case_tag,), (parts,), keys[k1], keys[k2])
-        seen.update(pairs)
-        count = len(keys[k1]) * len(keys[k2])
-        counts[case_tag] += count
-        total += count
+    for case_tag, _ in splits:
+        k1, k2 = params[case_tag]
+        counts[case_tag] += len(keys[k1]) * len(keys[k2])
+    total = sum(counts.values())
+    injective = len(set(splits)) == len(splits) and all(
+        len(set(key_list)) == len(key_list) for key_list in keys.values()
+    )
     prefactor = (
         fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
     )
@@ -516,7 +522,6 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
         "domino": prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2),
     }
     lhs = fib_factorial(n) * fib_factorial(n - 1)
-    injective = len(seen) == total
     cases_match = counts == expected
     ok = injective and total == lhs and cases_match and lhs == prefactor * bracket
     return {

@@ -12,21 +12,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import bijection, narayana, tilings
 from .lucas import fibonomial, lucanomial
 from .lucas import lucas as lucas_poly
 from .polys import Poly, int_text
 from .tilings import ShapeError
-
-_VERIFY_DEFAULTS = {
-    "theorem1": 16,
-    "theorem2": 25,
-    "theorem3": 12,
-    "bijection": 6,
-    "catalan": 8,
-    "classical": 15,
-}
 
 
 def _dump(obj) -> str:
@@ -97,10 +89,14 @@ def _emit_int(value: int, fmt: str) -> None:
     print(text if fmt == "text" else _dump({"value": text}))
 
 
-def _emit_checks(name: str, checks: list[dict], fmt: str) -> int:
+def _emit_checks(name: str, checks: list[dict], fmt: str,
+                 text: Callable[[dict], str] | None = None) -> int:
     ok = all(c["pass"] for c in checks)
     if fmt == "json":
         print(_dump({"target": name, "pass": ok, "checks": checks}))
+    elif text is not None:
+        for c in checks:
+            print(text(c))
     else:
         for c in checks:
             where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
@@ -142,102 +138,102 @@ def _narayana_check(report: dict) -> dict:
     return report
 
 
+def _classical_line(report: dict) -> str:
+    status = "ok" if report["pass"] else f"FAIL {report['first_failure']}"
+    return f"classical n_max={report['n_max']} {status}"
+
+
+class _Checks:
+    """The checks a target makes at each n: check(n, k) for every k in ks(n),
+    or, where ks is None, the one check(n) for each n >= the target's first."""
+
+    def __init__(self, ks: Callable[[int], range] | None, check: Callable[..., dict]):
+        self.ks = ks
+        self.check = check
+
+    def at(self, n: int, first: int) -> list[tuple[int, ...]]:
+        if self.ks is None:
+            return [(n,)] if n >= first else []
+        return [(n, k) for k in self.ks(n)]
+
+
+class _Target:
+    """One row of the verify table.  A plain class: building a NamedTuple or
+    dataclass at import costs each CLI run up to a millisecond per class."""
+
+    def __init__(self, default: int, first: int, checks: _Checks, single: _Checks | None = None,
+                 cumulative: bool = False, text: Callable[[dict], str] | None = None):
+        self.default = default  # --n-max when neither --n-max nor --n is given
+        self.first = first  # the smallest n of the sweep
+        self.checks = checks
+        self.single = single or checks  # the checks of --n
+        self.cumulative = cumulative  # the check at n covers every n' <= n, so a sweep is one check
+        self.text = text  # one text line per report, no summary line
+
+
+# The checks call through the modules at run time, never through a reference
+# taken here, so a wrapper installed on a module function sees every call.
+_TARGETS = {
+    "theorem1": _Target(16, 0, _Checks(lambda n: range(0, n + 1), _check_theorem1)),
+    "theorem2": _Target(
+        25, 2,
+        _Checks(lambda n: range(1, n + 1),
+                lambda n, k: _narayana_check(narayana.fibonarayana_report(n, k))),
+        # Exhaustive realization of the identity at one (n, k) by pair
+        # decomposition; it keys each of the F_{n-1}! stairsteps of size n-2.
+        single=_Checks(lambda n: range(1, n),
+                       lambda n, k: bijection.verify_pair_decomposition(n, k)),
+    ),
+    "theorem3": _Target(12, 2, _Checks(
+        lambda n: range(1, n + 1),
+        lambda n, k: _narayana_check(narayana.generalized_narayana_report(n, k)))),
+    "bijection": _Target(6, 2, _Checks(lambda n: range(1, n),
+                                       lambda n, k: bijection.verify_cardinality(n, k))),
+    "catalan": _Target(8, 0, _Checks(None, _check_catalan)),
+    "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
+                         cumulative=True, text=_classical_line),
+}
+
+
 def _run_verify(args, parser: argparse.ArgumentParser) -> int:
-    n_max = args.n_max if args.n_max is not None else _VERIFY_DEFAULTS[args.target]
-    if n_max < 0:
-        parser.error("--n-max must be nonnegative")
+    target = _TARGETS[args.target]
     single = args.n is not None
+    family = target.single if single else target.checks
+    if args.n_max is not None and args.n_max < 0:
+        parser.error("--n-max must be nonnegative")
     if single and args.n_max is not None:
         parser.error("--n-max cannot be combined with --n")
     if args.k is not None and not single:
         parser.error("--k requires --n")
-    if args.k is not None and args.target in ("catalan", "classical"):
+    if args.k is not None and family.ks is None:
         parser.error(f"--k does not apply to verify {args.target}")
     if single and args.n < 0:
         parser.error("--n must be nonnegative")
-    if single and args.target == "classical" and args.n < 1:
-        parser.error("--n must be positive for this target")
-
-    if args.target == "theorem1":
-        if single:
-            ks = [args.k] if args.k is not None else range(0, args.n + 1)
-            if args.k is not None and not 0 <= args.k <= args.n:
-                parser.error("need 0 <= --k <= --n")
-            checks = [_check_theorem1(args.n, k) for k in ks]
-        else:
-            checks = [_check_theorem1(n, k) for n in range(0, n_max + 1) for k in range(0, n + 1)]
-        return _emit_checks("theorem1", checks, args.format)
-
-    if args.target == "theorem2":
-        if single:
-            # Exhaustive realization of the identity at one (n, k) by pair
-            # decomposition; cost grows as F_n! * F_{n-1}!.
-            if args.k is None:
-                parser.error("--n requires --k for this target")
-            if not 1 <= args.k <= args.n - 1:
-                parser.error("need 1 <= --k <= --n - 1")
-            checks = [bijection.verify_pair_decomposition(args.n, args.k)]
-            return _emit_checks("theorem2", checks, args.format)
-        checks = [
-            _narayana_check(narayana.fibonarayana_report(n, k))
-            for n in range(2, n_max + 1)
-            for k in range(1, n + 1)
-        ]
-        return _emit_checks("theorem2", checks, args.format)
-
-    if args.target == "theorem3":
-        if single:
-            if args.n < 1 or (args.k is not None and not 1 <= args.k <= args.n):
-                parser.error("need --n >= 1 and 1 <= --k <= --n")
-            ks = [args.k] if args.k is not None else range(1, args.n + 1)
-            checks = [_narayana_check(narayana.generalized_narayana_report(args.n, k)) for k in ks]
-        else:
-            checks = [
-                _narayana_check(narayana.generalized_narayana_report(n, k))
-                for n in range(2, n_max + 1)
-                for k in range(1, n + 1)
-            ]
-        return _emit_checks("theorem3", checks, args.format)
-
-    if args.target == "bijection":
-        if single:
-            if args.k is None:
-                parser.error("--n requires --k for this target")
-            if not 1 <= args.k <= args.n - 1:
-                parser.error("need 1 <= --k <= --n - 1")
-            checks = [bijection.verify_cardinality(args.n, args.k)]
-        else:
-            checks = [
-                bijection.verify_cardinality(n, k)
-                for n in range(2, n_max + 1)
-                for k in range(1, n)
-            ]
-        return _emit_checks("bijection", checks, args.format)
-
-    if args.target == "catalan":
-        if single:
-            checks = [_check_catalan(args.n)]
-        else:
-            checks = [_check_catalan(n) for n in range(0, n_max + 1)]
-        return _emit_checks("catalan", checks, args.format)
-
-    # classical
-    bound = args.n if single else n_max
-    if bound < 1:
-        parser.error("the classical sweep needs a positive bound")
-    report = narayana.classical_specialization_report(bound)
-    if args.format == "json":
-        return _emit_checks("classical", [report], args.format)
-    status = "ok" if report["pass"] else f"FAIL {report['first_failure']}"
-    print(f"classical n_max={report['n_max']} {status}")
-    return 0 if report["pass"] else 1
+    n_max = target.default if args.n_max is None else args.n_max
+    if single or target.cumulative:
+        n = args.n if single else n_max
+        points = family.at(n, target.first)
+        if not points:
+            parser.error(f"verify {args.target} has no check at n={n}")
+        if args.k is not None:
+            if (n, args.k) not in points:
+                ks = family.ks(n)
+                parser.error(f"need {ks.start} <= --k <= {ks.stop - 1} at --n {n}")
+            points = [(n, args.k)]
+    else:
+        points = (p for n in range(target.first, n_max + 1) for p in family.at(n, target.first))
+    checks = [family.check(*p) for p in points]
+    return _emit_checks(args.target, checks, args.format, target.text)
 
 
 def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
     path = Path(args.input)
     if not path.is_file():
         parser.error(f"--input file not found: {args.input}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"--input cannot be read as UTF-8 text: {exc}")
     if args.action == "forward":
         try:
             tiling = bijection.StairstepTiling.from_text(text)
@@ -263,7 +259,7 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
     try:
         triple = bijection.TilingTriple.from_json_dict(json.loads(text))
         tiling = bijection.inverse(triple, args.n, args.k)
-    except (json.JSONDecodeError, ValueError, ShapeError) as exc:
+    except (json.JSONDecodeError, ValueError, ShapeError, RecursionError) as exc:
         parser.error(f"--input is not an invertible triple for (n={args.n}, k={args.k}): {exc}")
     if args.format == "json":
         print(_dump({"rows": list(tiling.rows)}))

@@ -28,57 +28,48 @@ specializations (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are
 computed directly over int, the fibonomial as the same atom product, with
 agreement against polynomial evaluation and the factorial quotient
 asserted in the test suite.
+
+Memoisation.  The sequences {n} and F_n are append-only module lists that
+grow by the recurrence, one term at a time and without recursion, so a large
+index never meets the interpreter's recursion limit.  Every other memo in the
+package is a functools.lru_cache bounded at MEMO_SIZE entries: the atoms
+(keyed on d), the factorials (keyed on n), lucanomials and fibonomials
+(keyed on (n, min(k, n-k))), and the row tilings and cut offsets of
+:mod:`lucanomials.tilings` and :mod:`lucanomials.bijection`.  An evicted
+entry is recomputed on its next use, so the bound caps memory and never
+changes a result.  An atom recurses through the cache over the divisors of
+d, so its recursion depth is at most log2 d.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
-from typing import Callable, TypeVar
 
 from .polys import ONE, NotDivisibleError, Poly, S, T, ZERO, divide_exact
 
-_V = TypeVar("_V", Poly, int)
+MEMO_SIZE = 4096
+"""Entries kept by each lru_cache memo of the package."""
 
-
-class LucasTable:
-    """Append-only cache of the polynomials {n} and {n}!.
-
-    Extension is not thread-safe; build the table to the required bound
-    before sharing it across threads, after which reads are safe.
-    """
-
-    def __init__(self):
-        self._polys: list[Poly] = [ZERO, ONE]
-        self._factorials: list[Poly] = [ONE]
-
-    def poly(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("Lucas index must be nonnegative")
-        polys = self._polys
-        while len(polys) <= n:
-            polys.append(S * polys[-1] + T * polys[-2])
-        return polys[n]
-
-    def factorial(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("Lucas index must be nonnegative")
-        facts = self._factorials
-        while len(facts) <= n:
-            facts.append(facts[-1] * self.poly(len(facts)))
-        return facts[n]
-
-
-_TABLE = LucasTable()
+_lucas_polys: list[Poly] = [ZERO, ONE]
 
 
 def lucas(n: int) -> Poly:
     """The Lucas polynomial {n}."""
-    return _TABLE.poly(n)
+    if n < 0:
+        raise ValueError("Lucas index must be nonnegative")
+    polys = _lucas_polys
+    while len(polys) <= n:
+        polys.append(S * polys[-1] + T * polys[-2])
+    return polys[n]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def lucas_factorial(n: int) -> Poly:
     """The Lucas factorial {n}!, with {0}! = 1."""
-    return _TABLE.factorial(n)
+    if n < 0:
+        raise ValueError("Lucas index must be nonnegative")
+    return _balanced_product([lucas(m) for m in range(1, n + 1)])
 
 
 def _divisors(n: int) -> list[int]:
@@ -95,22 +86,6 @@ def _divisors(n: int) -> list[int]:
     return (small + large[::-1])[1:]
 
 
-def _atom(d: int, atoms: dict[int, _V], base: Callable[[int], _V],
-          divide: Callable[[_V, _V], _V]) -> _V:
-    # Fill in the atoms of the divisors of d in ascending order, so the atoms
-    # of each one's proper divisors are already known when it is divided.
-    if d < 2:
-        raise ValueError("atom index must be at least 2")
-    if d not in atoms:
-        for e in _divisors(d):
-            if e not in atoms:
-                atom = base(e)
-                for f in _divisors(e)[:-1]:
-                    atom = divide(atom, atoms[f])
-                atoms[e] = atom
-    return atoms[d]
-
-
 def _atom_indices(n: int, k: int) -> list[int]:
     """The d whose atom divides {n choose k}, for 0 <= k <= n.
 
@@ -120,16 +95,19 @@ def _atom_indices(n: int, k: int) -> list[int]:
     return [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
 
 
-_lucas_atoms: dict[int, Poly] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def lucas_atom(d: int) -> Poly:
     """The Lucas atom P_d, d >= 2: {d} exactly divided by P_e for each e | d, 1 < e < d.
 
     NotDivisibleError propagating from here would falsify the factorisation
     and is treated as an internal assertion failure.
     """
-    return _atom(d, _lucas_atoms, lucas, divide_exact)
+    if d < 2:
+        raise ValueError("atom index must be at least 2")
+    atom = lucas(d)
+    for e in _divisors(d)[:-1]:
+        atom = divide_exact(atom, lucas_atom(e))
+    return atom
 
 
 def _balanced_product(factors: list[Poly]) -> Poly:
@@ -147,9 +125,6 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
-_lucanomials: dict[tuple[int, int], Poly] = {}
-
-
 def lucanomial(n: int, k: int) -> Poly:
     """The lucanomial {n choose k}, zero outside 0 <= k <= n.
 
@@ -161,12 +136,12 @@ def lucanomial(n: int, k: int) -> Poly:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    key = (n, min(k, n - k))
-    cached = _lucanomials.get(key)
-    if cached is None:
-        cached = _balanced_product([lucas_atom(d) for d in _atom_indices(n, k)])
-        _lucanomials[key] = cached
-    return cached
+    return _lucanomial(n, min(k, n - k))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _lucanomial(n: int, k: int) -> Poly:
+    return _balanced_product([lucas_atom(d) for d in _atom_indices(n, k)])
 
 
 def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
@@ -204,13 +179,6 @@ def lucanomial_division_oracle(n: int, k: int) -> Poly:
     return divide_exact(lucas_factorial(n), lucas_factorial(k) * lucas_factorial(n - k))
 
 
-def split_identity(n: int, k: int) -> bool:
-    """Check {n} = {k}*{n-k+1} + t*{k-1}*{n-k} exactly, for 1 <= k <= n."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return lucas(n) == lucas(k) * lucas(n - k + 1) + T * lucas(k - 1) * lucas(n - k)
-
-
 _fibs: list[int] = [0, 1]
 
 
@@ -223,34 +191,25 @@ def fibonacci(n: int) -> int:
     return _fibs[n]
 
 
-_fib_facts: list[int] = [1]
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def fib_factorial(n: int) -> int:
     """F_n! = F_n * F_{n-1} * ... * F_1, with F_0! = 1."""
     if n < 0:
         raise ValueError("Fibonacci index must be nonnegative")
-    while len(_fib_facts) <= n:
-        _fib_facts.append(_fib_facts[-1] * fibonacci(len(_fib_facts)))
-    return _fib_facts[n]
+    return prod(fibonacci(m) for m in range(1, n + 1))
 
 
-def _divide_int_exact(num: int, den: int) -> int:
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise NotDivisibleError("no exact integer quotient")
-    return quotient
-
-
-_fibonacci_atoms: dict[int, int] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def fibonacci_atom(d: int) -> int:
     """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
-    return _atom(d, _fibonacci_atoms, fibonacci, _divide_int_exact)
-
-
-_fibonomials: dict[tuple[int, int], int] = {}
+    if d < 2:
+        raise ValueError("atom index must be at least 2")
+    atom = fibonacci(d)
+    for e in _divisors(d)[:-1]:
+        atom, remainder = divmod(atom, fibonacci_atom(e))
+        if remainder:
+            raise NotDivisibleError("no exact integer quotient")
+    return atom
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -262,9 +221,9 @@ def fibonomial(n: int, k: int) -> int:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    key = (n, min(k, n - k))
-    cached = _fibonomials.get(key)
-    if cached is None:
-        cached = prod(fibonacci_atom(d) for d in _atom_indices(n, k))
-        _fibonomials[key] = cached
-    return cached
+    return _fibonomial(n, min(k, n - k))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _fibonomial(n: int, k: int) -> int:
+    return prod(fibonacci_atom(d) for d in _atom_indices(n, k))

@@ -17,8 +17,6 @@ integrality these recurrences establish.
 
 Catalan versions divide the central coefficient by F_{n+1} (or {n+1}).
 
-Whether the FiboNarayana numbers for fixed n sum to the FiboCatalan number
-is not asserted anywhere; :func:`fibonarayana_row_sum` only reports the sum.
 At (s, t) = (2, -1) the whole tower specializes to the classical objects
 (n, binomials, Narayana numbers, Catalan numbers), which
 :func:`classical_specialization_report` checks exactly.
@@ -88,11 +86,6 @@ def generalized_catalan(n: int) -> Poly:
     return divide_exact(lucanomial(2 * n, n), lucas(n + 1))
 
 
-def fibonarayana_row_sum(n: int) -> int:
-    """Sum of fibonarayana(n, k) over 1 <= k <= n.  Reported, never asserted."""
-    return sum(fibonarayana(n, k) for k in range(1, n + 1))
-
-
 def classical_narayana(n: int, k: int) -> int:
     """Classical Narayana number C(n,k)*C(n,k-1)/n; 0 outside 1 <= k <= n."""
     if n < 1:
@@ -147,29 +140,6 @@ def generalized_narayana_report(n: int, k: int) -> dict:
         "oracle_agrees": value == oracle,
         "nonneg": value.is_nonneg(),
     }
-
-
-def table_text(n_max: int, mode: str = "fibo") -> str:
-    """Triangle of values as tab-separated text, one row per n, columns k.
-
-    Deterministic, so suitable for golden-file comparison.  Modes: "fibo"
-    (integers), "general" (rendered polynomials), "classical" (integers at
-    (s, t) = (2, -1)).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    if mode not in ("fibo", "general", "classical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    lines = []
-    for n in range(1, n_max + 1):
-        if mode == "fibo":
-            values = [int_text(fibonarayana(n, k)) for k in range(1, n + 1)]
-        elif mode == "general":
-            values = [str(generalized_narayana(n, k)) for k in range(1, n + 1)]
-        else:
-            values = [int_text(generalized_narayana(n, k).evaluate(2, -1)) for k in range(1, n + 1)]
-        lines.append("\t".join(values))
-    return "\n".join(lines)
 
 
 def classical_specialization_report(n_max: int) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .lucas import lucas
+from .lucas import MEMO_SIZE, lucas
 from .polys import ONE, Poly, T, ZERO
 
 SQUARE = "S"
@@ -54,14 +54,6 @@ def covered_length(tiling: str) -> int:
         invalid = next(ch for ch in tiling if ch not in _TILE_LEN)
         raise ShapeError(f"invalid tile {invalid!r}; expected 'S' or 'D'")
     return len(tiling) + dominos
-
-
-def is_breakable(tiling: str, i: int) -> bool:
-    """True iff no single domino covers cells i and i+1 (1-indexed)."""
-    length = covered_length(tiling)
-    if not 1 <= i < length:
-        raise IndexError(f"position {i} out of range for a row of length {length}")
-    return not _domino_covers(tiling, i)
 
 
 def _domino_covers(tiling: str, i: int) -> bool:
@@ -98,7 +90,7 @@ def split_after(tiling: str, i: int) -> tuple[str, str]:
     raise ShapeError(f"cannot split after cell {i} of a row of length {cum}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _linear_tilings(length: int) -> tuple[str, ...]:
     if length == 0:
         return ("",)

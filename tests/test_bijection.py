@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucanomials import bijection
 from lucanomials.bijection import (
     EMPTY_STAIRSTEP,
     StairstepTiling,
@@ -302,6 +303,19 @@ class TestDecomposePair:
                     assert recompose_pair(dec, n, k) == (t1, t2)
 
 
+def pair_report(n, k):
+    """The passing verify_pair_decomposition report at (n, k), from closed forms."""
+    prefactor = fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
+    no_domino = prefactor * fibonomial(n - 1, k - 1) ** 2
+    domino = prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
+    total = str(fib_factorial(n) * fib_factorial(n - 1))
+    return {
+        "n": n, "k": k, "lhs": total, "rhs": total,
+        "no_domino": str(no_domino), "domino": str(domino),
+        "injective": True, "surjective": True, "pass": True,
+    }
+
+
 class TestVerifyPairDecomposition:
     def test_four_two(self):
         report = verify_pair_decomposition(4, 2)
@@ -335,20 +349,27 @@ class TestVerifyPairDecomposition:
     def test_reports_up_to_six(self):
         for n in range(2, 7):
             for k in range(1, n):
-                prefactor = (
-                    fib_factorial(k)
-                    * fib_factorial(n - k)
-                    * fib_factorial(k - 1)
-                    * fib_factorial(n - k + 1)
-                )
-                no_domino = prefactor * fibonomial(n - 1, k - 1) ** 2
-                domino = prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
-                total = str(fib_factorial(n) * fib_factorial(n - 1))
-                assert verify_pair_decomposition(n, k) == {
-                    "n": n, "k": k, "lhs": total, "rhs": total,
-                    "no_domino": str(no_domino), "domino": str(domino),
-                    "injective": True, "surjective": True, "pass": True,
-                }, (n, k)
+                assert verify_pair_decomposition(n, k) == pair_report(n, k), (n, k)
+
+    def test_eight_four(self):
+        # 3120 stairsteps of size 6 per key list; F_8! * F_7! pairs.
+        assert verify_pair_decomposition(8, 4) == pair_report(8, 4)
+
+    def test_key_collision_breaks_injectivity(self, monkeypatch):
+        # Give one size-2 stairstep the key of the other: every count still
+        # matches, but the pair map is no longer injective.
+        original = bijection._stairstep_key
+        victim, twin = ("SS", "S"), ("D", "S")
+
+        def colliding(rows, k):
+            return original(twin if rows == victim else rows, k)
+
+        monkeypatch.setattr(bijection, "_stairstep_key", colliding)
+        report = verify_pair_decomposition(4, 2)
+        assert report["injective"] is False
+        assert report["pass"] is False
+        assert report["surjective"] is True
+        assert report["lhs"] == report["rhs"] == "12"
 
     def test_seven_three(self):
         # 748 800 pairs: F_7! * F_6! = 3120 * 240.

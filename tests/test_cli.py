@@ -30,6 +30,9 @@ def decimal(value):
         sys.set_int_max_str_digits(limit)
 
 
+VERIFY_TARGETS = ["theorem1", "theorem2", "theorem3", "bijection", "catalan", "classical"]
+
+
 def fibonomial_quotient(n, k):
     return fib_factorial(n) // (fib_factorial(k) * fib_factorial(n - k))
 
@@ -196,6 +199,25 @@ class TestBijectionCommand:
                 "--input", str(tmp_path / "absent.txt"))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("action", ["forward", "inverse"])
+    def test_non_utf8_input_is_usage_error(self, capsys, tmp_path, action):
+        data = tmp_path / "data.bin"
+        data.write_bytes(b"SD\xff\xfe\nS\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", action, "--n", "3", "--k", "1", "--input", str(data))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "UTF-8" in captured.err
+
+    def test_deeply_nested_inverse_input_is_usage_error(self, capsys, tmp_path):
+        triple = tmp_path / "triple.json"
+        triple.write_text("[" * 200000)
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", "inverse", "--n", "6", "--k", "3", "--input", str(triple))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerifyCommands:
     @pytest.mark.parametrize(
@@ -298,6 +320,54 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, "verify", "bijection", "--k", "3")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("target", VERIFY_TARGETS)
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--k", "1"),  # --k without --n
+            ("--n", "4", "--n-max", "5"),  # --n with --n-max
+            ("--n", "4", "--k", "5"),  # k out of range (or --k on an n-only target)
+            ("--n", "-1"),  # negative n
+            ("--n-max", "-1"),  # negative --n-max
+        ],
+    )
+    def test_usage_errors_exit_2_for_every_target(self, capsys, target, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "verify", target, *flags)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "theorem2", "--n", "1"),
+            ("verify", "theorem3", "--n", "0"),
+            ("verify", "bijection", "--n", "1"),
+            ("verify", "classical", "--n", "0"),
+            ("verify", "classical", "--n-max", "0"),
+        ],
+    )
+    def test_n_without_checks_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, *argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_single_n_checks_every_k(self, capsys):
+        # theorem2 checks the pair decomposition and bijection the
+        # cardinality at every 1 <= k <= n - 1.
+        for target in ("theorem2", "bijection"):
+            code, out = run(capsys, "verify", target, "--n", "5")
+            assert code == 0
+            assert out == "".join(f"{target} n=5 k={k} ok\n" for k in range(1, 5)) + (
+                f"{target}: 4 checks passed\n"
+            )
+        code, out = run(capsys, "verify", "theorem2", "--n", "5", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["k"], c["lhs"]) for c in checks] == [(k, "180") for k in range(1, 5)]
+        assert all(c["injective"] and c["pass"] for c in checks)
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -45,6 +45,26 @@ GOLDEN = [
     # atom behind the lucanomial is one.
     ("verify catalan --n-max 18 --format json", "da4d9390b0ed8462c733b4cbe43a178ba8473b5a80cab077563915e4d3c41d71"),
     ("lucanomial --n 84 --k 13", "dcc673b7871c5be53f0fa9617dfb490d28bfcadedb6219b5139c6744f9205336"),
+    # Recorded before `verify` was driven from one target table: every path
+    # the table serves (sweep, single n, single (n, k)), in text and JSON.
+    ("verify theorem1 --n 5", "f9facfdc1db07b5ea9990d8d30fb50556fdb6c49dfdd44ff01b99b38b4c7403c"),
+    ("verify theorem1 --n 5 --format json", "6a0d82da593387e117376101178e0270304e54ee46e81598a0f9861001560fd6"),
+    ("verify theorem1 --n 5 --k 2", "ed25a95c49ebe1fce33ba346a944a8dd02afdeaf7c3a53aa5bf7ccab9911d452"),
+    ("verify theorem1 --n 5 --k 2 --format json", "a704b1aad948a617104259229e7c0a0f916b89ea4addb4c12448081dc64806c4"),
+    ("verify theorem2 --n-max 8", "2f82e7c6cdd3ba96dbdbc9d0ce18f9a4dcab79e5b601d79f8d5fbf1c04d181d7"),
+    ("verify theorem2 --n-max 8 --format json", "0ba434ce10f3b32e21367154396a36bc9a6436d951e4ce01ebe0d785fcf1ad81"),
+    ("verify theorem2 --n 5 --k 2", "9c57f2f473c189fddab3a751ff889f5ce92c14aaecde38e40164766613d6e133"),
+    ("verify theorem2 --n 5 --k 2 --format json", "2932aa444c80a584f83b4cbe8773fb8343dcbe34f167eeb482f13f0b8854bbad"),
+    ("verify theorem3 --n 6", "2bdc009df5a53247e7a82c758623e8900061354a8e7f4de73ad087e561661c83"),
+    ("verify theorem3 --n 6 --format json", "c47c76978b67f4d561ea5c9202bcba7433a6d627babdd0ca7644566e0bb999ca"),
+    ("verify theorem3 --n 6 --k 3", "4bcbebe21acb1daccaf48c5e05e0bd5fe8b5af64091492143f3e8dcf91642d00"),
+    ("verify theorem3 --n 6 --k 3 --format json", "e3dfbdda8b50662e4e62127c851ad98a60837f608ca6061639e8e99d65ef5930"),
+    ("verify bijection --n-max 5", "fcc32521beb547756ddbd863d7e709ea93c579dd08e0a6a510772c39bdc7f7ba"),
+    ("verify bijection --n-max 5 --format json", "ad6df21b1a9d4cd8a3a49e87b230ba21928c64113dbc217f03c981e1feb54559"),
+    ("verify catalan --n 4", "c63e32c3a668c685aac7a763649273b54ddf84373e0b2a80aea68a6e6380ca84"),
+    ("verify catalan --n 4 --format json", "fee4e3accaf1c06fe739382836a02e139ebf6d518d5922e81ff518dd6bf78dc2"),
+    ("verify classical --n 10", "4c663f5d129cf993dc1c49b3377e65c14dd47134a2ab65f740cf04565051aac4"),
+    ("verify classical --n 10 --format json", "6929f135159df21a4e53c50b837c6c7f3e9d76d21bbd3fb50685de260d5f1c99"),
 ]
 
 

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from lucanomials.lucas import (
-    LucasTable,
+    _lucas_polys,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -16,7 +16,6 @@ from lucanomials.lucas import (
     lucas,
     lucas_atom,
     lucas_factorial,
-    split_identity,
 )
 from lucanomials.polys import ONE, S, T, ZERO, parse
 
@@ -61,15 +60,16 @@ class TestLucas:
 
 
 class TestLucasTable:
+    """The append-only list of {n} and the factorial memo built on it."""
+
     def test_recurrence_invariants(self):
-        table = LucasTable()
-        table.factorial(10)
+        lucas_factorial(10)
         for n in range(2, 11):
-            assert table.poly(n) == S * table.poly(n - 1) + T * table.poly(n - 2)
-            assert table.factorial(n) == table.poly(n) * table.factorial(n - 1)
+            assert lucas(n) == S * lucas(n - 1) + T * lucas(n - 2)
+            assert lucas_factorial(n) == lucas(n) * lucas_factorial(n - 1)
 
     def test_shared_table_backs_module_functions(self):
-        assert lucas(7) == LucasTable().poly(7)
+        assert lucas(7) is _lucas_polys[7]
 
 
 class TestLucasFactorial:
@@ -199,6 +199,11 @@ class TestDivisionOracle:
             lucanomial_division_oracle(3, 4)
 
 
+def split_identity(n, k):
+    """{n} = {k}*{n-k+1} + t*{k-1}*{n-k}, checked exactly, for 1 <= k <= n."""
+    return lucas(n) == lucas(k) * lucas(n - k + 1) + T * lucas(k - 1) * lucas(n - k)
+
+
 class TestSplitIdentity:
     def test_base(self):
         assert split_identity(2, 1)
@@ -213,10 +218,6 @@ class TestSplitIdentity:
 
     def test_sweep(self):
         assert all(split_identity(n, k) for n in range(1, N_SWEEP + 1) for k in range(1, n + 1))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            split_identity(3, 0)
 
 
 class TestFibonacci:

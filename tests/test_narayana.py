@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from lucanomials.cli import main
 from lucanomials.narayana import (
     catalan,
     classical_narayana,
@@ -12,11 +13,9 @@ from lucanomials.narayana import (
     fibonarayana,
     fibonarayana_definition_oracle,
     fibonarayana_report,
-    fibonarayana_row_sum,
     generalized_catalan,
     generalized_narayana,
     generalized_narayana_definition_oracle,
-    table_text,
 )
 from lucanomials.polys import ONE, ZERO, parse
 
@@ -62,10 +61,6 @@ class TestFibonarayana:
         assert len(report["lhs"]) > 4300
         assert report["lhs"] == report["rhs"]
         assert report["oracle_agrees"] and report["nonneg"]
-
-    def test_row_sum_is_reported_not_asserted(self):
-        # No identity is claimed for this sum; it only has to be computable.
-        assert fibonarayana_row_sum(4) == sum(fibonarayana(4, k) for k in range(1, 5))
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -143,22 +138,37 @@ class TestCatalan:
             fibocatalan(-1)
 
 
+def cli_triangle(capsys, n_max, mode):
+    """The 1 <= k <= n <= n_max triangle of `narayana --mode MODE`, tab-separated."""
+    rows = []
+    for n in range(1, n_max + 1):
+        cells = []
+        for k in range(1, n + 1):
+            assert main(["narayana", "--n", str(n), "--k", str(k), "--mode", mode]) == 0
+            cells.append(capsys.readouterr().out.rstrip("\n"))
+        rows.append("\t".join(cells))
+    return "\n".join(rows)
+
+
 class TestTableText:
-    def test_fibo_golden(self):
-        assert table_text(4) == "1\n1\t1\n1\t2\t1\n1\t6\t6\t1"
+    """The Narayana triangle in each CLI mode, one `narayana` call per cell."""
 
-    def test_classical_golden(self):
-        assert table_text(4, mode="classical") == "1\n1\t1\n1\t3\t1\n1\t6\t6\t1"
+    def test_fibo_golden(self, capsys):
+        assert cli_triangle(capsys, 4, "fibo") == "1\n1\t1\n1\t2\t1\n1\t6\t6\t1"
 
-    def test_general_row(self):
-        assert table_text(3, mode="general").splitlines()[2] == "1\ts^2 + t\t1"
+    def test_classical_golden(self, capsys):
+        assert cli_triangle(capsys, 4, "classical") == "1\n1\t1\n1\t3\t1\n1\t6\t6\t1"
 
-    def test_is_deterministic(self):
-        assert table_text(6) == table_text(6)
+    def test_general_row(self, capsys):
+        assert cli_triangle(capsys, 3, "general").splitlines()[2] == "1\ts^2 + t\t1"
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            table_text(3, mode="rational")
+    def test_is_deterministic(self, capsys):
+        assert cli_triangle(capsys, 6, "general") == cli_triangle(capsys, 6, "general")
+
+    def test_unknown_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["narayana", "--n", "3", "--k", "1", "--mode", "rational"])
+        assert excinfo.value.code == 2
 
 
 class TestClassicalSpecialization:
