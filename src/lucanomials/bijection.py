@@ -66,6 +66,7 @@ distinct remainder once instead of twice per pair.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -396,26 +397,30 @@ def verify_cardinality(n: int, k: int) -> dict:
     flags.  Surjectivity uses the count argument: images are shape-valid by
     construction, so hitting the full product count means hitting every
     triple.
+
+    The bottom k-1 rows pass through verbatim, so the key of a stairstep is
+    a head, the scan of its top n-k rows, followed by a suffix, "|" plus each
+    bottom row.  A head always has 2n-k-1 "|"-separated fields and no row
+    contains "|", so every key splits back into exactly one (head, suffix)
+    pair: the image is the product of the heads and the suffixes.  The map
+    is therefore injective exactly when the F_n!/F_k! choices of the top
+    rows give distinct heads and the F_k! suffixes are distinct, and only
+    those two sets are stored, never the F_n! keys.  For k <= 2 there is
+    one suffix (F_k! = 1), so the heads are the keys and nothing is saved.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    # The bottom k-1 rows pass through verbatim, so each choice of the top
-    # n-k rows is scanned once and its key is completed by every choice of
-    # the bottom rows: head + suffix == _stairstep_key(top + bottom, k).
-    tops = itertools.product(*(_linear_tilings(length) for length in range(n - 1, k - 1, -1)))
+    top_choices = [_linear_tilings(length) for length in range(n - 1, k - 1, -1)]
     bottoms = itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1)))
     suffixes = ["".join("|" + row for row in rows) for rows in bottoms]
-    image: set[str] = set()
-    total = 0
-    for top in tops:
-        head = _scan_key(top, n, k)
-        image.update([head + suffix for suffix in suffixes])
-        total += len(suffixes)
+    heads = {_scan_key(top, n, k) for top in itertools.product(*top_choices)}
+    total = math.prod(map(len, top_choices)) * len(suffixes)
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")
     rhs = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
-    injective = len(image) == total
-    surjective = len(image) == rhs
+    image_size = len(heads) * len(set(suffixes))
+    injective = image_size == total
+    surjective = image_size == rhs
     return {
         "n": n,
         "k": k,

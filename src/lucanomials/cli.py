@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import bijection, narayana, tilings
 from .lucas import fibonomial, lucanomial
@@ -89,26 +89,36 @@ def _emit_int(value: int, fmt: str) -> None:
     print(text if fmt == "text" else _dump({"value": text}))
 
 
-def _emit_checks(name: str, checks: list[dict], fmt: str,
+def _check_line(name: str, c: dict) -> str:
+    where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
+    if c["pass"]:
+        return f"{name} {where} ok"
+    detail = " ".join(f"{key}={c[key]}" for key in ("lhs", "rhs") if key in c)
+    return f"{name} {where} FAIL {detail}".rstrip()
+
+
+def _emit_checks(name: str, checks: Iterable[dict], fmt: str,
                  text: Callable[[dict], str] | None = None) -> int:
-    ok = all(c["pass"] for c in checks)
+    """Print the reports of one verify run; 0 if every check passed, else 1.
+
+    Text mode prints each line as its check is produced and keeps only the
+    count and the pass flag, so a sweep holds one report at a time; JSON
+    mode collects the reports into one object.
+    """
     if fmt == "json":
+        checks = list(checks)
+        ok = all(c["pass"] for c in checks)
         print(_dump({"target": name, "pass": ok, "checks": checks}))
-    elif text is not None:
-        for c in checks:
-            print(text(c))
-    else:
-        for c in checks:
-            where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
-            if c["pass"]:
-                print(f"{name} {where} ok")
-            else:
-                detail = " ".join(
-                    f"{key}={c[key]}" for key in ("lhs", "rhs") if key in c
-                )
-                print(f"{name} {where} FAIL {detail}".rstrip())
-        status = "passed" if ok else "FAILED"
-        print(f"{name}: {len(checks)} checks {status}")
+        return 0 if ok else 1
+    ok = True
+    count = 0
+    for c in checks:
+        count += 1
+        if not c["pass"]:
+            ok = False
+        print(_check_line(name, c) if text is None else text(c))
+    if text is None:
+        print(f"{name}: {count} checks {'passed' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
@@ -222,7 +232,7 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
             points = [(n, args.k)]
     else:
         points = (p for n in range(target.first, n_max + 1) for p in family.at(n, target.first))
-    checks = [family.check(*p) for p in points]
+    checks = (family.check(*p) for p in points)
     return _emit_checks(args.target, checks, args.format, target.text)
 
 
@@ -310,9 +320,9 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if args.action == "count":
             _emit_int(tilings.lucanomial_tiling_oracle(args.n, args.k).evaluate(1, 1), args.format)
         else:
-            items = [rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k)]
+            items = (rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k))
             if args.format == "json":
-                print(_dump(items))
+                print(_dump(list(items)))
             else:
                 for item in items:
                     print(_dump(item))

@@ -357,30 +357,26 @@ def int_text(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _format_term(se: int, te: int, coeff: int) -> str:
-    parts = []
-    if abs(coeff) != 1 or (se == 0 and te == 0):
-        parts.append(str(abs(coeff)))
-    if se:
-        parts.append("s" if se == 1 else f"s^{se}")
-    if te:
-        parts.append("t" if te == 1 else f"t^{te}")
-    return "*".join(parts)
-
-
 def render(poly: Poly) -> str:
     """Canonical text form: graded lex descending, s before t."""
     items = _ordered_items(poly.terms)
     if not items:
         return "0"
-    pieces = []
-    for index, ((se, te), coeff) in enumerate(items):
-        body = _format_term(se, te, coeff)
-        if index == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    terms = []
+    for (se, te), coeff in items:
+        # A coefficient of magnitude 1 is written only on the constant term;
+        # "*" joins whichever of coefficient, s power and t power are written.
+        mag = abs(coeff)
+        num = f"{mag}" if mag != 1 or not (se or te) else ""
+        s_part = "" if not se else "s" if se == 1 else f"s^{se}"
+        t_part = "" if not te else "t" if te == 1 else f"t^{te}"
+        terms.append(
+            f"{' - ' if coeff < 0 else ' + '}{num}{'*' if num and s_part else ''}{s_part}"
+            f"{'*' if t_part and (num or s_part) else ''}{t_part}"
+        )
+    # The first term's sign is "-" or nothing, not " - " or " + ".
+    terms[0] = f"-{terms[0][3:]}" if items[0][1] < 0 else terms[0][3:]
+    return "".join(terms)
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:

@@ -20,6 +20,7 @@ from lucanomials.bijection import (
     verify_cardinality,
     verify_pair_decomposition,
 )
+from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonomial
 from lucanomials.narayana import fibonarayana
 from lucanomials.tilings import ShapeError, enumerate_rect_tilings
@@ -264,9 +265,38 @@ class TestVerifyCardinality:
 
     def test_eight_four(self):
         # 65 520 stairstep tilings, one past the default exhaustive range.
-        report = verify_cardinality(8, 4)
-        assert report["pass"] and report["injective"] and report["surjective"]
-        assert report["lhs"] == report["rhs"] == "65520"
+        assert verify_cardinality(8, 4) == {
+            "n": 8, "k": 4, "lhs": "65520", "rhs": "65520",
+            "injective": True, "surjective": True, "pass": True,
+        }
+
+    @pytest.mark.parametrize("n, k", [(8, k) for k in (1, 2, 3, 5, 6, 7)] + [(9, 5)])
+    def test_reports_past_the_default_range(self, n, k):
+        # (9, 5) scans 74 256 heads against 30 suffixes: F_9! = 2 227 680.
+        count = str(fib_factorial(n))
+        assert verify_cardinality(n, k) == {
+            "n": n, "k": k, "lhs": count, "rhs": count,
+            "injective": True, "surjective": True, "pass": True,
+        }
+
+    def test_head_collision_breaks_injectivity(self, monkeypatch, capsys):
+        # Give one choice of the top rows the head of another: the counts
+        # still match F_n!, but the map is no longer injective (nor onto).
+        original = bijection._scan_key
+        victim, twin = ("SSSSS", "SSSS", "SSS"), ("DSSS", "SSSS", "SSS")
+
+        def colliding(top, n, k):
+            return original(twin if top == victim else top, n, k)
+
+        monkeypatch.setattr(bijection, "_scan_key", colliding)
+        report = verify_cardinality(6, 3)
+        assert report["injective"] is False
+        assert report["pass"] is False
+        assert report["lhs"] == report["rhs"] == "240"
+        assert main(["verify", "bijection", "--n", "6", "--k", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "bijection n=6 k=3 FAIL lhs=240 rhs=240\nbijection: 1 checks FAILED\n"
+        )
 
 
 class TestDecomposePair:

@@ -1,10 +1,12 @@
 """CLI behavior: outputs, formats, exit codes, and determinism."""
 
+import hashlib
 import json
 import sys
 
 import pytest
 
+from lucanomials import narayana, tilings
 from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
@@ -145,6 +147,16 @@ class TestTilingsCommand:
         assert len(lines) == 6
         parsed = [json.loads(line) for line in lines]
         assert all(set(obj) == {"lambda", "lambda_rows", "star_rows"} for obj in parsed)
+
+    def test_list_text_is_printed_as_tilings_are_enumerated(self, capsys, monkeypatch):
+        def first_then_fail(n, k):
+            yield next(enumerate_rect_tilings(n, k))
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(tilings, "enumerate_rect_tilings", first_then_fail)
+        with pytest.raises(RuntimeError):
+            main(["tilings", "list", "--n", "4", "--k", "2"])
+        assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_list_json_is_an_array(self, capsys):
         code, out = run(capsys, "tilings", "list", "--n", "4", "--k", "2", "--format", "json")
@@ -288,6 +300,52 @@ class TestVerifyCommands:
         lines = out.strip().split("\n")
         assert "theorem1 n=2 k=1 ok" in lines
         assert lines[-1] == "theorem1: 10 checks passed"
+
+    def test_failing_check_mid_sweep(self, capsys, monkeypatch):
+        # One failing check among nine: the text lines after it, the summary
+        # and the JSON object are the bytes the sweep always printed.
+        original = narayana.generalized_narayana_report
+
+        def failing_at_3_2(n, k):
+            report = original(n, k)
+            if (n, k) == (3, 2):
+                report["oracle_agrees"] = False
+            return report
+
+        monkeypatch.setattr(narayana, "generalized_narayana_report", failing_at_3_2)
+        assert run(capsys, "verify", "theorem3", "--n-max", "4") == (1, (
+            "theorem3 n=2 k=1 ok\n"
+            "theorem3 n=2 k=2 ok\n"
+            "theorem3 n=3 k=1 ok\n"
+            "theorem3 n=3 k=2 FAIL lhs=s^2 + t rhs=s^2 + t\n"
+            "theorem3 n=3 k=3 ok\n"
+            "theorem3 n=4 k=1 ok\n"
+            "theorem3 n=4 k=2 ok\n"
+            "theorem3 n=4 k=3 ok\n"
+            "theorem3 n=4 k=4 ok\n"
+            "theorem3: 9 checks FAILED\n"
+        ))
+        code, out = run(capsys, "verify", "theorem3", "--n-max", "4", "--format", "json")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b2b37ee99d9160bfdf4af2db5b7f75e7e9acff967caef36b5a3820897729fd7"
+        )
+        checks = json.loads(out)["checks"]
+        assert [c["pass"] for c in checks] == [True] * 3 + [False] + [True] * 5
+
+    def test_text_lines_are_printed_as_checks_run(self, capsys, monkeypatch):
+        original = narayana.generalized_narayana_report
+
+        def broken_at_4_1(n, k):
+            if (n, k) == (4, 1):
+                raise RuntimeError("stop")
+            return original(n, k)
+
+        monkeypatch.setattr(narayana, "generalized_narayana_report", broken_at_4_1)
+        with pytest.raises(RuntimeError):
+            main(["verify", "theorem3", "--n-max", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1] == "theorem3 n=3 k=3 ok"
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run(capsys, "verify", "theorem3", "--n-max", "5", "--format", "json")
