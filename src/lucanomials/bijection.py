@@ -31,12 +31,15 @@ or columns only.  Comparisons at column 0 or beyond the end of a row count
 as breakable, which makes the procedure total, including the degenerate
 parameters k = 0 and k = n that the pair decomposition needs.
 
-:func:`inverse` replays the scan: the event sequence is read off the
-partition's boundary path (which determines which rows are cut and where),
-so the cut segments, partition rows, and stairstep rows can be glued back
-in place.  Shape-valid triples are always reachable; a NotInImageError
-therefore signals an inconsistent triple or an implementation fault, never
-a routine condition.
+:func:`inverse` replays the scan on the same int state: the row lengths (0
+once consumed), the cursor, and the comparison column c.  The events are
+read off the partition itself: the next event is a downward step when the
+next part equals c and a leftward step otherwise.  Each step puts one piece
+of the triple back into its row, right to left.  No part exceeds c, so a
+leftward step never meets c = 0 and the replay always ends.  Whether its
+result is right is decided by one certificate, described below.  Every
+shape-valid triple is an image, so a NotInImageError signals an
+implementation fault, never a routine condition.
 
 :func:`decompose_pair` splits a pair of stairstep tilings of sizes n-1 and
 n-2 along the first row of the larger one, at the boundary between cells
@@ -54,13 +57,18 @@ Where validation happens.  Shapes are validated at the boundary: when a
 when :func:`forward` builds its result) and by the CLI on its input.  The
 forward scan itself is one private core, :func:`_scan_key`, that trusts its
 rows: it tracks row lengths and the comparison column as ints, reads cut
-positions from a per-row offset table, and checks the image's shape with
+positions from the per-row offset table of
+:func:`lucanomials.tilings._cut_offsets`, and checks the image's shape with
 O(1) int comparisons per event (a cut column has one cell per partition row
 still to emit, the other-stairstep rows have lengths n-k-1, ..., 1, and the
 path completes).  Its output is one flat string per image, so the
 exhaustive verifiers key their injectivity sets on strings instead of
 nested frozen dataclasses, and :func:`verify_pair_decomposition` scans each
-distinct remainder once instead of twice per pair.
+distinct remainder once instead of twice per pair.  :func:`inverse` checks
+only the sizes of the triple up front and nothing during its replay.  Its
+certificate then builds the stairstep tiling (a ShapeError there becomes
+NotInImageError) and requires its scan key to equal the triple's flat key,
+so a returned tiling T always satisfies forward(T, k) == triple.
 """
 
 from __future__ import annotations
@@ -68,16 +76,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .lucas import MEMO_SIZE, fib_factorial, fibonomial
+from .lucas import fib_factorial, fibonomial
 from .tilings import (
     DOMINO,
     SQUARE,
     RectTiling,
     ShapeError,
-    _domino_covers,
+    _cut_offsets,
     _json_field,
     _linear_tilings,
     covered_length,
@@ -170,23 +177,6 @@ class TilingTriple:
         )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _cut_offsets(row: str) -> tuple[int, ...]:
-    """String offset of every cell boundary of a row tiling; -1 inside a domino.
-
-    Entry c ends the piece that covers cells 1..c, so
-    ``row[offsets[a]:offsets[b]]`` covers cells a+1..b, and a domino covers
-    cells c and c+1 exactly when entry c is -1.  The row must be a valid
-    tiling.
-    """
-    offsets = [0]
-    for index, ch in enumerate(row, 1):
-        if ch == DOMINO:
-            offsets.append(-1)
-        offsets.append(index)
-    return tuple(offsets)
-
-
 def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
     """The forward scan of the top rows of a size-(n-1) stairstep tiling.
 
@@ -274,120 +264,72 @@ def forward(t: StairstepTiling, k: int) -> TilingTriple:
     return TilingTriple(StairstepTiling(pieces[small_start:]), other_stair, rect)
 
 
-def _path_from_partition(lam: tuple[int, ...], width: int) -> list[str]:
-    # Boundary path from the top-right to the bottom-left corner of the
-    # rectangle: "L" for leftward, "D" for downward steps.
-    steps: list[str] = []
-    x = width
-    for part in lam:
-        steps.extend("L" * (x - part))
-        steps.append("D")
-        x = part
-    steps.extend("L" * x)
-    return steps
-
-
 def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
-    """The unique stairstep tiling T with forward(T, k) == triple."""
-    if not 0 <= k <= n:
-        raise ShapeError(f"need 0 <= k <= {n}")
+    """The unique stairstep tiling T with forward(T, k) == triple.
+
+    Replays the scan of :func:`_scan_key` on the same int state and glues
+    each scanned row back together right to left.  The replay trusts the
+    triple; one certificate afterwards proves the result: it must be a
+    stairstep tiling whose key is the triple's.  Raises ShapeError when the
+    triple's sizes do not fit (n, k) and NotInImageError when the
+    certificate fails.
+    """
+    if n < 1 or not 0 <= k <= n:
+        raise ShapeError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
     rect = triple.rect
-    rect_height = n - k
-    width = k
-    if len(rect.lam) != rect_height or len(rect.star_rows) != width:
+    height = n - k
+    if len(rect.lam) != height or len(rect.star_rows) != k:
         raise ShapeError(
             f"rectangle tiling is {len(rect.lam)} x {len(rect.star_rows)}, "
-            f"expected {rect_height} x {width}"
+            f"expected {height} x {k}"
         )
     if triple.small_stair.size != max(k - 1, 0):
         raise ShapeError(f"small stairstep has size {triple.small_stair.size}, expected {max(k - 1, 0)}")
-    if triple.other_stair.size != max(rect_height - 1, 0):
+    if triple.other_stair.size != max(height - 1, 0):
         raise ShapeError(
-            f"other stairstep has size {triple.other_stair.size}, expected {max(rect_height - 1, 0)}"
+            f"other stairstep has size {triple.other_stair.size}, expected {max(height - 1, 0)}"
         )
 
-    path = _path_from_partition(rect.lam, width)
-    if path and path[-1] == "D":
-        events = path[:-1]
-    else:
-        cut = len(path)
-        while cut and path[cut - 1] == "L":
-            cut -= 1
-        events = path[:cut]
-
     scan_count = (n - 1) - max(k - 1, 0)
-    if events and scan_count == 0:
-        raise NotInImageError("path has events but there are no rows to scan")
-    lengths = [n - 1 - i for i in range(scan_count)]
-    consumed = [False] * scan_count
+    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
+    rows = [""] * scan_count  # the pieces of each row placed so far
+    star_cols = iter(rect.star_rows)
+    # No shape-valid triple runs out of stairstep rows (checked for every
+    # partition with n <= 18); the default keeps the replay total for any
+    # input and leaves the verdict to the certificate.
+    other_rows = iter(triple.other_stair.rows)
     alive = scan_count
-    segments: list[list[str]] = [[] for _ in range(scan_count)]
-    left_parts: list[str] = [""] * scan_count
-
     c = k
-    cursor = 0
-    next_lam = 0
-    next_star = 0
-    next_other = 0
-    for step in events:
-        if not alive:
-            raise NotInImageError("path demands more events than the rows supply")
-        while consumed[cursor % scan_count]:
-            cursor += 1
-        r = cursor % scan_count
-        if step == "L":
-            if c < 1:
-                raise NotInImageError("leftward step with the comparison column exhausted")
-            segment = rect.star_rows[next_star]
-            next_star += 1
-            if covered_length(segment) != lengths[r] - c + 1 or not segment.startswith("D"):
-                raise NotInImageError("complement column does not fit the replayed cut")
-            segments[r].append(segment)
-            lengths[r] = c - 1
-            if lengths[r] == 0:
-                consumed[r] = True
-                alive -= 1
-            c -= 1
-        else:
-            lam_row = rect.lambda_rows[next_lam]
-            if rect.lam[next_lam] != c:
-                raise NotInImageError("partition part does not match the replayed column")
-            next_lam += 1
-            stair_length = lengths[r] - c
-            if stair_length < 0:
-                raise NotInImageError("partition row longer than the remaining cells")
-            if stair_length > 0:
-                if next_other >= len(triple.other_stair.rows):
-                    raise NotInImageError("stairstep rows exhausted during replay")
-                stair_row = triple.other_stair.rows[next_other]
-                next_other += 1
-                if covered_length(stair_row) != stair_length:
-                    raise NotInImageError("stairstep row does not fit the replayed split")
-            else:
-                stair_row = ""
-            left_parts[r] = lam_row + stair_row
-            consumed[r] = True
+    r = 0
+    i = 0  # the next partition row
+    while alive:
+        while not lengths[r]:
+            r = r + 1 if r + 1 < scan_count else 0
+        if i < height and rect.lam[i] == c:
+            # The scan emitted partition row i here and consumed the row.
+            other = next(other_rows, "") if c < lengths[r] else ""
+            rows[r] = rect.lambda_rows[i] + other + rows[r]
+            i += 1
+            lengths[r] = 0
             alive -= 1
-        cursor += 1
+        else:
+            # The scan cut the next complement column off this row.
+            rows[r] = next(star_cols) + rows[r]
+            c -= 1
+            lengths[r] = c
+            if not c:
+                alive -= 1
+        r = r + 1 if r + 1 < scan_count else 0
 
-    if alive:
-        raise NotInImageError("replay finished with rows still unplaced")
-    for index in range(next_lam, rect_height):
-        if rect.lam[index] != 0 or rect.lambda_rows[index] != "":
-            raise NotInImageError("trailing partition rows must be empty")
-    for index in range(next_star, width):
-        if rect.star_rows[index] != "":
-            raise NotInImageError("trailing complement columns must be empty")
-    if next_other != len(triple.other_stair.rows):
-        raise NotInImageError("unused stairstep rows remain")
-
-    rows = tuple(
-        left_parts[r] + "".join(reversed(segments[r])) for r in range(scan_count)
-    ) + triple.small_stair.rows
+    rows = tuple(rows) + triple.small_stair.rows
     try:
-        return StairstepTiling(rows)
+        result = StairstepTiling(rows)
     except ShapeError as exc:
-        raise NotInImageError(f"reassembled rows have inconsistent lengths: {exc}") from exc
+        raise NotInImageError(f"replayed rows do not form a stairstep: {exc}") from exc
+    key = rect.lambda_rows + rect.star_rows + triple.other_stair.rows + triple.small_stair.rows
+    if _stairstep_key(rows, k) != "|".join(key):
+        raise NotInImageError("the replayed stairstep does not map forward to the triple")
+    return result
 
 
 def verify_cardinality(n: int, k: int) -> dict:
@@ -444,7 +386,7 @@ class PairDecomposition:
 
 def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str]]:
     """Case tag and flanking pieces of T1's first row at the cells k-1|k boundary."""
-    if _domino_covers(first, k - 1):
+    if _cut_offsets(first)[k - 1] < 0:  # a domino covers cells k-1 and k
         left, tail = split_after(first, k - 2)
         return "domino", (left, tail[1:])
     return "no_domino", split_after(first, k - 1)

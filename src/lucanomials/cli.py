@@ -237,6 +237,8 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
+    if not 1 <= args.k <= args.n - 1:
+        parser.error("need 1 <= --k <= --n - 1")
     path = Path(args.input)
     if not path.is_file():
         parser.error(f"--input file not found: {args.input}")
@@ -251,8 +253,6 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--input is not a valid stairstep fixture: {exc}")
         if tiling.size != args.n - 1:
             parser.error(f"--input has size {tiling.size}, expected {args.n - 1}")
-        if not 1 <= args.k <= args.n - 1:
-            parser.error("need 1 <= --k <= --n - 1")
         triple = bijection.forward(tiling, args.k)
         if args.format == "json":
             print(_dump(triple.to_json_dict()))

@@ -35,10 +35,10 @@ index never meets the interpreter's recursion limit.  Every other memo in the
 package is a functools.lru_cache bounded at MEMO_SIZE entries: the atoms
 (keyed on d), the factorials (keyed on n), lucanomials and fibonomials
 (keyed on (n, min(k, n-k))), and the row tilings and cut offsets of
-:mod:`lucanomials.tilings` and :mod:`lucanomials.bijection`.  An evicted
-entry is recomputed on its next use, so the bound caps memory and never
-changes a result.  An atom recurses through the cache over the divisors of
-d, so its recursion depth is at most log2 d.
+:mod:`lucanomials.tilings`.  An evicted entry is recomputed on its next
+use, so the bound caps memory and never changes a result.  An atom recurses
+through the cache over the divisors of d, so its recursion depth is at most
+log2 d.
 """
 
 from __future__ import annotations

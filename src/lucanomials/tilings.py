@@ -40,7 +40,6 @@ from .polys import ONE, Poly, T, ZERO
 
 SQUARE = "S"
 DOMINO = "D"
-_TILE_LEN = {SQUARE: 1, DOMINO: 2}
 
 
 class ShapeError(ValueError):
@@ -51,43 +50,42 @@ def covered_length(tiling: str) -> int:
     """Number of cells covered by a row tiling string."""
     dominos = tiling.count(DOMINO)
     if tiling.count(SQUARE) + dominos != len(tiling):
-        invalid = next(ch for ch in tiling if ch not in _TILE_LEN)
+        invalid = next(ch for ch in tiling if ch not in (SQUARE, DOMINO))
         raise ShapeError(f"invalid tile {invalid!r}; expected 'S' or 'D'")
     return len(tiling) + dominos
 
 
-def _domino_covers(tiling: str, i: int) -> bool:
-    # Does a domino cover cells i and i+1?  False for i < 1 or off the end.
-    if i < 1:
-        return False
-    cum = 0
-    for ch in tiling:
-        if cum >= i:
-            break
-        if ch == DOMINO and cum == i - 1:
-            return True
-        cum += _TILE_LEN[ch]
-    return False
+@lru_cache(maxsize=MEMO_SIZE)
+def _cut_offsets(row: str) -> tuple[int, ...]:
+    """String offset of every cell boundary of a row tiling; -1 inside a domino.
+
+    Entry c ends the piece that covers cells 1..c, so
+    ``row[offsets[a]:offsets[b]]`` covers cells a+1..b, and a domino covers
+    cells c and c+1 exactly when entry c is -1.  This is the only map from
+    cells to string offsets; the row must be a valid tiling.
+    """
+    offsets = [0]
+    for index, ch in enumerate(row, 1):
+        if ch == DOMINO:
+            offsets.append(-1)
+        offsets.append(index)
+    return tuple(offsets)
 
 
 def split_after(tiling: str, i: int) -> tuple[str, str]:
     """Split a row tiling between cells i and i+1.
 
     Returns the pieces covering cells 1..i and i+1..end.  Raises ShapeError
-    when a domino spans the cut or i is outside 0..covered_length.
+    when the tiling is invalid, a domino spans the cut, or i is outside
+    0..covered_length.
     """
-    if i < 0:
-        raise ShapeError(f"cannot split before cell 1 (i={i})")
-    cum = 0
-    for index, ch in enumerate(tiling):
-        if cum == i:
-            return tiling[:index], tiling[index:]
-        cum += _TILE_LEN[ch]
-        if cum > i:
-            raise ShapeError(f"a domino spans the cut at position {i}")
-    if cum == i:
-        return tiling, ""
-    raise ShapeError(f"cannot split after cell {i} of a row of length {cum}")
+    length = covered_length(tiling)
+    if not 0 <= i <= length:
+        raise ShapeError(f"cannot split after cell {i} of a row of length {length}")
+    cut = _cut_offsets(tiling)[i]
+    if cut < 0:
+        raise ShapeError(f"a domino spans the cut at position {i}")
+    return tiling[:cut], tiling[cut:]
 
 
 @lru_cache(maxsize=MEMO_SIZE)

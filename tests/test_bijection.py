@@ -1,6 +1,7 @@
 """Exhaustive tests for the stairstep bijection and the pair decomposition."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from lucanomials import bijection
 from lucanomials.bijection import (
     EMPTY_STAIRSTEP,
+    NotInImageError,
     StairstepTiling,
     TilingTriple,
     _stairstep_key,
@@ -23,7 +25,7 @@ from lucanomials.bijection import (
 from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonomial
 from lucanomials.narayana import fibonarayana
-from lucanomials.tilings import ShapeError, enumerate_rect_tilings
+from lucanomials.tilings import RectTiling, ShapeError, enumerate_rect_tilings
 
 
 def triple_space(n, k):
@@ -208,12 +210,12 @@ class TestInverse:
     def test_roundtrip_n_up_to_6(self):
         for n in range(2, 7):
             for t in enumerate_stairstep_tilings(n - 1):
-                for k in range(1, n):
-                    assert inverse(forward(t, k), n, k) == t
+                for k in range(0, n + 1):
+                    assert inverse(forward(t, k), n, k) == t, (n, k, t)
 
     def test_every_triple_has_preimage(self):
         # Surjectivity scan: inverse then forward is the identity on triples.
-        for n, k in [(4, 2), (5, 2), (5, 3)]:
+        for n, k in [(4, 2), (5, 1), (5, 2), (5, 3), (5, 4), (6, 2), (6, 3)]:
             for triple in triple_space(n, k):
                 t = inverse(triple, n, k)
                 assert forward(t, k) == triple
@@ -235,6 +237,26 @@ class TestInverse:
             inverse(triple, 3, 2)
         with pytest.raises(ShapeError):
             inverse(triple, 4, 1)
+        # There is no stairstep of size -1 to map forward.
+        empty = TilingTriple(EMPTY_STAIRSTEP, EMPTY_STAIRSTEP, RectTiling((), (), ()))
+        with pytest.raises(ShapeError):
+            inverse(empty, 0, 0)
+
+    def test_certificate_rejects_a_wrong_scan(self, monkeypatch, capsys, tmp_path):
+        # The replay never scans; only the forward certificate can notice
+        # that the scan core disagrees with it.
+        t = StairstepTiling(("SDSS", "DD", "DS", "D", "S"))
+        triple = forward(t, 3)
+        triple_file = tmp_path / "triple.json"
+        triple_file.write_text(json.dumps(triple.to_json_dict()))
+        original = bijection._scan_key
+        monkeypatch.setattr(bijection, "_scan_key", lambda top, n, k: original(top, n, k) + "S")
+        with pytest.raises(NotInImageError):
+            inverse(triple, 6, 3)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bijection", "inverse", "--n", "6", "--k", "3", "--input", str(triple_file)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCardinality:

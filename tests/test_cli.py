@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lucanomials import narayana, tilings
+from lucanomials import bijection, narayana, tilings
 from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
@@ -204,6 +204,21 @@ class TestBijectionCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "malformed" in captured.err
+
+    @pytest.mark.parametrize("action", ["forward", "inverse"])
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_outside_one_to_n_minus_one_is_usage_error(self, capsys, tmp_path, action, k):
+        # Valid input for (n=6, k), so only the --k domain rejects it.
+        t = bijection.StairstepTiling(("SDSS", "DD", "DS", "D", "S"))
+        data = tmp_path / "data"
+        if action == "forward":
+            data.write_text(t.to_text() + "\n")
+        else:
+            data.write_text(json.dumps(bijection.forward(t, k).to_json_dict()))
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", action, "--n", "6", "--k", str(k), "--input", str(data))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_input_file(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,7 +10,7 @@ from lucanomials.polys import ONE, Poly, ZERO, parse
 from lucanomials.tilings import (
     RectTiling,
     ShapeError,
-    _domino_covers,
+    _cut_offsets,
     covered_length,
     domino_initial_tilings,
     enumerate_rect_tilings,
@@ -33,17 +33,18 @@ class TestRowBasics:
             covered_length("SX")
 
     def test_breakable(self):
-        assert not _domino_covers("SS", 1)
-        assert _domino_covers("D", 1)
-        assert _domino_covers("SDS", 2)  # domino covers cells 2-3
-        assert not _domino_covers("SDS", 1)
-        assert not _domino_covers("SDS", 3)
+        # Entry c of the cut offsets is -1 exactly when a domino covers cells c and c+1.
+        assert _cut_offsets("SS")[1] >= 0
+        assert _cut_offsets("D")[1] < 0
+        assert _cut_offsets("SDS")[2] < 0  # domino covers cells 2-3
+        assert _cut_offsets("SDS")[1] >= 0
+        assert _cut_offsets("SDS")[3] >= 0
 
     def test_breakable_out_of_range(self):
-        # No domino covers a boundary off the row: the scans treat it as breakable.
-        assert not _domino_covers("SS", 2)
-        assert not _domino_covers("SS", 0)
-        assert not _domino_covers("D", 2)
+        # The boundaries at either end of a row are never inside a domino.
+        assert _cut_offsets("SS")[2] >= 0
+        assert _cut_offsets("SS")[0] >= 0
+        assert _cut_offsets("D")[2] >= 0
 
     def test_split_after(self):
         assert split_after("SDS", 1) == ("S", "DS")
@@ -57,6 +58,11 @@ class TestRowBasics:
     def test_split_past_end(self):
         with pytest.raises(ShapeError):
             split_after("S", 2)
+
+    @pytest.mark.parametrize("tiling", ["XS", "SX"])
+    def test_split_invalid_tile(self, tiling):
+        with pytest.raises(ShapeError):
+            split_after(tiling, 1)
 
 
 class TestEnumeration:
