@@ -49,8 +49,8 @@ two cases of :func:`verify_pair_decomposition` realizes the identity
     F_n! * F_{n-1}! = F_k! F_{n-k}! F_{k-1}! F_{n-k+1}!
                       * [fib(n-1,k-1)^2 + fib(n-1,k) * fib(n-1,k-2)]
 
-by exhaustion: the bracket is exactly the integer Narayana-style recurrence
-value for (n, k).
+by exhaustion; the check compares the total with the prefactor times
+:func:`narayana.fibonarayana`, the function the bracket defines.
 
 Where validation happens.  Shapes are validated at the boundary: when a
 :class:`StairstepTiling` or :class:`TilingTriple` is constructed (so also
@@ -78,6 +78,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import narayana
 from .lucas import fib_factorial, fibonomial
 from .tilings import (
     DOMINO,
@@ -435,7 +436,8 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     is injective over all F_n! * F_{n-1}! pairs and that the per-case image
     sizes match
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k-1)^2   (no domino) and
-    F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k) * fib(n-1,k-2)  (domino).
+    F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k) * fib(n-1,k-2)  (domino),
+    and that F_n! F_{n-1}! is that prefactor times fibonarayana(n, k).
 
     The image is the disjoint union, over first rows, of the products
     {(case, pieces)} x keys[k1] x keys[k2], so the map is injective exactly
@@ -463,19 +465,19 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     prefactor = (
         fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
     )
-    bracket = fibonomial(n - 1, k - 1) ** 2 + fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
     expected = {
         "no_domino": prefactor * fibonomial(n - 1, k - 1) ** 2,
         "domino": prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2),
     }
     lhs = fib_factorial(n) * fib_factorial(n - 1)
+    rhs = prefactor * narayana.fibonarayana(n, k)
     cases_match = counts == expected
-    ok = injective and total == lhs and cases_match and lhs == prefactor * bracket
+    ok = injective and total == lhs and cases_match and lhs == rhs
     return {
         "n": n,
         "k": k,
         "lhs": str(lhs),
-        "rhs": str(prefactor * bracket),
+        "rhs": str(rhs),
         "no_domino": str(counts["no_domino"]),
         "domino": str(counts["domino"]),
         "injective": injective,

@@ -220,18 +220,16 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
     if single and args.n < 0:
         parser.error("--n must be nonnegative")
     n_max = target.default if args.n_max is None else args.n_max
-    if single or target.cumulative:
-        n = args.n if single else n_max
-        points = family.at(n, target.first)
-        if not points:
-            parser.error(f"verify {args.target} has no check at n={n}")
-        if args.k is not None:
-            if (n, args.k) not in points:
-                ks = family.ks(n)
-                parser.error(f"need {ks.start} <= --k <= {ks.stop - 1} at --n {n}")
-            points = [(n, args.k)]
-    else:
-        points = (p for n in range(target.first, n_max + 1) for p in family.at(n, target.first))
+    n = args.n if single else n_max
+    ns = [n] if single or target.cumulative else range(target.first, n + 1)
+    points = [p for m in ns for p in family.at(m, target.first)]
+    if not points:
+        parser.error(f"verify {args.target} has no check at {'--n' if single else '--n-max'} {n}")
+    if args.k is not None:
+        if (n, args.k) not in points:
+            ks = family.ks(n)
+            parser.error(f"need {ks.start} <= --k <= {ks.stop - 1} at --n {n}")
+        points = [(n, args.k)]
     checks = (family.check(*p) for p in points)
     return _emit_checks(args.target, checks, args.format, target.text)
 

@@ -23,11 +23,11 @@ are kept so that a wrong answer disagrees loudly:
 * :func:`lucanomial_division_oracle` evaluates the factorial quotient with
   exact division.
 
-Setting s = t = 1 turns {n} into the Fibonacci number F_n.  The integer
-specializations (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are
-computed directly over int, the fibonomial as the same atom product, with
-agreement against polynomial evaluation and the factorial quotient
-asserted in the test suite.
+Setting s = t = 1 turns {n} into the Fibonacci number F_n, and the integer
+functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
+same code there: each algorithm is one private body that takes the ring's
+pieces (s, t, zero, the exact quotient, the product) as arguments, passed by
+module name at call time, so a wrapper on a module function sees every call.
 
 Memoisation.  The sequences {n} and F_n are append-only module lists that
 grow by the recurrence, one term at a time and without recursion, so a large
@@ -51,63 +51,13 @@ from .polys import ONE, NotDivisibleError, Poly, S, T, ZERO, divide_exact
 MEMO_SIZE = 4096
 """Entries kept by each lru_cache memo of the package."""
 
-_lucas_polys: list[Poly] = [ZERO, ONE]
 
-
-def lucas(n: int) -> Poly:
-    """The Lucas polynomial {n}."""
-    if n < 0:
-        raise ValueError("Lucas index must be nonnegative")
-    polys = _lucas_polys
-    while len(polys) <= n:
-        polys.append(S * polys[-1] + T * polys[-2])
-    return polys[n]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def lucas_factorial(n: int) -> Poly:
-    """The Lucas factorial {n}!, with {0}! = 1."""
-    if n < 0:
-        raise ValueError("Lucas index must be nonnegative")
-    return _balanced_product([lucas(m) for m in range(1, n + 1)])
-
-
-def _divisors(n: int) -> list[int]:
-    """The divisors d > 1 of n in ascending order, so n itself comes last."""
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return (small + large[::-1])[1:]
-
-
-def _atom_indices(n: int, k: int) -> list[int]:
-    """The d whose atom divides {n choose k}, for 0 <= k <= n.
-
-    The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
-    is 0 for every d > n.
-    """
-    return [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def lucas_atom(d: int) -> Poly:
-    """The Lucas atom P_d, d >= 2: {d} exactly divided by P_e for each e | d, 1 < e < d.
-
-    NotDivisibleError propagating from here would falsify the factorisation
-    and is treated as an internal assertion failure.
-    """
-    if d < 2:
-        raise ValueError("atom index must be at least 2")
-    atom = lucas(d)
-    for e in _divisors(d)[:-1]:
-        atom = divide_exact(atom, lucas_atom(e))
-    return atom
+def _int_quotient(a: int, b: int) -> int:
+    """a / b for ints, raising NotDivisibleError on a remainder: divide_exact over int."""
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise NotDivisibleError("no exact integer quotient")
+    return quotient
 
 
 def _balanced_product(factors: list[Poly]) -> Poly:
@@ -125,6 +75,106 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
+def _sequence(terms: list, n: int, s, t):
+    """x_n of x_n = s*x_{n-1} + t*x_{n-2}, appending to terms, which holds x_0, x_1, ..."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    while len(terms) <= n:
+        terms.append(s * terms[-1] + t * terms[-2])
+    return terms[n]
+
+
+_lucas_polys: list[Poly] = [ZERO, ONE]
+_fibs: list[int] = [0, 1]
+
+
+def lucas(n: int) -> Poly:
+    """The Lucas polynomial {n}."""
+    return _sequence(_lucas_polys, n, S, T)
+
+
+def fibonacci(n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1."""
+    return _sequence(_fibs, n, 1, 1)
+
+
+def _factorial(n: int, term, product):
+    """term(n) * term(n-1) * ... * term(1), the empty product at n = 0."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return product([term(m) for m in range(1, n + 1)])
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def lucas_factorial(n: int) -> Poly:
+    """The Lucas factorial {n}!, with {0}! = 1."""
+    return _factorial(n, lucas, _balanced_product)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def fib_factorial(n: int) -> int:
+    """F_n! = F_n * F_{n-1} * ... * F_1, with F_0! = 1."""
+    return _factorial(n, fibonacci, prod)
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors d > 1 of n in ascending order, so n itself comes last."""
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return (small + large[::-1])[1:]
+
+
+def _atom(d: int, term, atom, quotient):
+    """term(d) exactly divided by atom(e) for each e | d, 1 < e < d."""
+    if d < 2:
+        raise ValueError("atom index must be at least 2")
+    value = term(d)
+    for e in _divisors(d)[:-1]:
+        value = quotient(value, atom(e))
+    return value
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def lucas_atom(d: int) -> Poly:
+    """The Lucas atom P_d, d >= 2: {d} exactly divided by P_e for each e | d, 1 < e < d.
+
+    NotDivisibleError propagating from here would falsify the factorisation
+    and is treated as an internal assertion failure.
+    """
+    return _atom(d, lucas, lucas_atom, divide_exact)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def fibonacci_atom(d: int) -> int:
+    """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
+    return _atom(d, fibonacci, fibonacci_atom, _int_quotient)
+
+
+def _coefficient(n: int, k: int, zero, reduced):
+    """reduced(n, min(k, n-k)) on 0 <= k <= n, zero outside it."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 0 or k > n:
+        return zero
+    return reduced(n, min(k, n - k))
+
+
+def _atom_product(n: int, k: int, atom, product):
+    """{n choose k}, 0 <= k <= n, as the product of the atoms that divide it.
+
+    The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
+    is 0 for every d > n.
+    """
+    return product([atom(d) for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+
+
 def lucanomial(n: int, k: int) -> Poly:
     """The lucanomial {n choose k}, zero outside 0 <= k <= n.
 
@@ -132,16 +182,25 @@ def lucanomial(n: int, k: int) -> Poly:
     multiplied as a balanced tree; agrees with the recurrence and with the
     factorial quotient.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return ZERO
-    return _lucanomial(n, min(k, n - k))
+    return _coefficient(n, k, ZERO, _lucanomial)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _lucanomial(n: int, k: int) -> Poly:
-    return _balanced_product([lucas_atom(d) for d in _atom_indices(n, k)])
+    return _atom_product(n, k, lucas_atom, _balanced_product)
+
+
+def fibonomial(n: int, k: int) -> int:
+    """The fibonomial coefficient F_n!/(F_k! F_{n-k}!), zero outside 0 <= k <= n.
+
+    Computed as the product of the integer atoms with exponent 1.
+    """
+    return _coefficient(n, k, 0, _fibonomial)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _fibonomial(n: int, k: int) -> int:
+    return _atom_product(n, k, fibonacci_atom, prod)
 
 
 def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
@@ -177,53 +236,3 @@ def lucanomial_division_oracle(n: int, k: int) -> Poly:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     return divide_exact(lucas_factorial(n), lucas_factorial(k) * lucas_factorial(n - k))
-
-
-_fibs: list[int] = [0, 1]
-
-
-def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1."""
-    if n < 0:
-        raise ValueError("Fibonacci index must be nonnegative")
-    while len(_fibs) <= n:
-        _fibs.append(_fibs[-1] + _fibs[-2])
-    return _fibs[n]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def fib_factorial(n: int) -> int:
-    """F_n! = F_n * F_{n-1} * ... * F_1, with F_0! = 1."""
-    if n < 0:
-        raise ValueError("Fibonacci index must be nonnegative")
-    return prod(fibonacci(m) for m in range(1, n + 1))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def fibonacci_atom(d: int) -> int:
-    """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
-    if d < 2:
-        raise ValueError("atom index must be at least 2")
-    atom = fibonacci(d)
-    for e in _divisors(d)[:-1]:
-        atom, remainder = divmod(atom, fibonacci_atom(e))
-        if remainder:
-            raise NotDivisibleError("no exact integer quotient")
-    return atom
-
-
-def fibonomial(n: int, k: int) -> int:
-    """The fibonomial coefficient F_n!/(F_k! F_{n-k}!), zero outside 0 <= k <= n.
-
-    Computed as the product of the integer atoms with exponent 1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return _fibonomial(n, min(k, n - k))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _fibonomial(n: int, k: int) -> int:
-    return prod(fibonacci_atom(d) for d in _atom_indices(n, k))

@@ -1,89 +1,85 @@
 """FiboNarayana, generalized Narayana, and Catalan-style numbers.
 
-The FiboNarayana number for n >= 2 is computed division-free as
-
-    fibonarayana(n, k) = fib(n-1, k-1)^2 + fib(n-1, k) * fib(n-1, k-2)
-
-and its polynomial analogue as
+The generalized Narayana polynomial is computed division-free as
 
     generalized_narayana(n, k) = {n-1,k-1}^2 + t * {n-1,k} * {n-1,k-2},
 
 with the n = 1 base case taking the value 1 at k = 1 and 0 elsewhere and k
 outside 1..n inheriting the lucanomial zero convention.  The definitional
-quotients (fibonomial(n,k) * fibonomial(n,k-1)) / F_n and its polynomial
-counterpart divided by {n} are kept as oracles: they must agree exactly
-with the recurrences, and a NotDivisibleError from them would falsify the
-integrality these recurrences establish.
+quotient ({n,k} * {n,k-1}) / {n} is kept as an oracle: it must agree
+exactly with the recurrence, and a NotDivisibleError from it would falsify
+the integrality the recurrence establishes.  Catalan versions divide
+{2n choose n} by {n+1}.
 
-Catalan versions divide the central coefficient by F_{n+1} (or {n+1}).
+The FiboNarayana number is this polynomial at s = t = 1, and the integer
+functions are the same code there: as in :mod:`lucanomials.lucas`, each
+algorithm is one private body that takes the ring's pieces as arguments.
 
 At (s, t) = (2, -1) the whole tower specializes to the classical objects
 (n, binomials, Narayana numbers, Catalan numbers), which
-:func:`classical_specialization_report` checks exactly.
+:func:`classical_specialization_report` checks exactly against the
+math.comb formulas of :func:`classical_narayana` and :func:`catalan`.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .lucas import fibonacci, fibonomial, lucanomial, lucas
-from .polys import ONE, NotDivisibleError, Poly, T, ZERO, divide_exact, int_text
+from .lucas import _int_quotient, fibonacci, fibonomial, lucanomial, lucas
+from .polys import ONE, Poly, T, ZERO, divide_exact, int_text
+
+
+def _narayana(n: int, k: int, t, zero, one, coefficient):
+    """The recurrence in the ring of t, with coefficient the lucanomial there."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return one if k == 1 else zero
+    return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number via the integer recurrence; 0 outside 1 <= k <= n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1 if k == 1 else 0
-    return fibonomial(n - 1, k - 1) ** 2 + fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
-
-
-def fibonarayana_definition_oracle(n: int, k: int) -> int:
-    """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
-    numerator = fibonomial(n, k) * fibonomial(n, k - 1)
-    quotient, remainder = divmod(numerator, fibonacci(n))
-    if remainder:
-        raise NotDivisibleError(f"F_{n} does not divide the fibonomial product at k={k}")
-    return quotient
+    return _narayana(n, k, 1, 0, 1, fibonomial)
 
 
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the recurrence; 0 outside 1 <= k <= n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return ONE if k == 1 else ZERO
-    return (
-        lucanomial(n - 1, k - 1) ** 2
-        + T * lucanomial(n - 1, k) * lucanomial(n - 1, k - 2)
-    )
+    return _narayana(n, k, T, ZERO, ONE, lucanomial)
+
+
+def _definition(n: int, k: int, coefficient, term, quotient):
+    """(coefficient(n,k) * coefficient(n,k-1)) / term(n) by exact division."""
+    if n < 1 or not 1 <= k <= n:
+        raise ValueError("need n >= 1 and 1 <= k <= n")
+    return quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
+
+
+def fibonarayana_definition_oracle(n: int, k: int) -> int:
+    """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
+    return _definition(n, k, fibonomial, fibonacci, _int_quotient)
 
 
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
     """({n,k} * {n,k-1}) / {n} by exact division; must equal the recurrence."""
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
-    return divide_exact(lucanomial(n, k) * lucanomial(n, k - 1), lucas(n))
+    return _definition(n, k, lucanomial, lucas, divide_exact)
+
+
+def _catalan(n: int, coefficient, term, quotient):
+    """coefficient(2n, n) / term(n+1) by exact division."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return quotient(coefficient(2 * n, n), term(n + 1))
 
 
 def fibocatalan(n: int) -> int:
     """fibonomial(2n, n) / F_{n+1} by exact division."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    quotient, remainder = divmod(fibonomial(2 * n, n), fibonacci(n + 1))
-    if remainder:
-        raise NotDivisibleError(f"F_{n + 1} does not divide fibonomial({2 * n}, {n})")
-    return quotient
+    return _catalan(n, fibonomial, fibonacci, _int_quotient)
 
 
 def generalized_catalan(n: int) -> Poly:
     """{2n choose n} / {n+1} by exact division."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return divide_exact(lucanomial(2 * n, n), lucas(n + 1))
+    return _catalan(n, lucanomial, lucas, divide_exact)
 
 
 def classical_narayana(n: int, k: int) -> int:
@@ -92,54 +88,40 @@ def classical_narayana(n: int, k: int) -> int:
         raise ValueError("n must be positive")
     if not 1 <= k <= n:
         return 0
-    quotient, remainder = divmod(comb(n, k) * comb(n, k - 1), n)
-    if remainder:
-        raise NotDivisibleError(f"{n} does not divide the binomial product at k={k}")
-    return quotient
+    return _int_quotient(comb(n, k) * comb(n, k - 1), n)
 
 
 def catalan(n: int) -> int:
     """Classical Catalan number C(2n, n)/(n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    quotient, remainder = divmod(comb(2 * n, n), n + 1)
-    if remainder:
-        raise NotDivisibleError(f"{n + 1} does not divide C({2 * n}, {n})")
-    return quotient
+    return _int_quotient(comb(2 * n, n), n + 1)
+
+
+def _report(n: int, k: int, recurrence, oracle, text, nonneg) -> dict:
+    """Per-(n, k) agreement report: lhs is the recurrence value, rhs the definitional
+    quotient, and nonneg the ring's positivity test of the value."""
+    value = recurrence(n, k)
+    expected = oracle(n, k)
+    return {
+        "n": n,
+        "k": k,
+        "lhs": text(value),
+        "rhs": text(expected),
+        "oracle_agrees": value == expected,
+        "nonneg": nonneg(value),
+    }
 
 
 def fibonarayana_report(n: int, k: int) -> dict:
-    """Per-(n, k) agreement report for the integer recurrence.
-
-    lhs is the recurrence value, rhs the definitional quotient.
-    """
-    value = fibonarayana(n, k)
-    oracle = fibonarayana_definition_oracle(n, k)
-    return {
-        "n": n,
-        "k": k,
-        "lhs": int_text(value),
-        "rhs": int_text(oracle),
-        "oracle_agrees": value == oracle,
-        "nonneg": value > 0,
-    }
+    """Per-(n, k) agreement report for the integer recurrence."""
+    return _report(n, k, fibonarayana, fibonarayana_definition_oracle, int_text, (0).__lt__)
 
 
 def generalized_narayana_report(n: int, k: int) -> dict:
-    """Per-(n, k) agreement report for the polynomial recurrence.
-
-    lhs is the recurrence polynomial, rhs the definitional quotient.
-    """
-    value = generalized_narayana(n, k)
-    oracle = generalized_narayana_definition_oracle(n, k)
-    return {
-        "n": n,
-        "k": k,
-        "lhs": str(value),
-        "rhs": str(oracle),
-        "oracle_agrees": value == oracle,
-        "nonneg": value.is_nonneg(),
-    }
+    """Per-(n, k) agreement report for the polynomial recurrence."""
+    return _report(n, k, generalized_narayana, generalized_narayana_definition_oracle, str,
+                   Poly.is_nonneg)
 
 
 def classical_specialization_report(n_max: int) -> dict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucanomials import bijection
+from lucanomials import bijection, narayana
 from lucanomials.bijection import (
     EMPTY_STAIRSTEP,
     NotInImageError,
@@ -397,6 +397,17 @@ class TestVerifyPairDecomposition:
                 )
                 assert report["pass"]
                 assert int(report["rhs"]) == prefactor * fibonarayana(n, k)
+
+    def test_checks_the_library_fibonarayana(self, monkeypatch):
+        # The total is compared with the FiboNarayana function that
+        # `narayana --mode fibo` prints, so a wrong value there fails the check.
+        monkeypatch.setattr(narayana, "fibonarayana", lambda n, k: 7)
+        report = verify_pair_decomposition(4, 2)
+        assert report["pass"] is False
+        assert report["injective"] and report["surjective"]
+        assert (report["lhs"], report["rhs"]) == ("12", str(2 * 7))
+        code = main(["verify", "theorem2", "--n", "4", "--k", "2"])
+        assert code == 1
 
     def test_reports_up_to_six(self):
         for n in range(2, 7):

@@ -419,6 +419,10 @@ class TestVerifyCommands:
             ("verify", "bijection", "--n", "1"),
             ("verify", "classical", "--n", "0"),
             ("verify", "classical", "--n-max", "0"),
+            # A sweep that stops below the target's first n has no check.
+            ("verify", "theorem2", "--n-max", "1"),
+            ("verify", "theorem3", "--n-max", "1"),
+            ("verify", "bijection", "--n-max", "1"),
         ],
     )
     def test_n_without_checks_is_usage_error(self, capsys, argv):

@@ -17,6 +17,16 @@ from lucanomials.narayana import (
     generalized_narayana,
     generalized_narayana_definition_oracle,
 )
+from lucanomials.lucas import (
+    fib_factorial,
+    fibonacci,
+    fibonacci_atom,
+    fibonomial,
+    lucanomial,
+    lucas,
+    lucas_atom,
+    lucas_factorial,
+)
 from lucanomials.polys import ONE, ZERO, parse
 
 
@@ -136,6 +146,41 @@ class TestCatalan:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             fibocatalan(-1)
+
+
+RING_N_MAX = 30
+
+# (int function, Poly function, the arguments for n <= RING_N_MAX, invalid arguments)
+RING_PAIRS = {
+    "sequence": (fibonacci, lucas,
+                 [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
+    "factorial": (fib_factorial, lucas_factorial,
+                  [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
+    "atom": (fibonacci_atom, lucas_atom,
+             [(d,) for d in range(2, RING_N_MAX + 1)], [(1,), (-1,)]),
+    "coefficient": (fibonomial, lucanomial,
+                    [(n, k) for n in range(RING_N_MAX + 1) for k in range(-1, n + 2)], [(-1, 0)]),
+    "narayana": (fibonarayana, generalized_narayana,
+                 [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(-1, n + 2)],
+                 [(0, 1), (-1, 0)]),
+    "definition_oracle": (fibonarayana_definition_oracle, generalized_narayana_definition_oracle,
+                          [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(1, n + 1)],
+                          [(5, 0), (5, 6), (0, 1)]),
+    "catalan": (fibocatalan, generalized_catalan,
+                [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(RING_PAIRS))
+def test_int_route_is_poly_route_at_one_one(pair):
+    """Each integer function is the Poly function at s = t = 1, and both reject the same inputs."""
+    int_fn, poly_fn, args, invalid = RING_PAIRS[pair]
+    for a in args:
+        assert int_fn(*a) == poly_fn(*a).evaluate(1, 1), a
+    for a in invalid:
+        for fn in (int_fn, poly_fn):
+            with pytest.raises(ValueError):
+                fn(*a)
 
 
 def cli_triangle(capsys, n_max, mode):
