@@ -61,14 +61,15 @@ positions from the per-row offset table of
 :func:`lucanomials.tilings._cut_offsets`, and checks the image's shape with
 O(1) int comparisons per event (a cut column has one cell per partition row
 still to emit, the other-stairstep rows have lengths n-k-1, ..., 1, and the
-path completes).  Its output is one flat string per image, so the
-exhaustive verifiers key their injectivity sets on strings instead of
-nested frozen dataclasses, and :func:`verify_pair_decomposition` scans each
-distinct remainder once instead of twice per pair.  :func:`inverse` checks
-only the sizes of the triple up front and nothing during its replay.  Its
-certificate then builds the stairstep tiling (a ShapeError there becomes
-NotInImageError) and requires its scan key to equal the triple's flat key,
-so a returned tiling T always satisfies forward(T, k) == triple.
+path completes).  Its output is one flat string per image.  Both exhaustive
+verifiers count the image on one core, :func:`_image_size`, as the paper's
+proof of the recurrence applies Theorem 1 to both remainders: at (n, k),
+and at (n-1, p) once per column parameter p of the pair decomposition.
+:func:`inverse` checks only the sizes of the triple up front and nothing
+during its replay.  Its certificate then builds the stairstep tiling (a
+ShapeError there becomes NotInImageError) and requires its scan key to
+equal the triple's flat key, so a returned tiling T always satisfies
+forward(T, k) == triple.
 """
 
 from __future__ import annotations
@@ -333,35 +334,39 @@ def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
     return result
 
 
-def verify_cardinality(n: int, k: int) -> dict:
-    """Exhaustively check F_n! = fibonomial(n,k) * F_k! * F_{n-k}! via the forward scan.
+def _image_size(n: int, k: int) -> tuple[int, int]:
+    """(F_n!, size of the forward scan's image) at (n, k), for 0 <= k <= n.
 
-    Returns a report with both side counts plus injectivity and surjectivity
-    flags.  Surjectivity uses the count argument: images are shape-valid by
-    construction, so hitting the full product count means hitting every
-    triple.
-
-    The bottom k-1 rows pass through verbatim, so the key of a stairstep is
-    a head, the scan of its top n-k rows, followed by a suffix, "|" plus each
-    bottom row.  A head always has 2n-k-1 "|"-separated fields and no row
-    contains "|", so every key splits back into exactly one (head, suffix)
-    pair: the image is the product of the heads and the suffixes.  The map
-    is therefore injective exactly when the F_n!/F_k! choices of the top
-    rows give distinct heads and the F_k! suffixes are distinct, and only
-    those two sets are stored, never the F_n! keys.  For k <= 2 there is
-    one suffix (F_k! = 1), so the heads are the keys and nothing is saved.
+    The bottom k-1 rows pass through verbatim, so a stairstep's key is a
+    head, the scan of its top rows, then a suffix, "|" plus each bottom row.
+    A head has 2n-k-1 "|"-separated fields for k < n and n at k = n, and no
+    row contains "|", so each key splits into one (head, suffix) pair.  The
+    map is thus injective exactly when the F_n!/F_k! top-row choices give
+    distinct heads and the F_k! suffixes are distinct; only those two sets
+    are stored.  For k <= 2 there is one suffix, so nothing is saved.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    top_choices = [_linear_tilings(length) for length in range(n - 1, k - 1, -1)]
+    top_choices = [_linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
     bottoms = itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1)))
     suffixes = ["".join("|" + row for row in rows) for rows in bottoms]
     heads = {_scan_key(top, n, k) for top in itertools.product(*top_choices)}
     total = math.prod(map(len, top_choices)) * len(suffixes)
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")
+    return total, len(heads) * len(set(suffixes))
+
+
+def verify_cardinality(n: int, k: int) -> dict:
+    """Exhaustively check F_n! = fibonomial(n,k) * F_k! * F_{n-k}! via the forward scan.
+
+    Returns a report with both side counts plus injectivity and surjectivity
+    flags.  Surjectivity uses the count argument: images are shape-valid by
+    construction, so hitting the full product count means hitting every
+    triple.  Injectivity is :func:`_image_size`'s head/suffix count.
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError("need 1 <= k <= n-1")
+    total, image_size = _image_size(n, k)
     rhs = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
-    image_size = len(heads) * len(set(suffixes))
     injective = image_size == total
     surjective = image_size == rhs
     return {
@@ -440,28 +445,23 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     and that F_n! F_{n-1}! is that prefactor times fibonarayana(n, k).
 
     The image is the disjoint union, over first rows, of the products
-    {(case, pieces)} x keys[k1] x keys[k2], so the map is injective exactly
-    when (case, pieces) differs between first rows and every key list it
-    uses is duplicate-free; those two conditions are checked in place of
-    storing F_n! * F_{n-1}! tuples.
+    {(case, pieces)} x image(k1) x image(k2), image(p) being the forward
+    scan's image at (n-1, p).  So the map is injective exactly when (case,
+    pieces) differs between first rows and :func:`_image_size` finds each
+    scan it uses injective; no pair and no key list is stored.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     splits = [_split_first_row(first, k) for first in _linear_tilings(n - 1)]
     params = {case_tag: _remainder_params(case_tag, k) for case_tag, _ in splits}
-    # T1's remainder and T2 are both stairsteps of size n-2: key each of them
-    # once per column parameter a case asks for, instead of once per pair.
-    stairs = list(itertools.product(*(_linear_tilings(length) for length in range(n - 2, 0, -1))))
-    used = set(itertools.chain(*params.values()))
-    keys = {p: [_stairstep_key(rows, p) for rows in stairs] for p in used}
+    # T1's remainder and T2 are both of size n-2: scan once per parameter, not per pair.
+    sizes = {p: _image_size(n - 1, p) for p in set(itertools.chain(*params.values()))}
     counts = {"no_domino": 0, "domino": 0}
     for case_tag, _ in splits:
         k1, k2 = params[case_tag]
-        counts[case_tag] += len(keys[k1]) * len(keys[k2])
+        counts[case_tag] += sizes[k1][0] * sizes[k2][0]
     total = sum(counts.values())
-    injective = len(set(splits)) == len(splits) and all(
-        len(set(key_list)) == len(key_list) for key_list in keys.values()
-    )
+    injective = len(set(splits)) == len(splits) and all(a == b for a, b in sizes.values())
     prefactor = (
         fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
     )

@@ -25,6 +25,25 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+# A value command: help, least --n, whether it takes --k, and its value per
+# --mode (key None: no --mode); names are looked up at call time, as in _TARGETS.
+_VALUES = {
+    "lucas": ("Lucas polynomial {n}", 0, False, {None: lambda a: lucas_poly(a.n)}),
+    "lucanomial": ("lucanomial {n choose k}", 0, True, {None: lambda a: lucanomial(a.n, a.k)}),
+    "fibonomial": ("fibonomial coefficient", 0, True, {None: lambda a: fibonomial(a.n, a.k)}),
+    "narayana": ("Narayana-style numbers", 1, True, {
+        "fibo": lambda a: narayana.fibonarayana(a.n, a.k),
+        "general": lambda a: narayana.generalized_narayana(a.n, a.k),
+        "classical": lambda a: narayana.generalized_narayana(a.n, a.k).evaluate(2, -1),
+    }),
+    "catalan": ("Catalan-style numbers", 0, False, {
+        "fibo": lambda a: narayana.fibocatalan(a.n),
+        "general": lambda a: narayana.generalized_catalan(a.n),
+        "classical": lambda a: narayana.generalized_catalan(a.n).evaluate(2, -1),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text",
@@ -38,25 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lucas", parents=[fmt], help="Lucas polynomial {n}")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("lucanomial", parents=[fmt], help="lucanomial {n choose k}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("fibonomial", parents=[fmt], help="fibonomial coefficient")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("narayana", parents=[fmt], help="Narayana-style numbers")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("fibo", "general", "classical"), default="fibo")
-
-    p = sub.add_parser("catalan", parents=[fmt], help="Catalan-style numbers")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("fibo", "general", "classical"), default="fibo")
+    for name, (text, _, takes_k, values) in _VALUES.items():
+        p = sub.add_parser(name, parents=[fmt], help=text)
+        p.add_argument("--n", type=int, required=True)
+        if takes_k:
+            p.add_argument("--k", type=int, required=True)
+        if None not in values:
+            p.add_argument("--mode", choices=tuple(values), default="fibo")
 
     p = sub.add_parser("tilings", parents=[fmt], help="rectangle tilings of k x (n-k)")
     p.add_argument("action", choices=("count", "list"))
@@ -80,13 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_poly(poly: Poly, fmt: str) -> None:
-    print(str(poly) if fmt == "text" else _dump(poly.to_json_dict()))
-
-
-def _emit_int(value: int, fmt: str) -> None:
-    text = int_text(value)
-    print(text if fmt == "text" else _dump({"value": text}))
+def _emit(value: Poly | int, fmt: str) -> None:
+    if isinstance(value, Poly):
+        print(str(value) if fmt == "text" else _dump(value.to_json_dict()))
+    else:
+        print(int_text(value) if fmt == "text" else _dump({"value": int_text(value)}))
 
 
 def _check_line(name: str, c: dict) -> str:
@@ -190,7 +195,8 @@ _TARGETS = {
         _Checks(lambda n: range(1, n + 1),
                 lambda n, k: _narayana_check(narayana.fibonarayana_report(n, k))),
         # Exhaustive realization of the identity at one (n, k) by pair
-        # decomposition; it keys each of the F_{n-1}! stairsteps of size n-2.
+        # decomposition; it scans the F_{n-1}! stairsteps of size n-2 once
+        # per column parameter, storing only the heads of each scan.
         single=_Checks(lambda n: range(1, n),
                        lambda n, k: bijection.verify_pair_decomposition(n, k)),
     ),
@@ -277,46 +283,17 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _dispatch(args, parser: argparse.ArgumentParser) -> int:
-    if args.command == "lucas":
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        _emit_poly(lucas_poly(args.n), args.format)
-        return 0
-    if args.command == "lucanomial":
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        _emit_poly(lucanomial(args.n, args.k), args.format)
-        return 0
-    if args.command == "fibonomial":
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        _emit_int(fibonomial(args.n, args.k), args.format)
-        return 0
-    if args.command == "narayana":
-        if args.n < 1:
-            parser.error("--n must be positive")
-        if args.mode == "fibo":
-            _emit_int(narayana.fibonarayana(args.n, args.k), args.format)
-        elif args.mode == "general":
-            _emit_poly(narayana.generalized_narayana(args.n, args.k), args.format)
-        else:
-            _emit_int(narayana.generalized_narayana(args.n, args.k).evaluate(2, -1), args.format)
-        return 0
-    if args.command == "catalan":
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        if args.mode == "fibo":
-            _emit_int(narayana.fibocatalan(args.n), args.format)
-        elif args.mode == "general":
-            _emit_poly(narayana.generalized_catalan(args.n), args.format)
-        else:
-            _emit_int(narayana.generalized_catalan(args.n).evaluate(2, -1), args.format)
+    if args.command in _VALUES:
+        _, least_n, _, values = _VALUES[args.command]
+        if args.n < least_n:
+            parser.error(f"--n must be {'positive' if least_n else 'nonnegative'}")
+        _emit(values[getattr(args, "mode", None)](args), args.format)
         return 0
     if args.command == "tilings":
         if not 0 <= args.k <= args.n:
             parser.error("need 0 <= --k <= --n")
         if args.action == "count":
-            _emit_int(tilings.lucanomial_tiling_oracle(args.n, args.k).evaluate(1, 1), args.format)
+            _emit(tilings.lucanomial_tiling_oracle(args.n, args.k).evaluate(1, 1), args.format)
         else:
             items = (rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k))
             if args.format == "json":

@@ -138,15 +138,8 @@ def partitions_in_rectangle(k: int, m: int) -> Iterator[tuple[int, ...]]:
     """Partitions with k parts, each at most m, in lexicographic descending order."""
     if k < 0 or m < 0:
         raise ValueError("rectangle dimensions must be nonnegative")
-
-    def rec(remaining: int, bound: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(bound, -1, -1):
-            yield from rec(remaining - 1, part, prefix + (part,))
-
-    yield from rec(k, m, ())
+    # Nondecreasing positions in (m, ..., 0) are weakly decreasing parts.
+    yield from itertools.combinations_with_replacement(range(m, -1, -1), k)
 
 
 def star(lam: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:

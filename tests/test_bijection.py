@@ -415,19 +415,25 @@ class TestVerifyPairDecomposition:
                 assert verify_pair_decomposition(n, k) == pair_report(n, k), (n, k)
 
     def test_eight_four(self):
-        # 3120 stairsteps of size 6 per key list; F_8! * F_7! pairs.
+        # 3120 stairsteps of size 6 per column parameter; F_8! * F_7! pairs.
         assert verify_pair_decomposition(8, 4) == pair_report(8, 4)
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_eight_extreme_k(self, k):
+        # k = 1 scans the remainders at column parameter 0 only; k = 7 also
+        # scans T2 at parameter 7 = n - 1, where the scan reads no row.
+        assert verify_pair_decomposition(8, k) == pair_report(8, k)
+
     def test_key_collision_breaks_injectivity(self, monkeypatch):
-        # Give one size-2 stairstep the key of the other: every count still
+        # Give one size-2 stairstep the scan of the other: every count still
         # matches, but the pair map is no longer injective.
-        original = bijection._stairstep_key
+        original = bijection._scan_key
         victim, twin = ("SS", "S"), ("D", "S")
 
-        def colliding(rows, k):
-            return original(twin if rows == victim else rows, k)
+        def colliding(top, n, k):
+            return original(twin if top == victim else top, n, k)
 
-        monkeypatch.setattr(bijection, "_stairstep_key", colliding)
+        monkeypatch.setattr(bijection, "_scan_key", colliding)
         report = verify_pair_decomposition(4, 2)
         assert report["injective"] is False
         assert report["pass"] is False

@@ -77,6 +77,24 @@ class TestValueCommands:
         assert run(capsys, "catalan", "--n", "3", "--mode", "fibo") == (0, "20\n")
         assert run(capsys, "catalan", "--n", "4", "--mode", "classical") == (0, "14\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("lucas", "--n", "-1"), "--n must be nonnegative"),
+            (("lucanomial", "--n", "-1", "--k", "0"), "--n must be nonnegative"),
+            (("fibonomial", "--n", "-1", "--k", "0"), "--n must be nonnegative"),
+            (("catalan", "--n", "-1"), "--n must be nonnegative"),
+            (("narayana", "--n", "0", "--k", "1"), "--n must be positive"),
+        ],
+    )
+    def test_n_below_least_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, *argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"error: {message}")
+
 
 class TestLargeValues:
     def test_fibonomial_deep_first_column(self, capsys):

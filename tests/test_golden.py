@@ -65,6 +65,13 @@ GOLDEN = [
     ("verify catalan --n 4 --format json", "fee4e3accaf1c06fe739382836a02e139ebf6d518d5922e81ff518dd6bf78dc2"),
     ("verify classical --n 10", "4c663f5d129cf993dc1c49b3377e65c14dd47134a2ab65f740cf04565051aac4"),
     ("verify classical --n 10 --format json", "6929f135159df21a4e53c50b837c6c7f3e9d76d21bbd3fb50685de260d5f1c99"),
+    # Recorded before the value commands were driven from one table: forms
+    # of the value commands that no line above covers.
+    ("lucas --n 9 --format json", "4242d52948637caed8c3317ef4d4e563c21c118b2f1a6b8067792df38e20c991"),
+    ("fibonomial --n 20 --k 10 --format json", "13690ae1ffa9e99724fda286758a56f1e8a8368b1696bfefb5108b10f9cd4e10"),
+    ("narayana --n 7 --k 3 --mode classical --format json", "d67eb142ab6068895dce4b5fe31c96d753ed1da9553eb044cd6e96d014ebf723"),
+    ("catalan --n 4 --mode classical", "9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25"),
+    ("catalan --n 6 --mode general --format json", "b60b360ed7cc7f814fd6f3087d15e375607add39d1cad56ccb287597d0531c4b"),
 ]
 
 

@@ -144,6 +144,19 @@ class TestPartitions:
         parts = list(partitions_in_rectangle(3, 3))
         assert len(parts) == len(set(parts))
 
+    def test_order_matches_brute_force(self):
+        for k in range(7):
+            for m in range(7):
+                brute = sorted(
+                    (p for p in itertools.product(range(m + 1), repeat=k)
+                     if all(a >= b for a, b in zip(p, p[1:]))),
+                    reverse=True,
+                )
+                assert list(partitions_in_rectangle(k, m)) == brute, (k, m)
+
+    def test_many_parts_without_recursion(self):
+        assert next(partitions_in_rectangle(1500, 2)) == (2,) * 1500
+
 
 class TestStar:
     def test_full_rectangle(self):
