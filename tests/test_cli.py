@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from math import comb
 
 import pytest
 
@@ -76,6 +77,19 @@ class TestValueCommands:
     def test_catalan_modes(self, capsys):
         assert run(capsys, "catalan", "--n", "3", "--mode", "fibo") == (0, "20\n")
         assert run(capsys, "catalan", "--n", "4", "--mode", "classical") == (0, "14\n")
+
+    def test_classical_modes_use_the_binomial_formulas(self, capsys, monkeypatch):
+        # The classical values never build the generalized polynomials.
+        def refuse(*args):
+            raise AssertionError("classical mode built a polynomial")
+
+        monkeypatch.setattr(narayana, "generalized_narayana", refuse)
+        monkeypatch.setattr(narayana, "generalized_catalan", refuse)
+        expected = comb(120, 60) * comb(120, 59) // 120
+        assert run(capsys, "narayana", "--n", "120", "--k", "60", "--mode", "classical") == (
+            0, f"{expected}\n")
+        assert run(capsys, "catalan", "--n", "60", "--mode", "classical") == (
+            0, f"{comb(120, 60) // 61}\n")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -342,7 +356,7 @@ class TestVerifyCommands:
         def failing_at_3_2(n, k):
             report = original(n, k)
             if (n, k) == (3, 2):
-                report["oracle_agrees"] = False
+                report["oracle_agrees"] = report["pass"] = False
             return report
 
         monkeypatch.setattr(narayana, "generalized_narayana_report", failing_at_3_2)

@@ -41,8 +41,9 @@ class TestFibonarayana:
         assert fibonarayana(5, 2) == 15
 
     def test_base_row(self):
+        # The recurrence at n = 1: 1 at k = 1 by the lucanomial zero convention.
         assert fibonarayana(1, 1) == 1
-        assert fibonarayana(1, 2) == 0
+        assert all(fibonarayana(1, k) == 0 for k in (-1, 0, 2, 3))
 
     def test_out_of_range_is_zero(self):
         assert fibonarayana(5, 0) == 0
@@ -89,7 +90,7 @@ class TestGeneralizedNarayana:
 
     def test_base_row(self):
         assert generalized_narayana(1, 1) == ONE
-        assert generalized_narayana(1, 0) == ZERO
+        assert all(generalized_narayana(1, k) == ZERO for k in (-1, 0, 2, 3))
 
     def test_agrees_with_definition(self):
         for n in range(1, 10):

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial layer."""
 
+import sys
 from functools import reduce
 from operator import mul
 
@@ -22,6 +23,8 @@ from lucanomials.polys import (
     parse,
     render,
 )
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 exponents = st.integers(min_value=0, max_value=5)
 coefficients = st.integers(min_value=-30, max_value=30)
@@ -478,6 +481,13 @@ class TestTextForm:
     def test_render_is_canonical_fixed_point(self, p):
         assert render(parse(render(p))) == render(p)
 
+    def test_render_past_digit_limit(self):
+        # 5001 digits: past Python's default int-to-str limit of 4300.
+        before = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        assert str(Poly({(1, 0): 10**5000, (0, 1): -1})) == "1" + "0" * 5000 + "*s - t"
+        if HAS_DIGIT_LIMIT:
+            assert sys.get_int_max_str_digits() == before
+
 
 class TestJsonForm:
     def test_roundtrip(self):
@@ -489,6 +499,14 @@ class TestJsonForm:
         encoded = p.to_json_dict()
         assert all(isinstance(term["c"], str) for term in encoded["terms"])
         assert Poly.from_json_dict(encoded) == p
+
+    def test_big_coefficients_past_digit_limit(self):
+        before = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        assert Poly({(1, 0): 10**5000}).to_json_dict() == {
+            "terms": [{"s": 1, "t": 0, "c": "1" + "0" * 5000}]
+        }
+        if HAS_DIGIT_LIMIT:
+            assert sys.get_int_max_str_digits() == before
 
     def test_malformed(self):
         with pytest.raises(ValueError):
