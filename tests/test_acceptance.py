@@ -17,6 +17,7 @@ from lucanomials.bijection import (
     TilingTriple,
     _replay_key,
     _scan_key,
+    _tile_counts,
     enumerate_stairstep_tilings,
     forward,
     inverse,
@@ -34,7 +35,7 @@ from lucanomials.narayana import (
     generalized_narayana,
 )
 from lucanomials.polys import divide_exact
-from lucanomials.tilings import linear_tilings, lucanomial_tiling_oracle
+from lucanomials.tilings import RectTiling, linear_tilings, lucanomial_tiling_oracle
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "worked_example"
 
@@ -71,11 +72,6 @@ def test_criterion_3_polynomial_recurrence():
     _passed(3, "polynomial recurrence equals exact quotient, positive, 2 <= n <= 12")
 
 
-def _tile_counts(rows):
-    tiles = "".join(rows)
-    return tiles.count("S"), tiles.count("D")
-
-
 def test_criterion_4_bijection():
     for n in range(2, 8):
         stairs = list(enumerate_stairstep_tilings(n - 1))
@@ -91,14 +87,21 @@ def test_criterion_4_bijection():
             assert len(image) == len(stairs) == expected, (n, k)
     # n = 8 on the flat-key cores.  The bottom k-1 rows pass through
     # verbatim, so a left inverse on the top rows covers all F_8! stairsteps.
+    # Each head is split as forward splits it and rebuilt by the public
+    # constructors, so its shape is checked independently of the cores.
     n = 8
     for k in range(1, n):
+        height = n - k
         tops = list(itertools.product(*(linear_tilings(m) for m in range(n - 1, k - 1, -1))))
         bottoms = list(itertools.product(*(linear_tilings(m) for m in range(k - 1, 0, -1))))
         for top in tops:
             head = _scan_key(top, n, k)
             assert _replay_key(head, n, k) == top, (n, k, top)
             assert _tile_counts((head,)) == _tile_counts(top), (n, k, top)
+            rows = head.split("|")
+            lam = tuple(len(row) + row.count("D") for row in rows[:height])
+            RectTiling(lam, rows[:height], rows[height:n])
+            StairstepTiling(tuple(rows[n:]))
         expected = fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k)
         assert len(tops) * len(bottoms) == fib_factorial(n) == expected, (n, k)
     report = verify_cardinality(6, 3)

@@ -6,6 +6,7 @@ import pytest
 
 from lucanomials.cli import main
 from lucanomials.narayana import (
+    _report,
     catalan,
     classical_narayana,
     classical_specialization_report,
@@ -72,6 +73,22 @@ class TestFibonarayana:
         assert len(report["lhs"]) > 4300
         assert report["lhs"] == report["rhs"]
         assert report["oracle_agrees"] and report["nonneg"]
+
+    def test_report_fails_on_disagreement(self):
+        report = _report(5, 2, fibonarayana, lambda n, k: 16, str, (0).__lt__)
+        assert (report["lhs"], report["rhs"]) == ("15", "16")
+        assert report["oracle_agrees"] is False and report["nonneg"] is True
+        assert report["pass"] is False
+
+    def test_report_fails_on_negative_value(self):
+        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, str,
+                         lambda value: False)
+        assert report["oracle_agrees"] is True and report["nonneg"] is False
+        assert report["pass"] is False
+
+    def test_report_passes_when_both_hold(self):
+        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, str, (0).__lt__)
+        assert report["pass"] is True
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
