@@ -172,8 +172,8 @@ class TilingTriple:
     @classmethod
     def from_json_dict(cls, data: dict) -> TilingTriple:
         return cls(
-            StairstepTiling(tuple(str(r) for r in _json_field(data, "small_stair", "triple", list))),
-            StairstepTiling(tuple(str(r) for r in _json_field(data, "other_stair", "triple", list))),
+            StairstepTiling(_json_field(data, "small_stair", "triple", list, str)),
+            StairstepTiling(_json_field(data, "other_stair", "triple", list, str)),
             RectTiling.from_json_dict(_json_field(data, "rect", "triple", dict)),
         )
 

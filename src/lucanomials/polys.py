@@ -35,8 +35,7 @@ Division exists only as :func:`divide_exact`, which raises
 :class:`NotDivisibleError` when no exact quotient exists.  All quotients
 taken elsewhere in the package are guaranteed exact by identities, so a
 NotDivisibleError signals a violated identity or a bug, never a user error.
-When both operands are weighted-homogeneous, as every Lucas object is, it
-divides a series:
+Its one step divides two weighted-homogeneous operands as a series:
 
 * Series.  With u = t/s^2 a polynomial of weight W is s^W p(u), so the
   quotient has weight W_num - W_den and is p_num(u) / p_den(u).  The
@@ -50,10 +49,13 @@ divides a series:
 * Certificate.  The numerator's coefficients past the quotient's length
   must equal the same convolution, so quotient times divisor is the
   numerator exactly.
-
-Other operands take long division in s with coefficients in Z[t], one
-s-degree row at a time.  The package never divides such operands; the loop
-is the kernel's base case and its reference in the tests.
+* Grading.  The weight grades Z[s, t], and the top-weight part of q * d is
+  q_top * d_top.  So each step divides the top-weight terms of the
+  remainder by those of the divisor, keeps that quotient piece and
+  subtracts piece * divisor.  The remainder's top weight falls strictly
+  and is never negative, so the loop ends.  When both operands have one
+  weight, as every Lucas object has, the certificate already proves the
+  remainder zero: one step and no product.
 
 Rendering uses graded lexicographic term order (total degree first, then
 s exponent), descending, so output is deterministic.  The zero polynomial
@@ -62,6 +64,7 @@ has an empty term mapping and renders as "0".
 
 from __future__ import annotations
 
+import re
 import sys
 from operator import mul
 from types import MappingProxyType
@@ -204,11 +207,8 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Poly:
-        try:
-            items = [((int(term["s"]), int(term["t"])), int(term["c"])) for term in data["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(items)
+        """Read `to_json_dict`'s form: int exponents, coefficients as ints or decimal strings."""
+        return _no_digit_limit(_read_json_terms, data)
 
     def __str__(self) -> str:
         return render(self)
@@ -337,9 +337,9 @@ T = Poly({(0, 1): 1})
 # ---------------------------------------------------------------------------
 
 def _no_digit_limit(convert, value):
-    """convert(value), with Python's int-to-str digit limit lifted meanwhile.
+    """convert(value), with Python's int/str digit limit lifted meanwhile.
 
-    Python refuses int-to-str conversions past 4300 digits by default.  The
+    Python refuses int/str conversions past 4300 digits by default.  The
     limit is lifted for one whole conversion only, so parsing untrusted
     input elsewhere in the process keeps the guard.
     """
@@ -360,6 +360,22 @@ def int_text(value: int) -> str:
 
 def _json_terms(poly: Poly) -> list[dict]:
     return [{"s": se, "t": te, "c": str(c)} for (se, te), c in _ordered_items(poly.terms)]
+
+
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _read_json_terms(data: dict) -> Poly:
+    try:
+        items = [((term["s"], term["t"]), term["c"]) for term in data["terms"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polynomial JSON: {exc}") from exc
+    # type() rather than isinstance(): a JSON true is no exponent.
+    if not all(type(se) is type(te) is int and type(c) in (int, str) and _DECIMAL.fullmatch(str(c))
+               for (se, te), c in items):
+        raise ValueError("malformed polynomial JSON: exponents must be integers "
+                         "and coefficients integers or decimal strings")
+    return Poly([(key, int(c)) for key, c in items])
 
 
 def render(poly: Poly) -> str:
@@ -397,9 +413,9 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() takes "²" and "٣"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[i:j]), i))
             i = j
@@ -412,12 +428,16 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 def parse(text: str) -> Poly:
-    """Parse the textual polynomial grammar.
+    """Parse the textual polynomial grammar, of any coefficient size.
 
     term ::= [coeff "*"] ["s" ["^" int]] ["*"] ["t" ["^" int]]
     with terms joined by " + " / " - " and an optional leading sign.  The
     "*" separators are optional on input; `render` always emits them.
     """
+    return _no_digit_limit(_parse, text)
+
+
+def _parse(text: str) -> Poly:
     tokens = _tokenize(text)
     end = len(text)
     if not tokens:
@@ -503,17 +523,22 @@ def divide_exact(num: Poly | int, den: Poly | int) -> Poly:
         raise TypeError("divide_exact operands must be Poly or int")
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return ZERO
-    a, b = num._terms, den._terms
-    if _is_homogeneous(a) and _is_homogeneous(b):
-        return _from_canonical(_divide_series(a, b))
-    return _from_canonical(_divide_rows(a, b))
+    rem, top = num._terms, _top_weight(den._terms)
+    out: dict[Monomial, int] = {}
+    while rem:
+        head = _top_weight(rem)
+        piece = _divide_series(head, top)
+        out.update(piece)
+        if head is rem and top is den._terms:
+            break  # the series certificate proves head == piece * den
+        rem = (_from_canonical(rem) - _from_canonical(piece) * den)._terms
+    return _from_canonical(out)
 
 
-def _is_homogeneous(terms: dict[Monomial, int]) -> bool:
-    # Every term has the same weight se + 2*te.
-    return len({se + 2 * te for se, te in terms}) == 1
+def _top_weight(terms: dict[Monomial, int]) -> dict[Monomial, int]:
+    # The terms of greatest weight se + 2*te; `terms` itself if it has one weight.
+    w0, w1, _, _ = _extent(terms)
+    return terms if w0 == w1 else {(se, te): c for (se, te), c in terms.items() if se + 2 * te == w1}
 
 
 def _divide_series(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -554,70 +579,4 @@ def _divide_series(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monom
     for te, c in enumerate(reversed(rev), q_lo):
         if c:
             out[(weight - 2 * te, te)] = c
-    return out
-
-
-def _group_by_s(terms: dict[Monomial, int]) -> dict[int, dict[int, int]]:
-    grouped: dict[int, dict[int, int]] = {}
-    for (se, te), c in terms.items():
-        grouped.setdefault(se, {})[te] = c
-    return grouped
-
-
-def _divide_t_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    # Exact division of univariate polynomials in t over Z; greedy
-    # leading-term division detects non-exactness because Z[t] is a domain.
-    quotient: dict[int, int] = {}
-    rem = dict(num)
-    dt = max(den)
-    dc = den[dt]
-    while rem:
-        rt = max(rem)
-        rc = rem[rt]
-        if rt < dt or rc % dc:
-            raise NotDivisibleError("no exact quotient in Z[t]")
-        qc = rc // dc
-        qe = rt - dt
-        quotient[qe] = qc
-        for e, c in den.items():
-            key = qe + e
-            total = rem.get(key, 0) - qc * c
-            if total:
-                rem[key] = total
-            else:
-                rem.pop(key, None)
-    return quotient
-
-
-def _divide_rows(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Exact quotient of two nonempty term maps, one s-degree row at a time.
-
-    Long division in s with coefficients in Z[t]; raises NotDivisibleError
-    at the first non-exact step.
-    """
-    den_by_s = _group_by_s(b)
-    ds = max(den_by_s)
-    den_lead = den_by_s[ds]
-    rem = _group_by_s(a)
-    out: dict[Monomial, int] = {}
-    while rem:
-        rs = max(rem)
-        if rs < ds:
-            raise NotDivisibleError("no exact quotient: remainder of lower s-degree than divisor")
-        qt = _divide_t_exact(rem[rs], den_lead)
-        qs = rs - ds
-        for te, c in qt.items():
-            out[(qs, te)] = c
-        for se, tpoly in den_by_s.items():
-            target = rem.setdefault(qs + se, {})
-            for te, dc in tpoly.items():
-                for qe, qc in qt.items():
-                    key = te + qe
-                    total = target.get(key, 0) - dc * qc
-                    if total:
-                        target[key] = total
-                    else:
-                        target.pop(key, None)
-            if not target:
-                rem.pop(qs + se, None)
     return out

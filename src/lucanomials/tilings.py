@@ -211,22 +211,19 @@ class RectTiling:
     @classmethod
     def from_json_dict(cls, data: dict) -> RectTiling:
         what = "rectangle tiling"
-        try:
-            lam = tuple(int(p) for p in _json_field(data, "lambda", what, list))
-        except TypeError as exc:
-            raise ValueError(f"malformed {what} JSON: 'lambda' must hold integers") from exc
         return cls(
-            lam,
-            tuple(str(r) for r in _json_field(data, "lambda_rows", what, list)),
-            tuple(str(r) for r in _json_field(data, "star_rows", what, list)),
+            _json_field(data, "lambda", what, list, int),
+            _json_field(data, "lambda_rows", what, list, str),
+            _json_field(data, "star_rows", what, list, str),
         )
 
 
-def _json_field(data, key: str, what: str, kind: type):
+def _json_field(data, key: str, what: str, kind: type, item: type | None = None):
     """Field ``key`` of the JSON object ``data``, of type ``kind``.
 
-    Raises ValueError, never KeyError or TypeError, so that malformed input
-    files are usage errors.
+    With ``item``, the field is a list of exactly that type (a JSON true is
+    no int), returned as a tuple.  Raises ValueError, never KeyError or
+    TypeError, so that malformed input files are usage errors.
     """
     if not isinstance(data, dict):
         raise ValueError(f"malformed {what} JSON: expected an object")
@@ -236,7 +233,12 @@ def _json_field(data, key: str, what: str, kind: type):
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
         raise ValueError(f"malformed {what} JSON: {key!r} must be {expected}")
-    return value
+    if item is None:
+        return value
+    if any(type(x) is not item for x in value):
+        kinds = "integers" if item is int else "strings"
+        raise ValueError(f"malformed {what} JSON: {key!r} must hold {kinds}")
+    return tuple(value)
 
 
 def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:

@@ -237,6 +237,27 @@ class TestBijectionCommand:
         assert captured.out == ""
         assert "malformed" in captured.err
 
+    @pytest.mark.parametrize(
+        "rect,stair",
+        [
+            ({"lambda": [1.5], "lambda_rows": ["S"], "star_rows": [""]}, []),
+            ({"lambda": [True], "lambda_rows": ["S"], "star_rows": [""]}, []),
+            ({"lambda": ["1"], "lambda_rows": ["S"], "star_rows": [""]}, []),
+            ({"lambda": [1], "lambda_rows": [1], "star_rows": [""]}, []),
+            ({"lambda": [0], "lambda_rows": [""], "star_rows": ["D"]}, [1]),
+        ],
+    )
+    def test_inexact_json_types_are_usage_errors(self, capsys, tmp_path, rect, stair):
+        # With int() and str() coercion, the first three printed "S" and exited 0.
+        triple = tmp_path / "triple.json"
+        triple.write_text(json.dumps({"small_stair": [], "other_stair": stair, "rect": rect}))
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", "inverse", "--n", "2", "--k", "1", "--input", str(triple))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed" in captured.err
+
     @pytest.mark.parametrize("action", ["forward", "inverse"])
     @pytest.mark.parametrize("k", [0, 6])
     def test_k_outside_one_to_n_minus_one_is_usage_error(self, capsys, tmp_path, action, k):

@@ -16,6 +16,7 @@ from lucanomials.polys import (
     SCHOOLBOOK_MAX_TERMS,
     T,
     ZERO,
+    Monomial,
     NotDivisibleError,
     Poly,
     PolyParseError,
@@ -325,14 +326,100 @@ def series(num, den):
     return Poly(polys._divide_series(dict(num.terms), dict(den.terms)))
 
 
+def _group_by_s(terms: dict[Monomial, int]) -> dict[int, dict[int, int]]:
+    grouped: dict[int, dict[int, int]] = {}
+    for (se, te), c in terms.items():
+        grouped.setdefault(se, {})[te] = c
+    return grouped
+
+
+def _divide_t_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
+    # Exact division of univariate polynomials in t over Z; greedy
+    # leading-term division detects non-exactness because Z[t] is a domain.
+    quotient: dict[int, int] = {}
+    rem = dict(num)
+    dt = max(den)
+    dc = den[dt]
+    while rem:
+        rt = max(rem)
+        rc = rem[rt]
+        if rt < dt or rc % dc:
+            raise NotDivisibleError("no exact quotient in Z[t]")
+        qc = rc // dc
+        qe = rt - dt
+        quotient[qe] = qc
+        for e, c in den.items():
+            key = qe + e
+            total = rem.get(key, 0) - qc * c
+            if total:
+                rem[key] = total
+            else:
+                rem.pop(key, None)
+    return quotient
+
+
+def _divide_rows(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Exact quotient of two nonempty term maps, one s-degree row at a time.
+
+    Long division in s with coefficients in Z[t]; raises NotDivisibleError
+    at the first non-exact step.
+    """
+    den_by_s = _group_by_s(b)
+    ds = max(den_by_s)
+    den_lead = den_by_s[ds]
+    rem = _group_by_s(a)
+    out: dict[Monomial, int] = {}
+    while rem:
+        rs = max(rem)
+        if rs < ds:
+            raise NotDivisibleError("no exact quotient: remainder of lower s-degree than divisor")
+        qt = _divide_t_exact(rem[rs], den_lead)
+        qs = rs - ds
+        for te, c in qt.items():
+            out[(qs, te)] = c
+        for se, tpoly in den_by_s.items():
+            target = rem.setdefault(qs + se, {})
+            for te, dc in tpoly.items():
+                for qe, qc in qt.items():
+                    key = te + qe
+                    total = target.get(key, 0) - dc * qc
+                    if total:
+                        target[key] = total
+                    else:
+                        target.pop(key, None)
+            if not target:
+                rem.pop(qs + se, None)
+    return out
+
+
 def rows(num, den):
-    return Poly(polys._divide_rows(dict(num.terms), dict(den.terms)))
+    """Long division in s over Z[t]: the reference for divide_exact, sharing no code with it."""
+    return Poly(_divide_rows(dict(num.terms), dict(den.terms)))
 
 
 def assert_not_divisible(num, den):
     for divide in (series, rows, divide_exact):
         with pytest.raises(NotDivisibleError):
             divide(num, den)
+
+
+def weights(p):
+    return {se + 2 * te for se, te in p.terms}
+
+
+mixed_polys = nonzero_polys.filter(lambda p: len(weights(p)) > 1)
+
+
+def count_series_calls(monkeypatch):
+    calls = []
+    kernel = polys._divide_series
+
+    def counting(a, b):
+        calls.append(a)
+        return kernel(a, b)
+
+    monkeypatch.setattr(polys, "_divide_series", counting)
+    return calls
 
 
 class TestSeriesKernel:
@@ -414,21 +501,58 @@ class TestSeriesKernel:
         assert series(n, d) == rows(n, d) == divide_exact(n, d)
 
     def test_homogeneous_operands_use_the_kernel(self, monkeypatch):
-        def refuse(a, b):
-            raise AssertionError("s-row loop called")
+        def refuse(self, other):
+            raise AssertionError("product or difference taken")
 
         q, d = parse("s^4 + 3*s^2*t - t^2"), parse("s^2 + t")
-        monkeypatch.setattr(polys, "_divide_rows", refuse)
-        assert divide_exact(q * d, d) == q
+        n = q * d
+        calls = count_series_calls(monkeypatch)
+        for name in ("__mul__", "__sub__", "__add__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        assert divide_exact(n, d) == q
+        assert len(calls) == 1
 
     def test_non_homogeneous_operands_use_the_loop(self, monkeypatch):
-        def refuse(a, b):
-            raise AssertionError("series kernel called")
+        # The quotient 3*s + 6 has weights 1 and 0: one series step for each.
+        num, den = parse("6*s^2 + 6*s*t + 12*s + 12*t"), parse("2*s + 2*t")
+        calls = count_series_calls(monkeypatch)
+        assert divide_exact(num, den) == rows(num, den) == parse("3*s + 6")
+        assert len(calls) == 2
 
-        num, den = parse("6*s^2 + 6*s*t"), parse("2*s + 2*t")
-        expected = rows(num, den)
-        monkeypatch.setattr(polys, "_divide_series", refuse)
-        assert divide_exact(num, den) == expected == parse("3*s")
+
+class TestGradedDivision:
+    """divide_exact on operands of several weights, one weight at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_strategy, mixed_polys)
+    def test_product_quotient(self, p, q):
+        assert divide_exact(p * q, q) == rows(p * q, q) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly_strategy, mixed_polys, exponents, exponents, st.sampled_from([1, -1]))
+    def test_perturbed_product_matches_the_reference(self, p, q, se, te, delta):
+        # Usually no quotient exists; when one does, both divisions find it.
+        n = p * q + Poly({(se, te): delta})
+        try:
+            expected = rows(n, q)
+        except NotDivisibleError:
+            with pytest.raises(NotDivisibleError):
+                divide_exact(n, q)
+        else:
+            assert divide_exact(n, q) == expected
+
+    def test_top_part_divides_but_the_rest_does_not(self):
+        # s^2 / s = s leaves the remainder 1, which s does not divide.
+        for divide in (rows, divide_exact):
+            with pytest.raises(NotDivisibleError):
+                divide(parse("s^2 + 1"), S)
+
+    def test_quotient_spanning_several_weights(self, monkeypatch):
+        # The quotient has weights 4, 2 and 0 and the divisor 2 and 1.
+        q, d = parse("s^4 + 2*t^2 - 3*s^2 + 7"), parse("s^2 - t + s")
+        calls = count_series_calls(monkeypatch)
+        assert divide_exact(q * d, d) == rows(q * d, d) == q
+        assert len(calls) == len(weights(q)) == 3
 
 
 class TestIsNonneg:
@@ -466,7 +590,7 @@ class TestTextForm:
 
     @pytest.mark.parametrize(
         "text,position",
-        [("s +", 2), ("^2", 0), ("s^x", 2), ("3*", 2), ("2x", 1)],
+        [("s +", 2), ("^2", 0), ("s^x", 2), ("3*", 2), ("2x", 1), ("s²", 1), ("s^¹", 2), ("٣*s", 0)],
     )
     def test_parse_error_reports_position(self, text, position):
         with pytest.raises(PolyParseError) as excinfo:
@@ -485,6 +609,13 @@ class TestTextForm:
         # 5001 digits: past Python's default int-to-str limit of 4300.
         before = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
         assert str(Poly({(1, 0): 10**5000, (0, 1): -1})) == "1" + "0" * 5000 + "*s - t"
+        if HAS_DIGIT_LIMIT:
+            assert sys.get_int_max_str_digits() == before
+
+    def test_roundtrip_past_digit_limit(self):
+        before = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        p = Poly({(1, 0): 10**5000, (0, 1): -(3**9000)})
+        assert parse(str(p)) == p
         if HAS_DIGIT_LIMIT:
             assert sys.get_int_max_str_digits() == before
 
@@ -508,6 +639,36 @@ class TestJsonForm:
         if HAS_DIGIT_LIMIT:
             assert sys.get_int_max_str_digits() == before
 
+    def test_roundtrip_past_digit_limit(self):
+        before = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+        p = Poly({(1, 0): 10**5000, (0, 1): -(3**9000)})
+        assert Poly.from_json_dict(p.to_json_dict()) == p
+        if HAS_DIGIT_LIMIT:
+            assert sys.get_int_max_str_digits() == before
+
+    def test_int_coefficients_accepted(self):
+        assert Poly.from_json_dict({"terms": [{"s": 1, "t": 0, "c": -7}]}) == -7 * S
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             Poly.from_json_dict({"terms": [{"s": 1}]})
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"s": 1.7, "t": True, "c": "5"},
+            {"s": 1, "t": True, "c": "5"},
+            {"s": 1.0, "t": 0, "c": "5"},
+            {"s": "1", "t": 0, "c": "5"},
+            {"s": 1, "t": 0, "c": True},
+            {"s": 1, "t": 0, "c": 5.0},
+            {"s": 1, "t": 0, "c": " 5"},
+            {"s": 1, "t": 0, "c": "+5"},
+            {"s": 1, "t": 0, "c": "5_0"},
+            {"s": 1, "t": 0, "c": "٣"},
+            {"s": 1, "t": 0, "c": ""},
+        ],
+    )
+    def test_exponents_are_ints_and_coefficients_ints_or_decimal_strings(self, term):
+        with pytest.raises(ValueError, match="malformed polynomial JSON"):
+            Poly.from_json_dict({"terms": [term]})

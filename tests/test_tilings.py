@@ -201,6 +201,15 @@ class TestRectTiling:
         rt = RectTiling((1, 1), ("S", "S"), ("D", ""))
         assert RectTiling.from_json_dict(rt.to_json_dict()) == rt
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lambda", [1.5]), ("lambda", [True]), ("lambda", ["1"]), ("lambda_rows", [1]), ("star_rows", [None])],
+    )
+    def test_json_fields_hold_exact_types(self, field, value):
+        data = {"lambda": [1], "lambda_rows": ["S"], "star_rows": [""], field: value}
+        with pytest.raises(ValueError, match="malformed rectangle tiling JSON"):
+            RectTiling.from_json_dict(data)
+
     def test_weight(self):
         rt = RectTiling((1, 1), ("S", "S"), ("D", ""))
         assert rt.weight() == parse("s^2*t")
