@@ -75,8 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import narayana
 from .lucas import fib_factorial, fibonomial
@@ -86,6 +85,7 @@ from .tilings import (
     RectTiling,
     ShapeError,
     _cut_offsets,
+    _Record,
     _json_field,
     _linear_tilings,
     covered_length,
@@ -98,11 +98,13 @@ class NotInImageError(ValueError):
     """No stairstep tiling maps to the given triple."""
 
 
-@dataclass(frozen=True)
-class StairstepTiling:
-    """Independent row tilings of rows of lengths size, size-1, ..., 1."""
+class StairstepTiling(_Record):
+    """Independent row tilings of rows of lengths size, size-1, ..., 1.
 
-    rows: tuple[str, ...]
+    ``rows`` is a tuple of row tiling strings, top row first.
+    """
+
+    __slots__ = ("rows",)
 
     def __post_init__(self):
         size = len(self.rows)
@@ -148,13 +150,15 @@ def enumerate_stairstep_tilings(m: int) -> Iterator[StairstepTiling]:
         yield StairstepTiling(rows)
 
 
-@dataclass(frozen=True)
-class TilingTriple:
-    """Image of :func:`forward`: two smaller stairsteps plus a rectangle tiling."""
+class TilingTriple(_Record):
+    """Image of :func:`forward`: two smaller stairsteps plus a rectangle tiling.
 
-    small_stair: StairstepTiling  # size k-1 (empty when k <= 1)
-    other_stair: StairstepTiling  # size n-k-1 (empty when k >= n-1)
-    rect: RectTiling  # partition inside the (n-k) x k rectangle
+    ``small_stair`` has size k-1 (empty when k <= 1), ``other_stair`` size
+    n-k-1 (empty when k >= n-1), and ``rect`` is a partition inside the
+    (n-k) x k rectangle.
+    """
+
+    __slots__ = ("small_stair", "other_stair", "rect")
 
     def tile_counts(self) -> tuple[int, int]:
         return _tile_counts(
@@ -377,14 +381,15 @@ def verify_cardinality(n: int, k: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PairDecomposition:
-    """Outcome of :func:`decompose_pair` for one pair of stairstep tilings."""
+class PairDecomposition(_Record):
+    """Outcome of :func:`decompose_pair` for one pair of stairstep tilings.
 
-    case_tag: str  # "no_domino" or "domino"
-    first_row_parts: tuple[str, str]
-    triple_1: TilingTriple
-    triple_2: TilingTriple
+    ``case_tag`` is "no_domino" or "domino", ``first_row_parts`` the two
+    flanking pieces of the first row, and ``triple_1`` and ``triple_2`` the
+    images of the two remainders.
+    """
+
+    __slots__ = ("case_tag", "first_row_parts", "triple_1", "triple_2")
 
 
 def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str]]:

@@ -9,10 +9,9 @@ verification finds a counterexample, and 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from pathlib import Path
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import bijection, narayana, tilings
 from .lucas import fibonomial, lucanomial
@@ -22,6 +21,8 @@ from .tilings import ShapeError
 
 
 def _dump(obj) -> str:
+    import json  # here, not at the top: only JSON output needs it
+
     return json.dumps(obj, sort_keys=True)
 
 
@@ -167,8 +168,7 @@ class _Checks:
 
 
 class _Target:
-    """One row of the verify table.  A plain class: building a NamedTuple or
-    dataclass at import costs each CLI run up to a millisecond per class."""
+    """One row of the verify table."""
 
     def __init__(self, default: int, first: int, checks: _Checks, single: _Checks | None = None,
                  cumulative: bool = False, text: Callable[[dict], str] | None = None):
@@ -237,11 +237,11 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
 def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
     if not 1 <= args.k <= args.n - 1:
         parser.error("need 1 <= --k <= --n - 1")
-    path = Path(args.input)
-    if not path.is_file():
+    if not os.path.isfile(args.input):
         parser.error(f"--input file not found: {args.input}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(args.input, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"--input cannot be read as UTF-8 text: {exc}")
     if args.action == "forward":
@@ -264,6 +264,8 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
             print("rect:")
             print(_dump(triple.rect.to_json_dict()))
         return 0
+    import json  # here, not at the top: only reading a triple needs it
+
     try:
         triple = bijection.TilingTriple.from_json_dict(json.loads(text))
         tiling = bijection.inverse(triple, args.n, args.k)

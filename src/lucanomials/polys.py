@@ -66,9 +66,9 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 Monomial = tuple[int, int]  # (s exponent, t exponent)
 
@@ -101,8 +101,10 @@ class Poly:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
                 se, te = key
-                if not (isinstance(se, int) and isinstance(te, int) and isinstance(coeff, int)):
-                    raise TypeError("exponents and coefficients must be int")
+                # A bool is an int to isinstance(), but True would write "s": true in JSON.
+                if (not (isinstance(se, int) and isinstance(te, int) and isinstance(coeff, int))
+                        or bool in (type(se), type(te), type(coeff))):
+                    raise TypeError("exponents and coefficients must be int, not bool")
                 if se < 0 or te < 0:
                     raise ValueError(f"negative exponent in monomial {key}")
                 total = canonical.get((se, te), 0) + coeff
@@ -321,7 +323,7 @@ def _from_canonical(terms: dict[Monomial, int]) -> Poly:
 def _coerce(value: object) -> Poly:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Poly({(0, 0): value}) if value else ZERO
     return NotImplemented
 

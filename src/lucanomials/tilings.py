@@ -31,9 +31,8 @@ lexicographically descending order, and row tilings stream square-first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .lucas import MEMO_SIZE, lucas
 from .polys import ONE, Poly, T, ZERO
@@ -48,6 +47,8 @@ class ShapeError(ValueError):
 
 def covered_length(tiling: str) -> int:
     """Number of cells covered by a row tiling string."""
+    if not isinstance(tiling, str):
+        raise ShapeError(f"row tiling {tiling!r} is not a string")
     dominos = tiling.count(DOMINO)
     if tiling.count(SQUARE) + dominos != len(tiling):
         invalid = next(ch for ch in tiling if ch not in (SQUARE, DOMINO))
@@ -152,7 +153,9 @@ def star(lam: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:
         raise ShapeError(f"expected {k} parts, got {len(lam)}")
     previous = m
     for part in lam:
-        if not isinstance(part, int) or part < 0 or part > m:
+        if isinstance(part, bool) or not isinstance(part, int):
+            raise ShapeError(f"part {part!r} is not an integer")
+        if part < 0 or part > m:
             raise ShapeError(f"part {part} does not fit in width {m}")
         if part > previous:
             raise ShapeError("parts must be weakly decreasing")
@@ -160,19 +163,74 @@ def star(lam: tuple[int, ...], k: int, m: int) -> tuple[int, ...]:
     return tuple(sum(1 for part in lam if part < column) for column in range(m, 0, -1))
 
 
-@dataclass(frozen=True)
-class RectTiling:
+class _Record:
+    """Base of the package's value records: immutable, named fields.
+
+    A subclass lists its fields in ``__slots__``.  The constructor takes
+    them by position or keyword, stores a list as a tuple and calls
+    ``__post_init__``, the subclass's validation hook.  Assignment and
+    deletion raise AttributeError.  Records compare and hash by value,
+    print as ``Name(field=value, ...)``, and copy and pickle through
+    ``__reduce__``, which rebuilds (so revalidates) a record from its field
+    values.
+
+    A plain class rather than a dataclass: importing dataclasses loads
+    inspect, ast, dis and tokenize, and building each class costs up to a
+    millisecond more, which every CLI run would pay at start-up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(fields)}, each once, by position or keyword")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Validate the fields; raise ShapeError when they do not fit together."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RectTiling(_Record):
     """A partition in a rectangle with tiled rows and tiled complement columns.
 
-    ``lam`` has one entry per rectangle row (zeros explicit), ``lambda_rows``
-    tiles each part, and ``star_rows`` tiles each complement column; every
-    nonempty complement column begins with a domino.  The rectangle is
+    ``lam`` (a tuple of ints) has one entry per rectangle row (zeros
+    explicit), ``lambda_rows`` tiles each part, and ``star_rows`` tiles each
+    complement column (tuples of row tiling strings); every nonempty
+    complement column begins with a domino.  The rectangle is
     len(lam) x len(star_rows).
     """
 
-    lam: tuple[int, ...]
-    lambda_rows: tuple[str, ...]
-    star_rows: tuple[str, ...]
+    __slots__ = ("lam", "lambda_rows", "star_rows")
 
     def __post_init__(self):
         k = len(self.lam)

@@ -241,6 +241,23 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Poly({(-1, 0): 1})
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{(True, False): True}, {(True, 0): 1}, {(1, False): 1}, {(1, 0): True}, {(1, 0): 1.0}],
+    )
+    def test_bool_and_non_int_entries_rejected(self, terms):
+        with pytest.raises(TypeError):
+            Poly(terms)
+
+    def test_bools_are_not_constants(self):
+        assert S != True  # noqa: E712
+        assert ONE != True  # noqa: E712
+        for op in (lambda: S * True, lambda: True + S, lambda: S - False):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(TypeError):
+            divide_exact(S, True)
+
 
 class TestEval:
     def test_sum_of_coefficients(self):
@@ -624,6 +641,12 @@ class TestJsonForm:
     def test_roundtrip(self):
         p = parse("3*s*t^2 - 1")
         assert Poly.from_json_dict(p.to_json_dict()) == p
+
+    @given(poly_strategy)
+    def test_every_poly_roundtrips(self, p):
+        encoded = p.to_json_dict()
+        assert all(type(term[key]) is int for term in encoded["terms"] for key in ("s", "t"))
+        assert Poly.from_json_dict(encoded) == p
 
     def test_big_coefficients_survive(self):
         p = Poly({(1, 1): 10**30, (0, 0): -(2**64)})
