@@ -88,18 +88,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(value: Poly | int | str) -> str:
+    """Printed form of a value: canonical text of a Poly, decimal of an int of
+    any size, and text (the bijection verifiers' counts) as it is."""
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, Poly) else int_text(value)
+
+
 def _emit(value: Poly | int, fmt: str) -> None:
-    if isinstance(value, Poly):
-        print(str(value) if fmt == "text" else _dump(value.to_json_dict()))
+    if fmt == "text":
+        print(_text(value))
+    elif isinstance(value, Poly):
+        print(_dump(value.to_json_dict()))
     else:
-        print(int_text(value) if fmt == "text" else _dump({"value": int_text(value)}))
+        print(_dump({"value": int_text(value)}))
+
+
+def _rendered(c: dict) -> dict:
+    """A check report for JSON: its lhs and rhs values as text."""
+    return {key: _text(value) if key in ("lhs", "rhs") else value for key, value in c.items()}
 
 
 def _check_line(name: str, c: dict) -> str:
     where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
     if c["pass"]:
         return f"{name} {where} ok"
-    detail = " ".join(f"{key}={c[key]}" for key in ("lhs", "rhs") if key in c)
+    detail = " ".join(f"{key}={_text(c[key])}" for key in ("lhs", "rhs") if key in c)
     return f"{name} {where} FAIL {detail}".rstrip()
 
 
@@ -107,12 +122,14 @@ def _emit_checks(name: str, checks: Iterable[dict], fmt: str,
                  text: Callable[[dict], str] | None = None) -> int:
     """Print the reports of one verify run; 0 if every check passed, else 1.
 
-    Text mode prints each line as its check is produced and keeps only the
-    count and the pass flag, so a sweep holds one report at a time; JSON
-    mode collects the reports into one object.
+    A report holds its lhs and rhs as values; they become text only where
+    they are printed.  Text mode prints each line as its check is produced
+    and keeps only the count and the pass flag, so a sweep holds one report
+    at a time, and it prints lhs and rhs only on a failing line.  JSON mode
+    collects the reports, each with its lhs and rhs as text, into one object.
     """
     if fmt == "json":
-        checks = list(checks)
+        checks = [_rendered(c) for c in checks]
         ok = all(c["pass"] for c in checks)
         print(_dump({"target": name, "pass": ok, "checks": checks}))
         return 0 if ok else 1
@@ -131,7 +148,7 @@ def _emit_checks(name: str, checks: Iterable[dict], fmt: str,
 def _check_theorem1(n: int, k: int) -> dict:
     lhs = tilings.lucanomial_tiling_oracle(n, k)
     rhs = lucanomial(n, k)
-    return {"n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs == rhs}
+    return {"n": n, "k": k, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
 def _check_catalan(n: int) -> dict:
@@ -141,8 +158,8 @@ def _check_catalan(n: int) -> dict:
     nonneg = poly.is_nonneg()
     return {
         "n": n,
-        "lhs": int_text(value),
-        "rhs": str(poly),
+        "lhs": value,
+        "rhs": poly,
         "nonneg": nonneg,
         "pass": agrees and nonneg,
     }

@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import comb
 
 from .lucas import _int_quotient, fibonacci, fibonomial, lucanomial, lucas
-from .polys import Poly, T, divide_exact, int_text
+from .polys import Poly, T, divide_exact
 
 
 def _narayana(n: int, k: int, t, coefficient):
@@ -96,17 +96,18 @@ def catalan(n: int) -> int:
     return _int_quotient(comb(2 * n, n), n + 1)
 
 
-def _report(n: int, k: int, recurrence, oracle, text, nonneg) -> dict:
+def _report(n: int, k: int, recurrence, oracle, nonneg) -> dict:
     """Per-(n, k) agreement report: lhs is the recurrence value, rhs the definitional
-    quotient, nonneg the ring's positivity test of the value, and pass both."""
+    quotient (both values, not text), nonneg the ring's positivity test of the
+    value, and pass both."""
     value = recurrence(n, k)
     expected = oracle(n, k)
     agrees, positive = value == expected, nonneg(value)
     return {
         "n": n,
         "k": k,
-        "lhs": text(value),
-        "rhs": text(expected),
+        "lhs": value,
+        "rhs": expected,
         "oracle_agrees": agrees,
         "nonneg": positive,
         "pass": agrees and positive,
@@ -115,12 +116,12 @@ def _report(n: int, k: int, recurrence, oracle, text, nonneg) -> dict:
 
 def fibonarayana_report(n: int, k: int) -> dict:
     """Per-(n, k) agreement report for the integer recurrence."""
-    return _report(n, k, fibonarayana, fibonarayana_definition_oracle, int_text, (0).__lt__)
+    return _report(n, k, fibonarayana, fibonarayana_definition_oracle, (0).__lt__)
 
 
 def generalized_narayana_report(n: int, k: int) -> dict:
     """Per-(n, k) agreement report for the polynomial recurrence."""
-    return _report(n, k, generalized_narayana, generalized_narayana_definition_oracle, str,
+    return _report(n, k, generalized_narayana, generalized_narayana_definition_oracle,
                    Poly.is_nonneg)
 
 

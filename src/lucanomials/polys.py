@@ -178,7 +178,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative int")
         # Square-and-multiply over the bits of the exponent, low bit first.
         result = None

@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from lucanomials import bijection, narayana, tilings
-from lucanomials.cli import main
+from lucanomials import bijection, narayana, polys, tilings
+from lucanomials.cli import _emit_checks, main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
 from lucanomials.tilings import enumerate_rect_tilings
@@ -130,6 +130,23 @@ class TestLargeValues:
         code, out = run(capsys, "catalan", "--n", "145", "--mode", "fibo")
         assert code == 0
         assert out == decimal(quotient) + "\n"
+
+    def test_failing_theorem2_report_past_digit_limit(self, capsys):
+        # n = 204 is the first row of the verify theorem2 sweep whose values
+        # pass Python's 4300-digit int-to-str limit.  The report holds the
+        # ints; a failing line and the JSON check print them in full.
+        report = narayana.fibonarayana_report(204, 102)
+        expected = decimal(report["lhs"])
+        assert len(expected) > 4300 and report["lhs"] == report["rhs"]
+        report["pass"] = False
+        assert _emit_checks("theorem2", [report], "text") == 1
+        assert capsys.readouterr().out == (
+            f"theorem2 n=204 k=102 FAIL lhs={expected} rhs={expected}\n"
+            "theorem2: 1 checks FAILED\n"
+        )
+        assert _emit_checks("theorem2", [report], "json") == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["lhs"] == check["rhs"] == expected
 
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="interpreter has no int-to-str digit limit")
     def test_digit_limit_restored_after_output(self, capsys):
@@ -361,6 +378,47 @@ class TestVerifyCommands:
         assert code == 0
         report = json.loads(out)["checks"][0]
         assert report["lhs"] == report["rhs"] == "180"
+
+    # Stdout of `verify <target> --n-max 6` in text and JSON, recorded while
+    # every report still carried lhs and rhs as text.
+    SWEEPS_TO_6 = {
+        "theorem1": ("ca628e8f82c2ba2a2d70b5b085935bb17191184642ff56f6fbf45d23d0d27911",
+                     "dbc10e3ac5a5dc4739c7663bc7fbf487bf308e03c843a0e239fc97948df807af", 28),
+        "theorem2": ("d3763702b29b80ba61fb1feb534d892ca3eeafbc3683cf5314d2428d13eea581",
+                     "2aff8a37e3e60d32ae6c22e2e52fe0827f66415c8bb50d4b2a6964b43adade8f", 20),
+        "theorem3": ("92d77f31838ad16af7789a4fe5e570e3662cd2ea71e9fb04ac4ac00a608717ba",
+                     "155b140e9ba129086a1cc7ad0a5d41c8e144527138edf83b8fc605262331d0e5", 20),
+        "catalan": ("85a2c3066a5ffb55a3cd61c2510ab2dfafcb54b3f7e1ee51ca9d912745b5b61e",
+                    "8f4756d1f505861a1b0c866503602640c97a2c9bef5b308945cf529a11047260", 7),
+    }
+
+    @pytest.mark.parametrize("target", SWEEPS_TO_6)
+    def test_passing_text_sweep_renders_nothing(self, capsys, monkeypatch, target):
+        # render and int_text both convert through _no_digit_limit.
+        def refuse(convert, value):
+            raise AssertionError(f"rendered {value!r}")
+
+        monkeypatch.setattr(polys, "_no_digit_limit", refuse)
+        code, out = run(capsys, "verify", target, "--n-max", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEPS_TO_6[target][0]
+
+    @pytest.mark.parametrize("target", SWEEPS_TO_6)
+    def test_json_sweep_renders_lhs_and_rhs_once_per_check(self, capsys, monkeypatch, target):
+        original = polys._no_digit_limit
+        calls = []
+
+        def counting(convert, value):
+            calls.append(value)
+            return original(convert, value)
+
+        monkeypatch.setattr(polys, "_no_digit_limit", counting)
+        code, out = run(capsys, "verify", target, "--n-max", "6", "--format", "json")
+        assert code == 0
+        _, digest, count = self.SWEEPS_TO_6[target]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        checks = json.loads(out)["checks"]
+        assert len(checks) == count and len(calls) == 2 * count
 
     def test_text_sweep_has_per_check_lines(self, capsys):
         code, out = run(capsys, "verify", "theorem1", "--n-max", "3")

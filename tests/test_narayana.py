@@ -17,6 +17,7 @@ from lucanomials.narayana import (
     generalized_catalan,
     generalized_narayana,
     generalized_narayana_definition_oracle,
+    generalized_narayana_report,
 )
 from lucanomials.lucas import (
     fib_factorial,
@@ -28,7 +29,7 @@ from lucanomials.lucas import (
     lucas_atom,
     lucas_factorial,
 )
-from lucanomials.polys import ONE, ZERO, parse
+from lucanomials.polys import ONE, ZERO, Poly, parse
 
 
 class TestFibonarayana:
@@ -66,28 +67,28 @@ class TestFibonarayana:
             for k in range(1, n + 1)
         )
 
-    def test_report_past_digit_limit(self):
-        # n = 204 is the first row of the verify theorem2 sweep whose values
-        # pass Python's 4300-digit int-to-str limit.
-        report = fibonarayana_report(204, 102)
-        assert len(report["lhs"]) > 4300
-        assert report["lhs"] == report["rhs"]
-        assert report["oracle_agrees"] and report["nonneg"]
+    def test_reports_hold_values(self):
+        assert fibonarayana_report(5, 2) == {
+            "n": 5, "k": 2, "lhs": 15, "rhs": 15,
+            "oracle_agrees": True, "nonneg": True, "pass": True,
+        }
+        report = generalized_narayana_report(3, 2)
+        assert report["lhs"] == report["rhs"] == parse("s^2 + t")
+        assert isinstance(report["lhs"], Poly) and report["pass"] is True
 
     def test_report_fails_on_disagreement(self):
-        report = _report(5, 2, fibonarayana, lambda n, k: 16, str, (0).__lt__)
-        assert (report["lhs"], report["rhs"]) == ("15", "16")
+        report = _report(5, 2, fibonarayana, lambda n, k: 16, (0).__lt__)
+        assert (report["lhs"], report["rhs"]) == (15, 16)
         assert report["oracle_agrees"] is False and report["nonneg"] is True
         assert report["pass"] is False
 
     def test_report_fails_on_negative_value(self):
-        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, str,
-                         lambda value: False)
+        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, lambda value: False)
         assert report["oracle_agrees"] is True and report["nonneg"] is False
         assert report["pass"] is False
 
     def test_report_passes_when_both_hold(self):
-        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, str, (0).__lt__)
+        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, (0).__lt__)
         assert report["pass"] is True
 
     def test_invalid_n(self):

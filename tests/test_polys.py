@@ -258,6 +258,11 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             divide_exact(S, True)
 
+    @pytest.mark.parametrize("exponent", [True, False, 1.0, -1])
+    def test_bool_exponent_rejected_like_non_int(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
+            S**exponent
+
 
 class TestEval:
     def test_sum_of_coefficients(self):
