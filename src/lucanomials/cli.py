@@ -3,7 +3,10 @@
 Every run with identical arguments produces byte-identical output: there is
 no randomness anywhere, all sweeps iterate in sorted (n, k) order, and JSON
 is emitted with sorted keys.  Exit status is 0 on success, 1 when a
-verification finds a counterexample, and 2 on usage errors.
+verification finds a counterexample, and 2 on usage errors.  Run as
+``python -m lucanomials.cli``, a command whose reader closes stdout early
+(``... | head -1``) stops writing and exits with status 1, with no
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -327,4 +330,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # an early-closed reader fails this flush here, not at shutdown
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull so
+        # that flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -34,11 +34,13 @@ grow by the recurrence, one term at a time and without recursion, so a large
 index never meets the interpreter's recursion limit.  Every other memo in the
 package is a functools.lru_cache bounded at MEMO_SIZE entries: the atoms
 (keyed on d), the factorials (keyed on n), lucanomials and fibonomials
-(keyed on (n, min(k, n-k))), and the row tilings and cut offsets of
-:mod:`lucanomials.tilings`.  An evicted entry is recomputed on its next
-use, so the bound caps memory and never changes a result.  An atom recurses
-through the cache over the divisors of d, so its recursion depth is at most
-log2 d.
+(keyed on (n, min(k, n-k))), the four Narayana memos of
+:mod:`lucanomials.narayana` (the recurrence and the definitional quotient
+in each ring, keyed on the mirror key (n, min(k, n+1-k))), and the row
+tilings and cut offsets of :mod:`lucanomials.tilings`.  An evicted entry
+is recomputed on its next use, so the bound caps memory and never changes
+a result.  An atom recurses through the cache over the divisors of d, so
+its recursion depth is at most log2 d.
 """
 
 from __future__ import annotations

@@ -4,12 +4,18 @@ The generalized Narayana polynomial is computed division-free as
 
     generalized_narayana(n, k) = {n-1,k-1}^2 + t * {n-1,k} * {n-1,k-2},
 
-for every n >= 1: the lucanomial zero convention gives the value 1 at
-(1, 1) and 0 for k outside 1..n.  The definitional quotient
+on 1 <= k <= n (the lucanomial zero convention gives the value 1 at
+(1, 1)), and it is 0 for k outside 1..n.  The definitional quotient
 ({n,k} * {n,k-1}) / {n} is kept as an oracle: it must agree exactly with
 the recurrence, and a NotDivisibleError from it would falsify the
 integrality the recurrence establishes.  Catalan versions divide
 {2n choose n} by {n+1}.
+
+Both routes read the same lucanomials at k and at n+1-k, so each value is
+memoised, in each ring, on the mirror key (n, min(k, n+1-k)) by an
+lru_cache bounded at MEMO_SIZE: the four memos _fibonarayana,
+_generalized_narayana, _fibonarayana_definition and
+_generalized_narayana_definition compute one value per mirror pair.
 
 The FiboNarayana number is this polynomial at s = t = 1, and the integer
 functions are the same code there: as in :mod:`lucanomials.lucas`, each
@@ -23,44 +29,77 @@ math.comb formulas of :func:`classical_narayana` and :func:`catalan`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
-from .lucas import _int_quotient, fibonacci, fibonomial, lucanomial, lucas
-from .polys import Poly, T, divide_exact
+from .lucas import MEMO_SIZE, _int_quotient, fibonacci, fibonomial, lucanomial, lucas
+from .polys import ZERO, Poly, T, divide_exact
 
 
-def _narayana(n: int, k: int, t, coefficient):
-    """The recurrence in the ring of t, with coefficient the lucanomial there."""
+def _narayana(n: int, k: int, zero, reduced):
+    """reduced(n, min(k, n+1-k)) on 1 <= k <= n, zero outside it."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not 1 <= k <= n:
+        return zero
+    return reduced(n, min(k, n + 1 - k))
+
+
+def _recurrence(n: int, k: int, t, coefficient):
+    """The recurrence in the ring of t, with coefficient the lucanomial there."""
     return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number via the integer recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 1, fibonomial)
+    return _narayana(n, k, 0, _fibonarayana)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _fibonarayana(n: int, k: int) -> int:
+    return _recurrence(n, k, 1, fibonomial)
 
 
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, T, lucanomial)
+    return _narayana(n, k, ZERO, _generalized_narayana)
 
 
-def _definition(n: int, k: int, coefficient, term, quotient):
-    """(coefficient(n,k) * coefficient(n,k-1)) / term(n) by exact division."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _generalized_narayana(n: int, k: int) -> Poly:
+    return _recurrence(n, k, T, lucanomial)
+
+
+def _definition(n: int, k: int, reduced):
+    """reduced(n, min(k, n+1-k)) on 1 <= k <= n, a ValueError outside it."""
     if n < 1 or not 1 <= k <= n:
         raise ValueError("need n >= 1 and 1 <= k <= n")
+    return reduced(n, min(k, n + 1 - k))
+
+
+def _quotient(n: int, k: int, coefficient, term, quotient):
+    """(coefficient(n,k) * coefficient(n,k-1)) / term(n) by exact division."""
     return quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
 
 
 def fibonarayana_definition_oracle(n: int, k: int) -> int:
     """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
-    return _definition(n, k, fibonomial, fibonacci, _int_quotient)
+    return _definition(n, k, _fibonarayana_definition)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _fibonarayana_definition(n: int, k: int) -> int:
+    return _quotient(n, k, fibonomial, fibonacci, _int_quotient)
 
 
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
     """({n,k} * {n,k-1}) / {n} by exact division; must equal the recurrence."""
-    return _definition(n, k, lucanomial, lucas, divide_exact)
+    return _definition(n, k, _generalized_narayana_definition)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _generalized_narayana_definition(n: int, k: int) -> Poly:
+    return _quotient(n, k, lucanomial, lucas, divide_exact)
 
 
 def _catalan(n: int, coefficient, term, quotient):

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import lucanomials
 from lucanomials import bijection, narayana, polys, tilings
 from lucanomials.cli import _emit_checks, main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
@@ -561,3 +565,21 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, "lucanomial", "--n", "6")
         assert excinfo.value.code == 2
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_gets_exit_1_and_no_traceback(self):
+        # The sweep prints about 110 kB, more than a pipe holds, so the CLI is
+        # still writing when the reader closes after the first line.
+        env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(lucanomials.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "lucanomials.cli", "verify", "theorem2", "--n-max", "100"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first == b"theorem2 n=2 k=1 ok\n"
+        assert code == 1
+        assert b"Traceback" not in err

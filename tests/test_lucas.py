@@ -1,6 +1,6 @@
 """Tests for Lucas polynomials, lucanomials, and Fibonacci specializations."""
 
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -17,7 +17,7 @@ from lucanomials.lucas import (
     lucas_atom,
     lucas_factorial,
 )
-from lucanomials.polys import ONE, S, T, ZERO, parse
+from lucanomials.polys import ONE, S, T, ZERO, Poly, parse
 
 N_SWEEP = 12
 ATOM_SWEEP = 60
@@ -57,6 +57,14 @@ class TestLucas:
 
     def test_integer_specialization_at_2_minus_1(self):
         assert all(lucas(n).evaluate(2, -1) == n for n in range(N_SWEEP + 1))
+
+    def test_closed_form(self):
+        # {n} = sum_j C(n-1-j, j) s^(n-1-2j) t^j: the square/domino tilings of
+        # a row of n-1 cells with j dominos, a route without the recurrence.
+        assert lucas(0) == ZERO
+        for n in range(1, 81):
+            assert lucas(n) == Poly({(n - 1 - 2 * j, j): comb(n - 1 - j, j)
+                                     for j in range((n + 1) // 2)}), n
 
 
 class TestLucasTable:

@@ -6,6 +6,10 @@ import pytest
 
 from lucanomials.cli import main
 from lucanomials.narayana import (
+    _fibonarayana,
+    _fibonarayana_definition,
+    _generalized_narayana,
+    _generalized_narayana_definition,
     _report,
     catalan,
     classical_narayana,
@@ -20,6 +24,7 @@ from lucanomials.narayana import (
     generalized_narayana_report,
 )
 from lucanomials.lucas import (
+    MEMO_SIZE,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -30,6 +35,23 @@ from lucanomials.lucas import (
     lucas_factorial,
 )
 from lucanomials.polys import ONE, ZERO, Poly, parse
+
+
+def check_mirror_memos(recurrence, memo, oracle, oracle_memo):
+    """Each public value, which the memo serves from the mirror key (n, min(k, n+1-k)),
+    equals the uncached body evaluated at k itself, for n <= 14."""
+    memo.cache_clear()
+    oracle_memo.cache_clear()
+    for n in range(1, 15):
+        for k in range(-1, n + 3):
+            assert recurrence(n, k) == memo.__wrapped__(n, k), (n, k)
+        for k in range(1, n + 1):
+            assert oracle(n, k) == oracle_memo.__wrapped__(n, k), (n, k)
+    # One entry per mirror pair: ceil(n/2) keys in row n.
+    pairs = sum((n + 1) // 2 for n in range(1, 15))
+    for cache in (memo, oracle_memo):
+        assert cache.cache_info().currsize == pairs
+        assert cache.cache_info().maxsize == MEMO_SIZE
 
 
 class TestFibonarayana:
@@ -61,11 +83,8 @@ class TestFibonarayana:
         assert all(fibonarayana(n, k) > 0 for n in range(1, 16) for k in range(1, n + 1))
 
     def test_symmetry(self):
-        assert all(
-            fibonarayana(n, k) == fibonarayana(n, n - k + 1)
-            for n in range(1, 14)
-            for k in range(1, n + 1)
-        )
+        check_mirror_memos(fibonarayana, _fibonarayana,
+                           fibonarayana_definition_oracle, _fibonarayana_definition)
 
     def test_reports_hold_values(self):
         assert fibonarayana_report(5, 2) == {
@@ -117,6 +136,11 @@ class TestGeneralizedNarayana:
 
     def test_oracle_example(self):
         assert generalized_narayana_definition_oracle(3, 2) == parse("s^2 + t")
+
+    def test_symmetry(self):
+        check_mirror_memos(generalized_narayana, _generalized_narayana,
+                           generalized_narayana_definition_oracle,
+                           _generalized_narayana_definition)
 
     def test_positive_coefficients(self):
         assert all(
