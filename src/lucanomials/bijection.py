@@ -34,12 +34,19 @@ parameters k = 0 and k = n that the pair decomposition needs.
 Both directions run on one flat key, the head: the partition rows,
 complement columns and other-stairstep rows of a triple joined by "|".  The
 small stairstep is the bottom k-1 rows verbatim, so the head keys the image
-of the top rows.  :func:`_scan_key` maps the top rows to their head, and
-:func:`_replay_key` maps a head back by replaying the scan on the same int
-state (row lengths, 0 once consumed, the cursor, and c), reading each event
-off the partition rows: a downward step when the next part equals c, else a
-leftward one.  No part exceeds c, so a leftward step never meets c = 0 and
-the replay always ends.  :func:`forward` and :func:`inverse` wrap the cores.
+of the top rows.  One core, :func:`_scan_heads`, maps every choice of the
+top rows to its head, and :func:`_scan_key` is that core on one choice.
+The scan reads the rows once each, in order, before it wraps to the rows it
+has cut, so the core walks the choices depth first: each event of that
+first pass runs once per prefix of rows.  The rest of the scan depends only
+on the state a prefix leaves, less the rows and columns already emitted, so
+it runs once per such state, memoised for the one call.  :func:`_event` is
+the scan's one step, in both phases.  :func:`_replay_key` maps a head back
+by replaying the scan on int state (row lengths, 0 once consumed, the
+cursor, and c), reading each event off the partition rows: a downward step
+when the next part equals c, else a leftward one.  No part exceeds c, so a
+leftward step never meets c = 0 and the replay always ends.
+:func:`forward` and :func:`inverse` wrap the cores.
 
 :func:`decompose_pair` splits a pair of stairstep tilings of sizes n-1 and
 n-2 along the first row of the larger one, at the boundary between cells
@@ -55,20 +62,24 @@ by exhaustion; the check compares the total with the prefactor times
 Where validation happens.  Shapes are validated at the boundary: when a
 :class:`StairstepTiling` or :class:`TilingTriple` is constructed (so also
 when :func:`forward` builds its result) and by the CLI on its input.  Both
-cores trust their input.  :func:`_scan_key` tracks row lengths and the
-comparison column as ints, reads cut positions from the per-row offset
-table of :func:`lucanomials.tilings._cut_offsets`, and checks the image's
+cores trust their input.  The scan tracks row lengths and the comparison
+column as ints and reads cut positions from the per-row offset table of
+:func:`lucanomials.tilings._cut_offsets`.  :func:`_event` checks the image's
 shape with O(1) int comparisons per event (a cut column has one cell per
 partition row still to emit, the other-stairstep rows have lengths n-k-1,
-..., 1, and the path completes).  Both exhaustive verifiers count the image
-on one core, :func:`_image_size`, as the paper's proof of the recurrence
-applies Theorem 1 to both remainders: at (n, k), and at (n-1, p) once per
-column parameter p of the pair decomposition.  :func:`inverse` checks only
-the sizes of the triple up front and nothing during the replay.  Its
-certificate then builds the stairstep tiling (a ShapeError there becomes
-NotInImageError) and requires its top rows to scan to the triple's head, so
-a returned tiling T always satisfies forward(T, k) == triple.  Every
-shape-valid triple is an image, so NotInImageError means a fault here.
+..., 1, and there are no more partition rows than the rectangle has), and
+:func:`_finish` checks that the path completes.  An event that a prefix or
+a memoised state shares among many choices is checked once for all of
+them, with the outcome each would have had alone.  Both exhaustive
+verifiers count the image on one counter, :func:`_image_size`, as the
+paper's proof of the recurrence applies Theorem 1 to both remainders: at
+(n, k), and at (n-1, p) once per column parameter p of the pair
+decomposition.  :func:`inverse` checks only the sizes of the triple up
+front and nothing during the replay.  Its certificate then builds the
+stairstep tiling (a ShapeError there becomes NotInImageError) and requires
+its top rows to scan to the triple's head, so a returned tiling T always
+satisfies forward(T, k) == triple.  Every shape-valid triple is an image,
+so NotInImageError means a fault here.
 """
 
 from __future__ import annotations
@@ -182,67 +193,123 @@ class TilingTriple(_Record):
         )
 
 
-def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
-    """The forward scan of the top rows of a size-(n-1) stairstep tiling.
+def _event(state: tuple, row: str, length: int, height: int) -> tuple:
+    """The state after one scan event: ``row``, of ``length`` cells, read at
+    the state's comparison column.
 
-    ``top`` holds the rows the scan reads, trusted to be valid: row i
-    covers n-1-i cells, and there are n-k rows (n-1 when k = 0).  Returns
-    the image's n-k partition rows (top first, "" for a zero part), its k
-    complement columns (right to left) and its n-k-1 other-stairstep rows,
-    joined by "|": the head, the triple without its small stairstep, whose
-    rows are the bottom rows verbatim.  Raises RuntimeError if the image is
-    not shape-valid, which would be an implementation fault.
+    The state is (c, the number of partition rows emitted, the length of the
+    next other-stairstep row, the rows cut but not yet consumed with their
+    lengths, in the order the cursor meets them, then the tuples of partition
+    rows, complement columns and other-stairstep rows emitted so far).
+    Raises RuntimeError if the image is not shape-valid, which would be an
+    implementation fault.
     """
-    height = n - k
-    scan_count = len(top)
-    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
-    offsets = [_cut_offsets(row) for row in top]
-    lam_rows: list[str] = []
-    star_cols: list[str] = []
-    other_rows: list[str] = []
-    other_length = height - 1  # the next other-stairstep row's length
-    alive = scan_count
-    c = k
-    r = 0
-    while alive:
-        while not lengths[r]:
-            r = r + 1 if r + 1 < scan_count else 0
-        length = lengths[r]
-        cuts = offsets[r]
-        if c < length and cuts[c] < 0:
-            # The complement column closed here has one cell per partition
-            # row still to emit.
-            if length - c + 1 != height - len(lam_rows):
-                raise RuntimeError("a cut column does not fit the rows left to emit")
-            star_cols.append(top[r][cuts[c - 1]:cuts[length]])
-            c -= 1
-            lengths[r] = c
-            if not c:
-                alive -= 1
-        else:
-            if c > length:
-                raise RuntimeError("comparison column drifted past the end of a row")
-            if len(lam_rows) == height:
-                raise RuntimeError("scan emitted more partition rows than the rectangle has")
-            row = top[r]
-            lam_rows.append(row[:cuts[c]])
-            if c < length:
-                if length - c != other_length:
-                    raise RuntimeError("scan produced a stairstep row of the wrong length")
-                other_rows.append(row[cuts[c]:cuts[length]])
-                other_length -= 1
-            lengths[r] = 0
-            alive -= 1
-        r = r + 1 if r + 1 < scan_count else 0
+    c, emitted, other_length, alive, lam, star, other = state
+    cuts = _cut_offsets(row)
+    if c < length and cuts[c] < 0:
+        # The complement column closed here has one cell per partition row
+        # still to emit.  The row keeps its first c-1 cells.
+        if length - c + 1 != height - emitted:
+            raise RuntimeError("a cut column does not fit the rows left to emit")
+        cut = cuts[c - 1]
+        if c > 1:
+            alive += ((row[:cut], c - 1),)
+        return c - 1, emitted, other_length, alive, lam, star + (row[cut:],), other
+    if c > length:
+        raise RuntimeError("comparison column drifted past the end of a row")
+    if emitted == height:
+        raise RuntimeError("scan emitted more partition rows than the rectangle has")
+    if c == length:
+        return c, emitted + 1, other_length, alive, lam + (row,), star, other
+    if length - c != other_length:
+        raise RuntimeError("scan produced a stairstep row of the wrong length")
+    cut = cuts[c]
+    return c, emitted + 1, other_length - 1, alive, lam + (row[:cut],), star, other + (row[cut:],)
 
+
+def _finish(state: tuple, height: int) -> tuple[tuple[str, ...], ...]:
+    """The emitted fields of ``state`` once the scan has run to its end: it
+    reads the cut rows still queued until every cell is placed, then
+    completes the path."""
+    while state[3]:
+        (row, length), *queue = state[3]
+        state = _event(state[:3] + (tuple(queue),) + state[4:], row, length, height)
+    c, emitted, other_length, _, lam, star, other = state
     # Complete the path to the bottom-left corner: one of the two remainders
     # is always zero, otherwise cells would have been left unplaced.
-    missing_down = height - len(lam_rows)
+    missing_down = height - emitted
     if missing_down and c:
         raise RuntimeError("scan ended with both path directions unfinished")
     if other_length > 0:
         raise RuntimeError("scan produced a stairstep of the wrong size")
-    return "|".join(lam_rows + [""] * missing_down + star_cols + [""] * c + other_rows)
+    return lam + ("",) * missing_down, star + ("",) * c, other
+
+
+def _first_pass(state: tuple, choices: list, n: int, height: int) -> Iterator[tuple]:
+    """The state after rows 0..len(choices)-1 for every choice of them, in
+    itertools.product order.  The walk is depth-first, so each event runs
+    once per prefix, and it keeps a stack instead of recursing."""
+    last = len(choices) - 1
+    if last < 0:
+        yield state
+        return
+    states = [state]  # states[i]: the state before row i
+    pending = [iter(choices[0])]  # pending[i]: the choices of row i not yet walked
+    while pending:
+        depth = len(pending) - 1
+        for row in pending[depth]:
+            state = _event(states[depth], row, n - 1 - depth, height)
+            if depth == last:
+                yield state
+            else:
+                states.append(state)
+                pending.append(iter(choices[depth + 1]))
+                break
+        else:
+            pending.pop()
+            states.pop()
+
+
+def _scan_heads(choices: list, n: int, k: int) -> Iterator[str]:
+    """The forward scan of every choice of top rows, in itertools.product order.
+
+    ``choices[i]`` holds the candidates for row i of a size-(n-1) stairstep,
+    trusted to be valid tilings of n-1-i cells, for n-k rows (n-1 when
+    k = 0).  Yields each choice's head: the image's n-k partition rows (top
+    first, "" for a zero part), its k complement columns (right to left) and
+    its n-k-1 other-stairstep rows, joined by "|"; the small stairstep is
+    the bottom rows verbatim.
+
+    The scan reads rows 0, 1, ... once each, in order, before it wraps to
+    the rows it has cut.  :func:`_first_pass` runs the events of all rows
+    but the last once per prefix.  The rest of the scan, the last row and
+    the wrap-around, depends only on the state without its emitted fields,
+    so it runs once per such state and choice of the last row, memoised for
+    this call.
+    """
+    height = n - k
+    start = (k, 0, height - 1, (), (), (), ())
+    if not choices:  # k = n, or n <= 1: no cell to place, only the path to complete
+        lam, star, other = _finish(start, height)
+        yield "|".join(lam + star + other)
+        return
+    *inner, last = choices
+    last_length = n - len(choices)
+    ends: dict[tuple, list[tuple[tuple[str, ...], ...]]] = {}
+    for state in _first_pass(start, inner, n, height):
+        key = state[:4]
+        tails = ends.get(key)
+        if tails is None:
+            fresh = key + ((), (), ())
+            tails = ends[key] = [_finish(_event(fresh, row, last_length, height), height) for row in last]
+        _, _, _, _, lam, star, other = state
+        for lam_end, star_end, other_end in tails:
+            yield "|".join([*lam, *lam_end, *star, *star_end, *other, *other_end])
+
+
+def _scan_key(top: tuple[str, ...], n: int, k: int) -> str:
+    """The head of one choice of top rows: :func:`_scan_heads` on singletons."""
+    return next(_scan_heads([(row,) for row in top], n, k))
 
 
 def forward(t: StairstepTiling, k: int) -> TilingTriple:
@@ -264,8 +331,8 @@ def forward(t: StairstepTiling, k: int) -> TilingTriple:
 
 
 def _replay_key(head: str, n: int, k: int) -> tuple[str, ...]:
-    """The top rows whose scan is ``head``, which is trusted: :func:`_scan_key`
-    replayed on the same int state, each row glued back right to left."""
+    """The top rows whose scan is ``head``, which is trusted: the scan
+    replayed on int state, each row glued back right to left."""
     height = n - k
     fields = head.split("|")
     lam_rows = fields[:height]
@@ -344,12 +411,13 @@ def _image_size(n: int, k: int) -> tuple[int, int]:
     The bottom k-1 rows pass through verbatim and the head is the scan of
     the top rows, so the map is injective exactly when the F_n!/F_k!
     top-row choices give distinct heads and the F_k! bottom-row tuples are
-    distinct; only those two sets are stored.  For k <= 2 there is one
+    distinct; only those two sets are stored, and the heads go from
+    :func:`_scan_heads` straight into theirs.  For k <= 2 there is one
     bottom, so nothing is saved.
     """
     top_choices = [_linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
     bottoms = list(itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1))))
-    heads = {_scan_key(top, n, k) for top in itertools.product(*top_choices)}
+    heads = set(_scan_heads(top_choices, n, k))
     total = math.prod(map(len, top_choices)) * len(bottoms)
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")

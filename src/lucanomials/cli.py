@@ -3,8 +3,9 @@
 Every run with identical arguments produces byte-identical output: there is
 no randomness anywhere, all sweeps iterate in sorted (n, k) order, and JSON
 is emitted with sorted keys.  Exit status is 0 on success, 1 when a
-verification finds a counterexample, and 2 on usage errors.  Run as
-``python -m lucanomials.cli``, a command whose reader closes stdout early
+verification finds a counterexample, and 2 on usage errors.  Run as the
+``lucanomials`` script or as ``python -m lucanomials.cli`` (both call
+:func:`entry`), a command whose reader closes stdout early
 (``... | head -1``) stops writing and exits with status 1, with no
 traceback on stderr.
 """
@@ -329,7 +330,13 @@ def main(argv: list[str] | None = None) -> int:
     return _dispatch(args, parser)
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run :func:`main` on ``sys.argv`` and exit with its status.
+
+    The entry point of the ``lucanomials`` script and of ``python -m
+    lucanomials.cli``.  A reader that closes stdout early ends the run with
+    status 1 and no traceback.
+    """
     try:
         code = main()
         sys.stdout.flush()  # an early-closed reader fails this flush here, not at shutdown
@@ -339,3 +346,7 @@ if __name__ == "__main__":
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    entry()

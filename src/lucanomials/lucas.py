@@ -172,9 +172,10 @@ def _atom_product(n: int, k: int, atom, product):
     """{n choose k}, 0 <= k <= n, as the product of the atoms that divide it.
 
     The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
-    is 0 for every d > n.
+    is 0 for every d > n.  It is 1 exactly when adding k and n-k carries in
+    the last base-d digit, that is when n mod d < k mod d.
     """
-    return product([atom(d) for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+    return product([atom(d) for d in range(2, n + 1) if n % d < k % d])
 
 
 def lucanomial(n: int, k: int) -> Poly:

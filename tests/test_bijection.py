@@ -26,7 +26,13 @@ from lucanomials.bijection import (
 from lucanomials.cli import main
 from lucanomials.lucas import fib_factorial, fibonomial
 from lucanomials.narayana import fibonarayana
-from lucanomials.tilings import RectTiling, ShapeError, enumerate_rect_tilings
+from lucanomials.tilings import (
+    RectTiling,
+    ShapeError,
+    _cut_offsets,
+    enumerate_rect_tilings,
+    linear_tilings,
+)
 
 
 def triple_space(n, k):
@@ -48,6 +54,73 @@ def triple_key(triple):
 def top_rows(t, k):
     """The rows of a stairstep that the scan reads: all but the bottom k-1."""
     return t.rows[:len(t.rows) - max(k - 1, 0)]
+
+
+def reference_scan_key(top, n, k):
+    """The forward scan of one choice of top rows, event by event: the
+    reference for the depth-first core.  ``top`` holds n-k rows (n-1 when
+    k = 0), row i covering n-1-i cells; returns the head."""
+    height = n - k
+    scan_count = len(top)
+    lengths = list(range(n - 1, n - 1 - scan_count, -1))  # 0 once consumed
+    offsets = [_cut_offsets(row) for row in top]
+    lam_rows: list[str] = []
+    star_cols: list[str] = []
+    other_rows: list[str] = []
+    other_length = height - 1  # the next other-stairstep row's length
+    alive = scan_count
+    c = k
+    r = 0
+    while alive:
+        while not lengths[r]:
+            r = r + 1 if r + 1 < scan_count else 0
+        length = lengths[r]
+        cuts = offsets[r]
+        if c < length and cuts[c] < 0:
+            # The complement column closed here has one cell per partition
+            # row still to emit.
+            if length - c + 1 != height - len(lam_rows):
+                raise RuntimeError("a cut column does not fit the rows left to emit")
+            star_cols.append(top[r][cuts[c - 1]:cuts[length]])
+            c -= 1
+            lengths[r] = c
+            if not c:
+                alive -= 1
+        else:
+            if c > length:
+                raise RuntimeError("comparison column drifted past the end of a row")
+            if len(lam_rows) == height:
+                raise RuntimeError("scan emitted more partition rows than the rectangle has")
+            row = top[r]
+            lam_rows.append(row[:cuts[c]])
+            if c < length:
+                if length - c != other_length:
+                    raise RuntimeError("scan produced a stairstep row of the wrong length")
+                other_rows.append(row[cuts[c]:cuts[length]])
+                other_length -= 1
+            lengths[r] = 0
+            alive -= 1
+        r = r + 1 if r + 1 < scan_count else 0
+
+    # Complete the path to the bottom-left corner: one of the two remainders
+    # is always zero, otherwise cells would have been left unplaced.
+    missing_down = height - len(lam_rows)
+    if missing_down and c:
+        raise RuntimeError("scan ended with both path directions unfinished")
+    if other_length > 0:
+        raise RuntimeError("scan produced a stairstep of the wrong size")
+    return "|".join(lam_rows + [""] * missing_down + star_cols + [""] * c + other_rows)
+
+
+def colliding_core(monkeypatch, victim, twin):
+    """Make the scan core give the top rows ``victim`` the head of ``twin``."""
+    original = bijection._scan_heads
+
+    def core(choices, n, k):
+        for top, head in zip(itertools.product(*choices), original(choices, n, k)):
+            yield next(original([(row,) for row in twin], n, k)) if top == victim else head
+
+    monkeypatch.setattr(bijection, "_scan_heads", core)
 
 
 @st.composite
@@ -184,6 +257,28 @@ class TestScanKey:
                 assert len(heads) * fib_factorial(max(k, 1)) == len(triples) == len(pairs), (n, k)
                 assert all(head == triple_key(triple) for head, triple in pairs), (n, k)
 
+    def test_core_matches_the_reference_scan_in_product_order(self):
+        # Every choice of top rows for 0 <= k <= n <= 8, k = 0 and k = n included.
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                choices = [tuple(linear_tilings(m)) for m in range(n - 1, max(k - 1, 0), -1)]
+                expected = [reference_scan_key(top, n, k) for top in itertools.product(*choices)]
+                assert list(bijection._scan_heads(choices, n, k)) == expected, (n, k)
+
+    def test_fault_in_a_memoised_state_propagates(self, monkeypatch):
+        # A shape check failing where the scan wraps to a cut row, in a state
+        # shared by many choices, must reach the verifier as it is.
+        original = bijection._finish
+
+        def faulty(state, height):
+            if state[3]:  # a cut row is still queued
+                raise RuntimeError("a cut column does not fit the rows left to emit")
+            return original(state, height)
+
+        monkeypatch.setattr(bijection, "_finish", faulty)
+        with pytest.raises(RuntimeError, match="a cut column does not fit"):
+            verify_cardinality(6, 3)
+
 
 class TestBeyondExhaustion:
     """Properties on random stairsteps far past the exhaustive range."""
@@ -319,13 +414,7 @@ class TestVerifyCardinality:
     def test_head_collision_breaks_injectivity(self, monkeypatch, capsys):
         # Give one choice of the top rows the head of another: the counts
         # still match F_n!, but the map is no longer injective (nor onto).
-        original = bijection._scan_key
-        victim, twin = ("SSSSS", "SSSS", "SSS"), ("DSSS", "SSSS", "SSS")
-
-        def colliding(top, n, k):
-            return original(twin if top == victim else top, n, k)
-
-        monkeypatch.setattr(bijection, "_scan_key", colliding)
+        colliding_core(monkeypatch, ("SSSSS", "SSSS", "SSS"), ("DSSS", "SSSS", "SSS"))
         report = verify_cardinality(6, 3)
         assert report["injective"] is False
         assert report["pass"] is False
@@ -442,13 +531,7 @@ class TestVerifyPairDecomposition:
     def test_key_collision_breaks_injectivity(self, monkeypatch):
         # Give one size-2 stairstep the scan of the other: every count still
         # matches, but the pair map is no longer injective.
-        original = bijection._scan_key
-        victim, twin = ("SS", "S"), ("D", "S")
-
-        def colliding(top, n, k):
-            return original(twin if top == victim else top, n, k)
-
-        monkeypatch.setattr(bijection, "_scan_key", colliding)
+        colliding_core(monkeypatch, ("SS", "S"), ("D", "S"))
         report = verify_pair_decomposition(4, 2)
         assert report["injective"] is False
         assert report["pass"] is False

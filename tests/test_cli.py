@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -568,12 +569,13 @@ class TestVerifyCommands:
 
 
 class TestClosedStdout:
-    def test_reader_closing_early_gets_exit_1_and_no_traceback(self):
+    @staticmethod
+    def close_after_first_line(launcher):
         # The sweep prints about 110 kB, more than a pipe holds, so the CLI is
         # still writing when the reader closes after the first line.
         env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
         env["PYTHONPATH"] = str(Path(lucanomials.__file__).resolve().parent.parent)
-        argv = [sys.executable, "-m", "lucanomials.cli", "verify", "theorem2", "--n-max", "100"]
+        argv = [*launcher, "verify", "theorem2", "--n-max", "100"]
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE) as proc:
             first = proc.stdout.readline()
@@ -583,3 +585,15 @@ class TestClosedStdout:
         assert first == b"theorem2 n=2 k=1 ok\n"
         assert code == 1
         assert b"Traceback" not in err
+
+    def test_reader_closing_early_gets_exit_1_and_no_traceback(self):
+        self.close_after_first_line([sys.executable, "-m", "lucanomials.cli"])
+
+    def test_console_script_gets_exit_1_and_no_traceback(self):
+        # The installed script imports the entry point that pyproject.toml
+        # names and passes its call to sys.exit; run exactly that.
+        pyproject = Path(lucanomials.__file__).resolve().parents[2] / "pyproject.toml"
+        found = re.search(r'^lucanomials = "([\w.]+):(\w+)"$', pyproject.read_text(), re.MULTILINE)
+        module, function = found.groups()
+        script = f"import sys; from {module} import {function}; sys.exit({function}())"
+        self.close_after_first_line([sys.executable, "-c", script])

@@ -5,6 +5,7 @@ from math import comb, gcd
 import pytest
 
 from lucanomials.lucas import (
+    _atom_product,
     _lucas_polys,
     fib_factorial,
     fibonacci,
@@ -186,6 +187,14 @@ class TestLucasAtom:
                 lucas_atom(d)
             with pytest.raises(ValueError):
                 fibonacci_atom(d)
+
+    def test_atom_product_picks_the_floor_exponent_ones(self):
+        # The carry test picks the d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
+        for n in range(301):
+            for k in range(n + 1):
+                picked = _atom_product(n, k, lambda d: d, tuple)
+                expected = tuple(d for d in range(2, n + 1) if n // d - k // d - (n - k) // d)
+                assert picked == expected, (n, k)
 
 
 class TestDivisionOracle:
