@@ -28,8 +28,6 @@ from .lucas import (
     fibonacci_atom,
     fibonomial,
     lucanomial,
-    lucanomial_division_oracle,
-    lucanomial_recurrence_oracle,
     lucas,
     lucas_atom,
     lucas_factorial,
@@ -113,8 +111,6 @@ __all__ = [
     "inverse",
     "linear_tilings",
     "lucanomial",
-    "lucanomial_division_oracle",
-    "lucanomial_recurrence_oracle",
     "lucanomial_tiling_oracle",
     "lucas",
     "lucas_atom",

@@ -411,17 +411,17 @@ def _image_size(n: int, k: int) -> tuple[int, int]:
     The bottom k-1 rows pass through verbatim and the head is the scan of
     the top rows, so the map is injective exactly when the F_n!/F_k!
     top-row choices give distinct heads and the F_k! bottom-row tuples are
-    distinct; only those two sets are stored, and the heads go from
-    :func:`_scan_heads` straight into theirs.  For k <= 2 there is one
-    bottom, so nothing is saved.
+    distinct.  Only the heads are stored, straight from :func:`_scan_heads`;
+    the bottoms are counted, row by row, as tuples of distinct choices per
+    row are distinct.
     """
     top_choices = [_linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
-    bottoms = list(itertools.product(*(_linear_tilings(length) for length in range(k - 1, 0, -1))))
+    bottom_choices = [_linear_tilings(length) for length in range(k - 1, 0, -1)]
     heads = set(_scan_heads(top_choices, n, k))
-    total = math.prod(map(len, top_choices)) * len(bottoms)
+    total = math.prod(map(len, top_choices + bottom_choices))
     if total != fib_factorial(n):
         raise RuntimeError("stairstep enumeration does not match F_n!")
-    return total, len(heads) * len(set(bottoms))
+    return total, len(heads) * math.prod(len(set(row)) for row in bottom_choices)
 
 
 def verify_cardinality(n: int, k: int) -> dict:
@@ -441,8 +441,8 @@ def verify_cardinality(n: int, k: int) -> dict:
     return {
         "n": n,
         "k": k,
-        "lhs": str(total),
-        "rhs": str(rhs),
+        "lhs": total,
+        "rhs": rhs,
         "injective": injective,
         "surjective": surjective,
         "pass": injective and surjective and total == rhs,
@@ -546,10 +546,10 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     return {
         "n": n,
         "k": k,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "no_domino": str(counts["no_domino"]),
-        "domino": str(counts["domino"]),
+        "lhs": lhs,
+        "rhs": rhs,
+        "no_domino": counts["no_domino"],
+        "domino": counts["domino"],
         "injective": injective,
         "surjective": cases_match,
         "pass": ok,

@@ -8,11 +8,16 @@ verification finds a counterexample, and 2 on usage errors.  Run as the
 :func:`entry`), a command whose reader closes stdout early
 (``... | head -1``) stops writing and exits with status 1, with no
 traceback on stderr.
+
+``verify`` runs the rows of :data:`_TARGETS`; :func:`_two_routes` builds
+every check that compares two routes.  Reports hold ints and Polys, which
+become text only where they are printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -92,11 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _text(value: Poly | int | str) -> str:
-    """Printed form of a value: canonical text of a Poly, decimal of an int of
-    any size, and text (the bijection verifiers' counts) as it is."""
-    if isinstance(value, str):
-        return value
+def _text(value: Poly | int) -> str:
+    """Printed form of a value: canonical text of a Poly, decimal of an int of any size."""
     return str(value) if isinstance(value, Poly) else int_text(value)
 
 
@@ -110,27 +112,28 @@ def _emit(value: Poly | int, fmt: str) -> None:
 
 
 def _rendered(c: dict) -> dict:
-    """A check report for JSON: its lhs and rhs values as text."""
-    return {key: _text(value) if key in ("lhs", "rhs") else value for key, value in c.items()}
+    """A check report for JSON: its values (ints and Polys) as text."""
+    values = ("lhs", "rhs", "no_domino", "domino")
+    return {key: _text(value) if key in values else value for key, value in c.items()}
 
 
 def _check_line(name: str, c: dict) -> str:
     where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
     if c["pass"]:
         return f"{name} {where} ok"
-    detail = " ".join(f"{key}={_text(c[key])}" for key in ("lhs", "rhs") if key in c)
-    return f"{name} {where} FAIL {detail}".rstrip()
+    return f"{name} {where} FAIL lhs={_text(c['lhs'])} rhs={_text(c['rhs'])}"
 
 
 def _emit_checks(name: str, checks: Iterable[dict], fmt: str,
                  text: Callable[[dict], str] | None = None) -> int:
     """Print the reports of one verify run; 0 if every check passed, else 1.
 
-    A report holds its lhs and rhs as values; they become text only where
-    they are printed.  Text mode prints each line as its check is produced
-    and keeps only the count and the pass flag, so a sweep holds one report
-    at a time, and it prints lhs and rhs only on a failing line.  JSON mode
-    collects the reports, each with its lhs and rhs as text, into one object.
+    A report holds its lhs and rhs (and the pair check its case counts) as
+    values; they become text only where they are printed.  Text mode prints
+    each line as its check is produced and keeps only the count and the pass
+    flag, so a sweep holds one report at a time, and it prints lhs and rhs
+    only on a failing line.  JSON mode collects the reports, each with its
+    values as text, into one object.
     """
     if fmt == "json":
         checks = [_rendered(c) for c in checks]
@@ -149,24 +152,28 @@ def _emit_checks(name: str, checks: Iterable[dict], fmt: str,
     return 0 if ok else 1
 
 
-def _check_theorem1(n: int, k: int) -> dict:
-    lhs = tilings.lucanomial_tiling_oracle(n, k)
-    rhs = lucanomial(n, k)
-    return {"n": n, "k": k, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+def _two_routes(lhs: Callable, rhs: Callable, agree: Callable = operator.eq,
+                nonneg: Callable | None = None, reported: bool = False) -> Callable[..., dict]:
+    """The check of a two-route row at (n,) or (n, k): lhs, then rhs, both
+    reported as values.  It passes when agree(lhs, rhs) holds and so does the
+    certificate nonneg(lhs, rhs), if given, which the report holds as
+    ``nonneg``; where reported, it also holds the agreement as ``oracle_agrees``."""
 
+    def check(*point: int) -> dict:
+        a = lhs(*point)
+        b = rhs(*point)
+        agrees = agree(a, b)
+        report = {"n": point[0], "lhs": a, "rhs": b, "pass": agrees}
+        if len(point) > 1:
+            report["k"] = point[1]
+        if reported:
+            report["oracle_agrees"] = agrees
+        if nonneg is not None:
+            report["nonneg"] = positive = nonneg(a, b)
+            report["pass"] = agrees and positive
+        return report
 
-def _check_catalan(n: int) -> dict:
-    value = narayana.fibocatalan(n)
-    poly = narayana.generalized_catalan(n)
-    agrees = poly.evaluate(1, 1) == value
-    nonneg = poly.is_nonneg()
-    return {
-        "n": n,
-        "lhs": value,
-        "rhs": poly,
-        "nonneg": nonneg,
-        "pass": agrees and nonneg,
-    }
+    return check
 
 
 def _classical_line(report: dict) -> str:
@@ -201,26 +208,33 @@ class _Target:
         self.text = text  # one text line per report, no summary line
 
 
-# The checks call through the modules at run time, never through a reference
+# The routes call through the modules at run time, never through a reference
 # taken here, so a wrapper installed on a module function sees every call.
 _TARGETS = {
-    "theorem1": _Target(16, 0, _Checks(lambda n: range(0, n + 1), _check_theorem1)),
+    "theorem1": _Target(16, 0, _Checks(lambda n: range(0, n + 1), _two_routes(
+        lambda n, k: tilings.lucanomial_tiling_oracle(n, k), lambda n, k: lucanomial(n, k)))),
     "theorem2": _Target(
         25, 2,
-        _Checks(lambda n: range(1, n + 1),
-                lambda n, k: narayana.fibonarayana_report(n, k)),
+        _Checks(lambda n: range(1, n + 1), _two_routes(
+            lambda n, k: narayana.fibonarayana(n, k),
+            lambda n, k: narayana.fibonarayana_definition_oracle(n, k),
+            nonneg=lambda value, _: value > 0, reported=True)),
         # Exhaustive realization of the identity at one (n, k) by pair
         # decomposition; it scans the F_{n-1}! stairsteps of size n-2 once
         # per column parameter, storing only the heads of each scan.
         single=_Checks(lambda n: range(1, n),
                        lambda n, k: bijection.verify_pair_decomposition(n, k)),
     ),
-    "theorem3": _Target(12, 2, _Checks(
-        lambda n: range(1, n + 1),
-        lambda n, k: narayana.generalized_narayana_report(n, k))),
+    "theorem3": _Target(12, 2, _Checks(lambda n: range(1, n + 1), _two_routes(
+        lambda n, k: narayana.generalized_narayana(n, k),
+        lambda n, k: narayana.generalized_narayana_definition_oracle(n, k),
+        nonneg=lambda value, _: value.is_nonneg(), reported=True))),
     "bijection": _Target(6, 2, _Checks(lambda n: range(1, n),
                                        lambda n, k: bijection.verify_cardinality(n, k))),
-    "catalan": _Target(8, 0, _Checks(None, _check_catalan)),
+    "catalan": _Target(8, 0, _Checks(None, _two_routes(
+        lambda n: narayana.fibocatalan(n), lambda n: narayana.generalized_catalan(n),
+        agree=lambda value, poly: poly.evaluate(1, 1) == value,
+        nonneg=lambda _, poly: poly.is_nonneg()))),
     "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
                          cumulative=True, text=_classical_line),
 }

@@ -14,14 +14,12 @@ P_d divides {n}!, {k}! and {n-k}! gives
     {n choose k} = prod_{d=2..n} P_d^(floor(n/d) - floor(k/d) - floor((n-k)/d)),
 
 where every exponent is 0 or 1.  :func:`lucanomial` is that product, with
-no recursion and no table of smaller lucanomials.  Two independent routes
-are kept so that a wrong answer disagrees loudly:
-
-* :func:`lucanomial_recurrence_oracle` fills the division-free Pascal-style
-  recurrence from the splitting identity {n} = {k}{n-k+1} + t*{k-1}{n-k},
-  namely  {n,k} = {n-k+1}*{n-1,k-1} + t*{k-1}*{n-1,k}, row by row;
-* :func:`lucanomial_division_oracle` evaluates the factorial quotient with
-  exact division.
+no recursion and no table of smaller lucanomials.  Its independent second
+route is the tiling weight sum of
+:func:`lucanomials.tilings.lucanomial_tiling_oracle` (Theorem 1), which
+``verify theorem1`` compares with it.  The tests hold two more references:
+the division-free recurrence from the splitting identity
+{n} = {k}{n-k+1} + t*{k-1}{n-k}, and the factorial quotient {n}!/({k}!{n-k}!).
 
 Setting s = t = 1 turns {n} into the Fibonacci number F_n, and the integer
 functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
@@ -204,38 +202,3 @@ def fibonomial(n: int, k: int) -> int:
 @lru_cache(maxsize=MEMO_SIZE)
 def _fibonomial(n: int, k: int) -> int:
     return _atom_product(n, k, fibonacci_atom, prod)
-
-
-def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
-    """{n choose k} from the splitting-identity recurrence, filled row by row.
-
-    Division-free and independent of the atom factorisation; must equal
-    lucanomial(n, k).  Row m holds the columns 0..min(m, k), and the column
-    past the end of the previous row is the lucanomial zero.  Row n, column k
-    reads only the columns j >= k - (n - m) of row m; the ones below are left
-    ZERO and never read.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return ZERO
-    row = [ONE]
-    for m in range(1, n + 1):
-        prev = row
-        lo = max(1, k - n + m)
-        row = [ONE] + [ZERO] * (lo - 1)
-        for j in range(lo, min(m, k) + 1):
-            above = prev[j] if j < len(prev) else ZERO
-            row.append(lucas(m - j + 1) * prev[j - 1] + T * lucas(j - 1) * above)
-    return row[k]
-
-
-def lucanomial_division_oracle(n: int, k: int) -> Poly:
-    """{n}! / ({k}! {n-k}!) by exact division; must equal lucanomial(n, k).
-
-    NotDivisibleError propagating from here would falsify lucanomial
-    integrality and is treated as an internal assertion failure.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return divide_exact(lucas_factorial(n), lucas_factorial(k) * lucas_factorial(n - k))

@@ -135,35 +135,6 @@ def catalan(n: int) -> int:
     return _int_quotient(comb(2 * n, n), n + 1)
 
 
-def _report(n: int, k: int, recurrence, oracle, nonneg) -> dict:
-    """Per-(n, k) agreement report: lhs is the recurrence value, rhs the definitional
-    quotient (both values, not text), nonneg the ring's positivity test of the
-    value, and pass both."""
-    value = recurrence(n, k)
-    expected = oracle(n, k)
-    agrees, positive = value == expected, nonneg(value)
-    return {
-        "n": n,
-        "k": k,
-        "lhs": value,
-        "rhs": expected,
-        "oracle_agrees": agrees,
-        "nonneg": positive,
-        "pass": agrees and positive,
-    }
-
-
-def fibonarayana_report(n: int, k: int) -> dict:
-    """Per-(n, k) agreement report for the integer recurrence."""
-    return _report(n, k, fibonarayana, fibonarayana_definition_oracle, (0).__lt__)
-
-
-def generalized_narayana_report(n: int, k: int) -> dict:
-    """Per-(n, k) agreement report for the polynomial recurrence."""
-    return _report(n, k, generalized_narayana, generalized_narayana_definition_oracle,
-                   Poly.is_nonneg)
-
-
 def classical_specialization_report(n_max: int) -> dict:
     """Exact checks of the (s, t) = (2, -1) specialization up to n_max.
 

@@ -373,13 +373,13 @@ class TestVerifyCardinality:
     def test_four_two(self):
         report = verify_cardinality(4, 2)
         assert report["pass"]
-        assert report["lhs"] == report["rhs"] == "6"
+        assert report["lhs"] == report["rhs"] == 6
 
     def test_six_three(self):
         report = verify_cardinality(6, 3)
         assert report["pass"]
-        assert report["lhs"] == "240"
-        assert report["rhs"] == "240"
+        assert report["lhs"] == 240
+        assert report["rhs"] == 240
         assert report["injective"] and report["surjective"]
 
     def test_k_out_of_range_rejected(self):
@@ -388,7 +388,7 @@ class TestVerifyCardinality:
 
     def test_reports_up_to_seven(self):
         for n in range(2, 8):
-            count = str(fib_factorial(n))
+            count = fib_factorial(n)
             for k in range(1, n):
                 assert verify_cardinality(n, k) == {
                     "n": n, "k": k, "lhs": count, "rhs": count,
@@ -398,18 +398,29 @@ class TestVerifyCardinality:
     def test_eight_four(self):
         # 65 520 stairstep tilings, one past the default exhaustive range.
         assert verify_cardinality(8, 4) == {
-            "n": 8, "k": 4, "lhs": "65520", "rhs": "65520",
+            "n": 8, "k": 4, "lhs": 65520, "rhs": 65520,
             "injective": True, "surjective": True, "pass": True,
         }
 
     @pytest.mark.parametrize("n, k", [(8, k) for k in (1, 2, 3, 5, 6, 7)] + [(9, 5)])
     def test_reports_past_the_default_range(self, n, k):
         # (9, 5) scans 74 256 heads against 30 suffixes: F_9! = 2 227 680.
-        count = str(fib_factorial(n))
+        count = fib_factorial(n)
         assert verify_cardinality(n, k) == {
             "n": n, "k": k, "lhs": count, "rhs": count,
             "injective": True, "surjective": True, "pass": True,
         }
+
+    def test_duplicate_bottom_choice_breaks_injectivity(self, monkeypatch):
+        # The bottom rows are counted, not stored: two equal choices of the
+        # second-to-last row keep the count at F_6!, but two stairsteps would
+        # pass through to one image.
+        original = bijection._linear_tilings
+        monkeypatch.setattr(bijection, "_linear_tilings",
+                            lambda length: ("SS", "SS") if length == 2 else original(length))
+        report = verify_cardinality(6, 3)
+        assert report["injective"] is False and report["pass"] is False
+        assert report["lhs"] == report["rhs"] == 240
 
     def test_head_collision_breaks_injectivity(self, monkeypatch, capsys):
         # Give one choice of the top rows the head of another: the counts
@@ -418,7 +429,7 @@ class TestVerifyCardinality:
         report = verify_cardinality(6, 3)
         assert report["injective"] is False
         assert report["pass"] is False
-        assert report["lhs"] == report["rhs"] == "240"
+        assert report["lhs"] == report["rhs"] == 240
         assert main(["verify", "bijection", "--n", "6", "--k", "3"]) == 1
         assert capsys.readouterr().out == (
             "bijection n=6 k=3 FAIL lhs=240 rhs=240\nbijection: 1 checks FAILED\n"
@@ -464,10 +475,10 @@ def pair_report(n, k):
     prefactor = fib_factorial(k) * fib_factorial(n - k) * fib_factorial(k - 1) * fib_factorial(n - k + 1)
     no_domino = prefactor * fibonomial(n - 1, k - 1) ** 2
     domino = prefactor * fibonomial(n - 1, k) * fibonomial(n - 1, k - 2)
-    total = str(fib_factorial(n) * fib_factorial(n - 1))
+    total = fib_factorial(n) * fib_factorial(n - 1)
     return {
         "n": n, "k": k, "lhs": total, "rhs": total,
-        "no_domino": str(no_domino), "domino": str(domino),
+        "no_domino": no_domino, "domino": domino,
         "injective": True, "surjective": True, "pass": True,
     }
 
@@ -476,18 +487,18 @@ class TestVerifyPairDecomposition:
     def test_four_two(self):
         report = verify_pair_decomposition(4, 2)
         assert report["pass"]
-        assert report["lhs"] == report["rhs"] == "12"
+        assert report["lhs"] == report["rhs"] == 12
 
     def test_five_two_total(self):
         report = verify_pair_decomposition(5, 2)
         assert report["pass"]
-        assert report["lhs"] == report["rhs"] == "180"
+        assert report["lhs"] == report["rhs"] == 180
 
     def test_degenerate_k_one(self):
         # The domino case cannot occur: there is no boundary left of cell 1.
         report = verify_pair_decomposition(5, 1)
         assert report["pass"]
-        assert report["domino"] == "0"
+        assert report["domino"] == 0
 
     def test_bracket_matches_fibonarayana(self):
         for n in range(3, 6):
@@ -500,7 +511,7 @@ class TestVerifyPairDecomposition:
                     * fib_factorial(n - k + 1)
                 )
                 assert report["pass"]
-                assert int(report["rhs"]) == prefactor * fibonarayana(n, k)
+                assert report["rhs"] == prefactor * fibonarayana(n, k)
 
     def test_checks_the_library_fibonarayana(self, monkeypatch):
         # The total is compared with the FiboNarayana function that
@@ -509,7 +520,7 @@ class TestVerifyPairDecomposition:
         report = verify_pair_decomposition(4, 2)
         assert report["pass"] is False
         assert report["injective"] and report["surjective"]
-        assert (report["lhs"], report["rhs"]) == ("12", str(2 * 7))
+        assert (report["lhs"], report["rhs"]) == (12, 2 * 7)
         code = main(["verify", "theorem2", "--n", "4", "--k", "2"])
         assert code == 1
 
@@ -536,11 +547,11 @@ class TestVerifyPairDecomposition:
         assert report["injective"] is False
         assert report["pass"] is False
         assert report["surjective"] is True
-        assert report["lhs"] == report["rhs"] == "12"
+        assert report["lhs"] == report["rhs"] == 12
 
     def test_seven_three(self):
         # 748 800 pairs: F_7! * F_6! = 3120 * 240.
         report = verify_pair_decomposition(7, 3)
         assert report["pass"] and report["injective"] and report["surjective"]
-        assert report["lhs"] == report["rhs"] == "748800"
-        assert (report["no_domino"], report["domino"]) == ("576000", "172800")
+        assert report["lhs"] == report["rhs"] == 748800
+        assert (report["no_domino"], report["domino"]) == (576000, 172800)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lucanomials
-from lucanomials import bijection, narayana, polys, tilings
+from lucanomials import bijection, cli, narayana, polys, tilings
 from lucanomials.cli import _emit_checks, main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
@@ -140,7 +140,7 @@ class TestLargeValues:
         # n = 204 is the first row of the verify theorem2 sweep whose values
         # pass Python's 4300-digit int-to-str limit.  The report holds the
         # ints; a failing line and the JSON check print them in full.
-        report = narayana.fibonarayana_report(204, 102)
+        report = cli._TARGETS["theorem2"].checks.check(204, 102)
         expected = decimal(report["lhs"])
         assert len(expected) > 4300 and report["lhs"] == report["rhs"]
         report["pass"] = False
@@ -338,18 +338,40 @@ class TestVerifyCommands:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_single_bijection_json_schema(self, capsys):
-        code, out = run(capsys, "verify", "bijection", "--n", "6", "--k", "3",
-                        "--format", "json")
+    NARAYANA_KEYS = {"n", "k", "lhs", "rhs", "oracle_agrees", "nonneg", "pass"}
+    COUNT_KEYS = {"n", "k", "lhs", "rhs", "injective", "surjective", "pass"}
+
+    @pytest.mark.parametrize(
+        "argv,keys,first",
+        [
+            pytest.param(("theorem1", "--n-max", "4"), {"n", "k", "lhs", "rhs", "pass"},
+                         {"lhs": "1"}, id="theorem1"),
+            pytest.param(("theorem2", "--n-max", "4"), NARAYANA_KEYS, {"lhs": "1"}, id="theorem2"),
+            pytest.param(("theorem2", "--n", "5", "--k", "2"), COUNT_KEYS | {"no_domino", "domino"},
+                         {"lhs": "180", "no_domino": "108", "domino": "72"}, id="theorem2-pair"),
+            pytest.param(("theorem3", "--n-max", "4"), NARAYANA_KEYS, {"lhs": "1"}, id="theorem3"),
+            pytest.param(("bijection", "--n", "6", "--k", "3"), COUNT_KEYS, {"lhs": "240"},
+                         id="bijection"),
+            pytest.param(("catalan", "--n-max", "4"), {"n", "lhs", "rhs", "nonneg", "pass"},
+                         {"lhs": "1"}, id="catalan"),
+            pytest.param(("classical", "--n-max", "8"), {"n_max", "pass", "first_failure"},
+                         {"first_failure": None}, id="classical"),
+        ],
+    )
+    def test_json_schema(self, capsys, argv, keys, first):
+        # Every check of a target has the same fields, with no duplicate
+        # value field; counts and values are JSON strings.
+        code, out = run(capsys, "verify", *argv, "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"target", "pass", "checks"}
-        assert payload["target"] == "bijection"
+        assert payload["target"] == argv[0]
         assert payload["pass"] is True
-        (report,) = payload["checks"]
-        assert set(report) == {"n", "k", "lhs", "rhs", "injective", "surjective", "pass"}
-        assert report["pass"] is True
-        assert report["lhs"] == "240"
+        for check in payload["checks"]:
+            assert set(check) == keys
+            assert check["pass"] is True
+            assert all(isinstance(check[key], str) for key in keys & {"lhs", "rhs", "no_domino", "domino"})
+        assert {key: payload["checks"][0][key] for key in first} == first
 
     def test_classical_json_schema(self, capsys):
         code, out = run(capsys, "verify", "classical", "--n-max", "8", "--format", "json")
@@ -363,14 +385,6 @@ class TestVerifyCommands:
     def test_classical_text(self, capsys):
         assert run(capsys, "verify", "classical", "--n-max", "8") == (0, "classical n_max=8 ok\n")
         assert run(capsys, "verify", "classical", "--n", "3") == (0, "classical n_max=3 ok\n")
-
-    def test_narayana_checks_have_no_duplicate_value_field(self, capsys):
-        for target in ("theorem2", "theorem3"):
-            code, out = run(capsys, "verify", target, "--n-max", "4", "--format", "json")
-            assert code == 0
-            for check in json.loads(out)["checks"]:
-                assert "value_or_poly" not in check
-                assert set(check) == {"n", "k", "lhs", "rhs", "oracle_agrees", "nonneg", "pass"}
 
     def test_single_theorem2_past_the_old_exhaustive_range(self, capsys):
         # 748 800 pairs of stairstep tilings, each decomposed and keyed.
@@ -435,7 +449,8 @@ class TestVerifyCommands:
     def test_failing_check_mid_sweep(self, capsys, monkeypatch):
         # One failing check among nine: the text lines after it, the summary
         # and the JSON object are the bytes the sweep always printed.
-        original = narayana.generalized_narayana_report
+        checks = cli._TARGETS["theorem3"].checks
+        original = checks.check
 
         def failing_at_3_2(n, k):
             report = original(n, k)
@@ -443,7 +458,7 @@ class TestVerifyCommands:
                 report["oracle_agrees"] = report["pass"] = False
             return report
 
-        monkeypatch.setattr(narayana, "generalized_narayana_report", failing_at_3_2)
+        monkeypatch.setattr(checks, "check", failing_at_3_2)
         assert run(capsys, "verify", "theorem3", "--n-max", "4") == (1, (
             "theorem3 n=2 k=1 ok\n"
             "theorem3 n=2 k=2 ok\n"
@@ -464,15 +479,61 @@ class TestVerifyCommands:
         checks = json.loads(out)["checks"]
         assert [c["pass"] for c in checks] == [True] * 3 + [False] + [True] * 5
 
+    @staticmethod
+    def assert_one_failing_check(capsys, argv, text, flags):
+        """argv runs one check, which fails: its exact text, exit 1, and the
+        given fields of its JSON report."""
+        assert run(capsys, *argv) == (1, text)
+        code, out = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["pass"] is False
+        (check,) = payload["checks"]
+        assert {key: check[key] for key in flags} == flags
+
+    def test_theorem1_rhs_route_disagreeing_fails(self, capsys, monkeypatch):
+        original = lucanomial
+        monkeypatch.setattr(cli, "lucanomial",
+                            lambda n, k: original(n, k) + polys.T if (n, k) == (2, 1) else original(n, k))
+        self.assert_one_failing_check(
+            capsys, ("verify", "theorem1", "--n", "2", "--k", "1"),
+            "theorem1 n=2 k=1 FAIL lhs=s rhs=s + t\ntheorem1: 1 checks FAILED\n",
+            {"n": 2, "k": 1, "lhs": "s", "rhs": "s + t", "pass": False})
+
+    @pytest.mark.parametrize(
+        "extra,rendered,nonneg",
+        [
+            (polys.ONE, "s^2 + 2*t + 1", True),  # 4 at s = t = 1, not 3
+            (polys.T - polys.S, "s^2 - s + 3*t", False),  # 3 at s = t = 1, a negative coefficient
+        ],
+    )
+    def test_catalan_polynomial_failing_fails(self, capsys, monkeypatch, extra, rendered, nonneg):
+        original = narayana.generalized_catalan
+        monkeypatch.setattr(narayana, "generalized_catalan", lambda n: original(n) + extra)
+        self.assert_one_failing_check(
+            capsys, ("verify", "catalan", "--n", "2"),
+            f"catalan n=2 FAIL lhs=3 rhs={rendered}\ncatalan: 1 checks FAILED\n",
+            {"n": 2, "lhs": "3", "rhs": rendered, "nonneg": nonneg, "pass": False})
+
+    def test_bijection_count_failing_fails(self, capsys, monkeypatch):
+        # One more rectangle tiling than there are: F_4! = 6 stairsteps
+        # cannot cover 7 triples.
+        original = bijection.fibonomial
+        monkeypatch.setattr(bijection, "fibonomial", lambda n, k: original(n, k) + 1)
+        self.assert_one_failing_check(
+            capsys, ("verify", "bijection", "--n", "4", "--k", "2"),
+            "bijection n=4 k=2 FAIL lhs=6 rhs=7\nbijection: 1 checks FAILED\n",
+            {"lhs": "6", "rhs": "7", "injective": True, "surjective": False, "pass": False})
+
     def test_text_lines_are_printed_as_checks_run(self, capsys, monkeypatch):
-        original = narayana.generalized_narayana_report
+        checks = cli._TARGETS["theorem3"].checks
+        original = checks.check
 
         def broken_at_4_1(n, k):
             if (n, k) == (4, 1):
                 raise RuntimeError("stop")
             return original(n, k)
 
-        monkeypatch.setattr(narayana, "generalized_narayana_report", broken_at_4_1)
+        monkeypatch.setattr(checks, "check", broken_at_4_1)
         with pytest.raises(RuntimeError):
             main(["verify", "theorem3", "--n-max", "4"])
         lines = capsys.readouterr().out.splitlines()

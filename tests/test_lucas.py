@@ -12,13 +12,11 @@ from lucanomials.lucas import (
     fibonacci_atom,
     fibonomial,
     lucanomial,
-    lucanomial_division_oracle,
-    lucanomial_recurrence_oracle,
     lucas,
     lucas_atom,
     lucas_factorial,
 )
-from lucanomials.polys import ONE, S, T, ZERO, Poly, parse
+from lucanomials.polys import ONE, S, T, ZERO, Poly, divide_exact, parse
 
 N_SWEEP = 12
 ATOM_SWEEP = 60
@@ -35,6 +33,43 @@ def pascal_triangle(n_max):
         prev = rows[-1]
         rows.append([1] + [prev[i - 1] + prev[i] for i in range(1, n)] + [1])
     return rows
+
+
+# Two references for lucanomial, independent of the atom product: the
+# division-free recurrence and the factorial quotient.
+def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
+    """{n choose k} from the splitting-identity recurrence, filled row by row.
+
+    Division-free and independent of the atom factorisation; must equal
+    lucanomial(n, k).  Row m holds the columns 0..min(m, k), and the column
+    past the end of the previous row is the lucanomial zero.  Row n, column k
+    reads only the columns j >= k - (n - m) of row m; the ones below are left
+    ZERO and never read.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 0 or k > n:
+        return ZERO
+    row = [ONE]
+    for m in range(1, n + 1):
+        prev = row
+        lo = max(1, k - n + m)
+        row = [ONE] + [ZERO] * (lo - 1)
+        for j in range(lo, min(m, k) + 1):
+            above = prev[j] if j < len(prev) else ZERO
+            row.append(lucas(m - j + 1) * prev[j - 1] + T * lucas(j - 1) * above)
+    return row[k]
+
+
+def lucanomial_division_oracle(n: int, k: int) -> Poly:
+    """{n}! / ({k}! {n-k}!) by exact division; must equal lucanomial(n, k).
+
+    NotDivisibleError propagating from here would falsify lucanomial
+    integrality and is treated as an internal assertion failure.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    return divide_exact(lucas_factorial(n), lucas_factorial(k) * lucas_factorial(n - k))
 
 
 class TestLucas:

@@ -4,24 +4,22 @@ from math import comb
 
 import pytest
 
-from lucanomials.cli import main
+from lucanomials import narayana
+from lucanomials.cli import _TARGETS, main
 from lucanomials.narayana import (
     _fibonarayana,
     _fibonarayana_definition,
     _generalized_narayana,
     _generalized_narayana_definition,
-    _report,
     catalan,
     classical_narayana,
     classical_specialization_report,
     fibocatalan,
     fibonarayana,
     fibonarayana_definition_oracle,
-    fibonarayana_report,
     generalized_catalan,
     generalized_narayana,
     generalized_narayana_definition_oracle,
-    generalized_narayana_report,
 )
 from lucanomials.lucas import (
     MEMO_SIZE,
@@ -34,7 +32,13 @@ from lucanomials.lucas import (
     lucas_atom,
     lucas_factorial,
 )
-from lucanomials.polys import ONE, ZERO, Poly, parse
+from lucanomials.polys import ONE, S, T, ZERO, Poly, parse
+
+# The two routes of each Narayana row of verify: the recurrence and the quotient.
+ROUTES = {
+    "theorem2": ("fibonarayana", "fibonarayana_definition_oracle"),
+    "theorem3": ("generalized_narayana", "generalized_narayana_definition_oracle"),
+}
 
 
 def check_mirror_memos(recurrence, memo, oracle, oracle_memo):
@@ -87,28 +91,40 @@ class TestFibonarayana:
                            fibonarayana_definition_oracle, _fibonarayana_definition)
 
     def test_reports_hold_values(self):
-        assert fibonarayana_report(5, 2) == {
+        # verify theorem2 and theorem3 report the recurrence as lhs and the
+        # definitional quotient as rhs, as values, not text.
+        assert _TARGETS["theorem2"].checks.check(5, 2) == {
             "n": 5, "k": 2, "lhs": 15, "rhs": 15,
             "oracle_agrees": True, "nonneg": True, "pass": True,
         }
-        report = generalized_narayana_report(3, 2)
+        report = _TARGETS["theorem3"].checks.check(3, 2)
         assert report["lhs"] == report["rhs"] == parse("s^2 + t")
         assert isinstance(report["lhs"], Poly) and report["pass"] is True
 
-    def test_report_fails_on_disagreement(self):
-        report = _report(5, 2, fibonarayana, lambda n, k: 16, (0).__lt__)
+    # The pass rule of the verify rows theorem2 and theorem3: the recurrence
+    # agrees with the quotient, and the value is positive.
+    def test_report_fails_on_disagreement(self, monkeypatch):
+        monkeypatch.setattr(narayana, "fibonarayana_definition_oracle", lambda n, k: 16)
+        report = _TARGETS["theorem2"].checks.check(5, 2)
         assert (report["lhs"], report["rhs"]) == (15, 16)
         assert report["oracle_agrees"] is False and report["nonneg"] is True
         assert report["pass"] is False
 
-    def test_report_fails_on_negative_value(self):
-        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, lambda value: False)
-        assert report["oracle_agrees"] is True and report["nonneg"] is False
-        assert report["pass"] is False
+    def test_report_fails_on_negative_value(self, monkeypatch):
+        # Both routes give the same value, which is not positive.
+        for target, value in (("theorem2", -15), ("theorem3", S - T)):
+            for route in ROUTES[target]:
+                monkeypatch.setattr(narayana, route, lambda n, k: value)
+            report = _TARGETS[target].checks.check(5, 2)
+            assert report["lhs"] == report["rhs"] == value
+            assert report["oracle_agrees"] is True and report["nonneg"] is False
+            assert report["pass"] is False
 
     def test_report_passes_when_both_hold(self):
-        report = _report(5, 2, fibonarayana, fibonarayana_definition_oracle, (0).__lt__)
-        assert report["pass"] is True
+        for target in ROUTES:
+            report = _TARGETS[target].checks.check(5, 2)
+            assert report["oracle_agrees"] is True and report["nonneg"] is True
+            assert report["pass"] is True
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
