@@ -7,8 +7,11 @@ canonical form: a mapping from exponent pairs (s_exp, t_exp) to nonzero int
 coefficients.  Equality is therefore plain dict equality, and no operation
 ever rounds or overflows.
 
-Multiplication packs each operand into one big int (Kronecker
-substitution) and takes a single big-int product:
+Multiplication is one kernel with three size tiers, chosen from the
+operands: the pairwise loop for small or sparse products, and above it one
+big-number product of the operands packed by Kronecker substitution, taken
+in CPython ints or, for the largest products, in libmpdec decimals.  The
+two packed tiers share the slot layout and the sign scheme:
 
 * Slots.  A term s^se t^te has weight w = se + 2*te.  It goes to slot
   (w - wmin) * span + (te - tmin), where wmin and tmin are the operand's
@@ -18,17 +21,30 @@ substitution) and takes a single big-int product:
   weight.  Every Lucas object is weighted-homogeneous (one weight), so its
   slots are dense: one per term, no zeros.  Other polynomials leave some
   slots zero.
-* Width.  Each slot is `width` bytes, with 8*width - 1 >= bits(max|a|) +
-  bits(max|b|) + bits(min(len a, len b)); every product coefficient then
-  has absolute value below 2^(8*width - 1).
-* Sign.  An operand is the int read from its positive coefficients' slots
-  minus the int read from its negative ones'.  Adding 2^(8*width - 1) to
-  every slot of the product makes each slot nonnegative, so one
-  `to_bytes` splits it; the bias is subtracted again per slot and zero
+* Bound.  With bits = bits(max|a|) + bits(max|b|) + bits(min(len a,
+  len b)), every product coefficient has absolute value below 2^bits.
+* Sign.  An operand is the number read from its positive coefficients'
+  slots minus the number read from its negative ones'.  When either
+  operand has a negative coefficient, adding half the slot's range to
+  every slot of the product makes each slot nonnegative, so the product
+  splits slot by slot, and the bias is subtracted again per slot.  Zero
   slots are dropped, which leaves the result canonical.
-* Cutoff.  When the smaller operand has at most SCHOOLBOOK_MAX_TERMS terms,
-  or the product's slot grid would hold more slots than there are term
-  pairs (sparse, non-homogeneous operands), the pairwise loop runs
+* Int tier.  Each slot is `width` bytes with 8*width - 1 >= bits, and any
+  bias is 2^(8*width - 1).  One `to_bytes` splits the product.
+* Decimal tier.  Each slot is `digits` decimal digits with
+  10^digits > 2^(bits + 1), and any bias is 5 * 10^(digits - 1).  Each
+  operand is one `Decimal` read from its zero-padded coefficient texts,
+  joined once; the product is taken in a local context of maximal precision,
+  where libmpdec multiplies large operands by number-theoretic transform
+  in O(n log n) against Karatsuba's O(n^1.58), and one `format(..., "f")`
+  splits it.  It serves products of more than DECIMAL_MIN_BITS packed
+  bits whose smaller operand packs to more than DECIMAL_MIN_OPERAND_BITS,
+  and only when the C `_decimal` module imports (it is imported then, not
+  at start-up); otherwise the int tier does.  Neither the decimal module's
+  global context nor the int/str digit limit is left changed.
+* Pairwise loop.  When the smaller operand has at most SCHOOLBOOK_MAX_TERMS
+  terms, or the product's slot grid would hold more slots than there are
+  term pairs (sparse, non-homogeneous operands), the pairwise loop runs
   instead; it is the kernel's base case, not a second kernel.
 
 Division exists only as :func:`divide_exact`, which raises
@@ -67,7 +83,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Mapping
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 
 Monomial = tuple[int, int]  # (s exponent, t exponent)
@@ -227,6 +243,16 @@ class Poly:
 # loop; packing and unpacking cost more than they save below it.
 SCHOOLBOOK_MAX_TERMS = 8
 
+# Products of more packed bits (slots times the per-slot bound) than
+# DECIMAL_MIN_BITS, whose smaller operand packs to more than
+# DECIMAL_MIN_OPERAND_BITS, take the decimal tier; both cutoffs are measured
+# crossovers.  The transform costs about as much for a lopsided product as
+# for a balanced one of the same size, while Karatsuba's cost falls with the
+# smaller operand, and libmpdec multiplies an operand of up to 256 words
+# (4864 digits) by schoolbook.
+DECIMAL_MIN_BITS = 300_000
+DECIMAL_MIN_OPERAND_BITS = 75_000
+
 
 def _mul_schoolbook(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
     """Canonical product of two canonical term maps, one step per term pair."""
@@ -261,56 +287,130 @@ def _slot_count(ea: _Extent, eb: _Extent) -> int:
     return (ea[1] - ea[0] + eb[1] - eb[0] + 1) * _span(ea, eb)
 
 
-def _pack(terms: dict[Monomial, int], e: _Extent, span: int, width: int) -> int:
-    # One signed int: the positive coefficients' slots minus the negative ones'.
-    w0, w1, t0, t1 = e
-    zero = bytes(width)
-    pos = [zero] * ((w1 - w0) * span + t1 - t0 + 1)
-    neg = None
-    for (se, te), c in terms.items():
-        at = (se + 2 * te - w0) * span + te - t0
-        if c > 0:
-            pos[at] = c.to_bytes(width, "little")
+def _slot_bits(a: dict[Monomial, int], b: dict[Monomial, int]) -> int:
+    # Every product coefficient has absolute value below 2^bits.
+    return (
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+
+
+def _operand_slots(e: _Extent, span: int) -> int:
+    # Slots from the operand's first term to its last.
+    return (e[1] - e[0]) * span + e[3] - e[2] + 1
+
+
+def _pack(a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int,
+          number, subtract) -> tuple:
+    """(packed a, packed b, signed): each operand as one number, its positive
+    slots less its negative ones, and whether either has a negative term.
+
+    number(magnitudes) packs one coefficient magnitude per slot, slot 0
+    first, and subtract(x, y) is x - y in the tier's arithmetic.  A square
+    is packed once.
+    """
+    packed = []
+    signed = False
+    for terms, e in [(a, ea)] if b is a else [(a, ea), (b, eb)]:
+        w0, _, t0, _ = e
+        pos = [0] * _operand_slots(e, span)
+        neg = None
+        for (se, te), c in terms.items():
+            at = (se + 2 * te - w0) * span + te - t0
+            if c > 0:
+                pos[at] = c
+            else:
+                if neg is None:
+                    neg = [0] * len(pos)
+                neg[at] = -c
+        if neg is None:
+            packed.append(number(pos))
         else:
-            if neg is None:
-                neg = [zero] * len(pos)
-            neg[at] = (-c).to_bytes(width, "little")
-    packed = int.from_bytes(b"".join(pos), "little")
-    return packed if neg is None else packed - int.from_bytes(b"".join(neg), "little")
+            signed = True
+            packed.append(subtract(number(pos), number(neg)))
+    return packed[0], packed[-1], signed
 
 
 def _mul_kronecker(
     a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent
 ) -> dict[Monomial, int]:
-    """Canonical product of two nonempty term maps by one big-int product.
+    """Canonical product of two nonempty term maps by one big-number product.
 
     ea and eb are the operands' extents.  See the module docstring for the
-    slot layout, the width and the bias.
+    slot layout, the bound, the bias and the int and decimal tiers.
     """
     span = _span(ea, eb)
     slots = _slot_count(ea, eb)
-    bits = (
-        max(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
-    width = bits // 8 + 1  # 8 * width - 1 >= bits
-    packed_a = _pack(a, ea, span, width)
-    packed_b = packed_a if b is a else _pack(b, eb, span, width)
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    data = (packed_a * packed_b + bias).to_bytes(slots * width, "little")
+    bits = _slot_bits(a, b)
+    values = None
+    if (slots * bits > DECIMAL_MIN_BITS
+            and min(_operand_slots(ea, span), _operand_slots(eb, span)) * bits > DECIMAL_MIN_OPERAND_BITS):
+        values = _no_digit_limit(_product_decimal, a, b, ea, eb, span, bits)
+    if values is None:
+        values = _product_int(a, b, ea, eb, span, bits)
     w0, t0 = ea[0] + eb[0], ea[2] + eb[2]
-    from_bytes = int.from_bytes
     out: dict[Monomial, int] = {}
-    at = 0
+    values = iter(values)
     for w in range(w0, w0 + slots // span):
-        for te in range(t0, t0 + span):
-            c = from_bytes(data[at:at + width], "little") - half
-            at += width
+        for te, c in zip(range(t0, t0 + span), values):
             if c:
                 out[(w - 2 * te, te)] = c
     return out
+
+
+def _product_int(
+    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int, bits: int
+) -> list[int]:
+    """The product's coefficients, slot by slot, from one int product of width-byte slots."""
+    width = bits // 8 + 1  # 8 * width - 1 >= bits
+
+    def number(magnitudes):
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in magnitudes]), "little")
+
+    packed_a, packed_b, signed = _pack(a, b, ea, eb, span, number, sub)
+    slots = _slot_count(ea, eb)
+    half = 1 << (8 * width - 1)
+    product = packed_a * packed_b
+    if signed:
+        product += int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = product.to_bytes(slots * width, "little")
+    from_bytes = int.from_bytes
+    values = [from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
+    return [c - half for c in values] if signed else values
+
+
+def _product_decimal(
+    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int, bits: int
+) -> list[int] | None:
+    """The product's coefficients, slot by slot, from one decimal product of digit slots.
+
+    None when the C decimal module is missing: the pure-Python one has no
+    fast multiply, and the int tier serves instead.  The digit limit must be
+    lifted by the caller, since a slot may be wider than 4300 digits.
+    """
+    try:
+        from _decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+    except ImportError:
+        return None
+    # 10^digits > 2^(bits + 1), since log10(2) < 0.30103; so half > 2^bits.
+    digits = (bits + 1) * 30103 // 100000 + 1
+    slot = f"{{:0{digits}d}}".format
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+
+    def number(magnitudes):
+        # Decimal text puts the highest slot first.
+        return Decimal("".join(map(slot, reversed(magnitudes))))
+
+    packed_a, packed_b, signed = _pack(a, b, ea, eb, span, number, context.subtract)
+    slots = _slot_count(ea, eb)
+    half = 5 * 10 ** (digits - 1)
+    product = context.multiply(packed_a, packed_b)
+    if signed:
+        product = context.add(product, Decimal(("5" + "0" * (digits - 1)) * slots))
+    text = format(product, "f").zfill(slots * digits)
+    values = [int(text[at - digits:at]) for at in range(len(text), 0, -digits)]
+    return [c - half for c in values] if signed else values
 
 
 def _from_canonical(terms: dict[Monomial, int]) -> Poly:
@@ -338,19 +438,19 @@ T = Poly({(0, 1): 1})
 # Rendering and parsing
 # ---------------------------------------------------------------------------
 
-def _no_digit_limit(convert, value):
-    """convert(value), with Python's int/str digit limit lifted meanwhile.
+def _no_digit_limit(convert, *args):
+    """convert(*args), with Python's int/str digit limit lifted meanwhile.
 
     Python refuses int/str conversions past 4300 digits by default.  The
     limit is lifted for one whole conversion only, so parsing untrusted
     input elsewhere in the process keeps the guard.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        return convert(value)
+        return convert(*args)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return convert(value)
+        return convert(*args)
     finally:
         sys.set_int_max_str_digits(limit)
 

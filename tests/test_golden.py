@@ -72,6 +72,10 @@ GOLDEN = [
     ("narayana --n 7 --k 3 --mode classical --format json", "d67eb142ab6068895dce4b5fe31c96d753ed1da9553eb044cd6e96d014ebf723"),
     ("catalan --n 4 --mode classical", "9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25"),
     ("catalan --n 6 --mode general --format json", "b60b360ed7cc7f814fd6f3087d15e375607add39d1cad56ccb287597d0531c4b"),
+    # Recorded before the multiply kernel gained its decimal tier: each of
+    # these takes at least one product above the tier's cutoff.
+    ("narayana --n 50 --k 25 --mode general", "e151e5bc7bbb97c9f4899bdce04b2bbb5d8c1430208b121300b41a0fe035d95b"),
+    ("lucanomial --n 64 --k 32", "c59ef298e482464fa4aba4956a548773ac3def6464178b3ba18daddd5aeed754"),
 ]
 
 

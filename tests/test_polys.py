@@ -229,6 +229,185 @@ class TestKroneckerKernel:
         assert a * a == expected
 
 
+def tier_args(p, q):
+    """The arguments the kernel passes to either tier for p * q."""
+    a = dict(p.terms)
+    b = a if q is p else dict(q.terms)  # the kernel packs a square once
+    ea, eb = polys._extent(a), polys._extent(b)
+    return a, b, ea, eb, polys._span(ea, eb), polys._slot_bits(a, b)
+
+
+def both_tiers(p, q):
+    """The product's slot values from the decimal tier and from the int tier."""
+    args = tier_args(p, q)
+    return polys._no_digit_limit(polys._product_decimal, *args), polys._product_int(*args)
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """The list of calls that products make to the decimal tier."""
+    calls = []
+    original = polys._product_decimal
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polys, "_product_decimal", counting)
+    return calls
+
+
+def huge(sign, digits, count):
+    # count terms of one weight, each coefficient past `digits` decimal digits.
+    return Poly({(2 * count - 2 * j, j): sign ** j * (7 ** (digits * 6 // 5 + j) + j) for j in range(count)})
+
+
+class TestDecimalTier:
+    """The libmpdec product of decimal-digit slots against the int kernel."""
+
+    @pytest.mark.parametrize("n", [44, 50, 60, 80])
+    def test_lucanomial_square(self, n, decimal_calls):
+        p = lucanomial(n, n // 2)
+        decimal, ints = both_tiers(p, p)
+        assert decimal == ints
+        decimal_calls.clear()
+        p * p
+        assert len(decimal_calls) == 1
+
+    def test_negated_operand_negates_every_slot(self):
+        # Nonnegative operands take no bias; a negative coefficient brings it in.
+        p, q = lucanomial(44, 22), lucanomial(43, 20)
+        unbiased, _ = both_tiers(p, q)
+        for signed in ((-p, q), (p, -q)):
+            decimal, ints = both_tiers(*signed)
+            assert decimal == ints == [-c for c in unbiased]
+        assert both_tiers(-p, -q) == (unbiased, unbiased)
+
+    @pytest.mark.parametrize("operands", [
+        lambda: (lucanomial(44, 22), lucanomial(43, 20)),
+        lambda: (lucanomial(50, 25), lucanomial(49, 23)),
+        lambda: (lucanomial(64, 32), lucanomial(60, 29)),
+        lambda: (lucanomial(80, 40), lucanomial(79, 38)),
+        lambda: (lucas(700), lucas(650)),
+    ], ids=["44x43", "50x49", "64x60", "80x79", "lucas"])
+    def test_distinct_products(self, operands, decimal_calls):
+        p, q = operands()
+        decimal, ints = both_tiers(p, q)
+        assert decimal == ints
+        decimal_calls.clear()
+        p * q
+        assert len(decimal_calls) == 1
+
+    def test_signed_non_homogeneous_products_that_cancel(self, decimal_calls):
+        # (L s - L t)(L s + L t) = L^2 (s^2 - t^2): the L^2 s t terms cancel.
+        lc = lucanomial(50, 25)
+        a, b = lc * S - lc * T, lc * S + lc * T
+        decimal, ints = both_tiers(a, b)
+        assert decimal == ints
+        assert min(decimal) < 0 < max(decimal) and 0 in decimal
+        decimal_calls.clear()
+        assert a * b == (lc * lc) * parse("s^2 - t^2")
+        assert a * (-a) + a * a == ZERO
+        assert len(decimal_calls) == 4
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("bits_a", range(250, 262))
+    def test_coefficient_at_slot_bound(self, bits_a, sign):
+        # As in the int kernel's test: the middle coefficient comes within a
+        # sixteenth of the slot bound 2^bits, for slot widths either side of
+        # a change in the digit count.
+        a = Poly({(30 - 2 * j, j): 2**bits_a - 1 for j in range(15)})
+        b = Poly({(30 - 2 * j, j): sign * (2**254 - 1) for j in range(15)})
+        decimal, ints = both_tiers(a, b)
+        assert decimal == ints
+        assert decimal[14] == sign * 15 * (2**bits_a - 1) * (2**254 - 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(st.integers(min_value=-(2**3000), max_value=2**3000).filter(bool), min_size=1, max_size=30),
+        st.lists(st.integers(min_value=-(2**3000), max_value=2**3000).filter(bool), min_size=1, max_size=30),
+    )
+    def test_random_signed_operands(self, homogeneous, ca, cb):
+        def poly(coefficients):
+            if homogeneous:
+                return Poly({(60 - 2 * j, j): c for j, c in enumerate(coefficients)})
+            return Poly({(j % 7, j // 7 + j % 3): c for j, c in enumerate(coefficients)})
+
+        p, q = poly(ca), poly(cb)
+        decimal, ints = both_tiers(p, q)
+        assert decimal == ints
+        assert Poly(polys._mul_kronecker(*tier_args(p, q)[:4])) == schoolbook(p, q)
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python has no int/str digit limit")
+    def test_coefficients_past_digit_limit(self, decimal_calls):
+        p, q = huge(1, 4400, 15), huge(-1, 4400, 14)
+        assert min(len(polys.int_text(abs(c))) for c in p.terms.values()) > 4300
+        before = sys.get_int_max_str_digits()
+        decimal, ints = both_tiers(p, q)
+        assert sys.get_int_max_str_digits() == before
+        assert decimal == ints
+        decimal_calls.clear()
+        assert p * q == schoolbook(p, q)
+        assert p * p == schoolbook(p, p)
+        assert len(decimal_calls) == 2
+        assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python has no int/str digit limit")
+    def test_digit_limit_restored_after_an_error(self, monkeypatch):
+        p = huge(1, 4400, 15)
+        before = sys.get_int_max_str_digits()
+        lifted = []
+
+        def fail(*args):
+            lifted.append(sys.get_int_max_str_digits())
+            raise RuntimeError("packing failed")
+
+        monkeypatch.setattr(polys, "_pack", fail)
+        with pytest.raises(RuntimeError, match="packing failed"):
+            p * p
+        assert lifted == [0]
+        assert sys.get_int_max_str_digits() == before
+
+    def test_global_context_neither_used_nor_changed(self, decimal_calls):
+        import decimal
+
+        p, q = lucanomial(60, 30), lucanomial(59, 29)
+        expected = p * q
+        with decimal.localcontext() as context:
+            context.prec = 5
+            context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+            context.clear_flags()
+            before = repr(context)
+            decimal_values, ints = both_tiers(p, q)
+            product = p * q
+            assert repr(decimal.getcontext()) == before
+        assert decimal_values == ints
+        assert product == expected
+        assert len(decimal_calls) == 3
+
+    def test_without_c_decimal_the_int_tier_serves(self, monkeypatch):
+        p, q = lucanomial(50, 25), lucanomial(49, 24)
+        expected = schoolbook(p, q)
+        monkeypatch.setitem(sys.modules, "_decimal", None)
+        assert polys._product_decimal(*tier_args(p, q)) is None
+        assert p * q == expected
+
+    def test_small_and_lopsided_products_stay_on_the_int_tier(self, decimal_calls):
+        # (40, 20) squared packs to about 223 000 bits, below DECIMAL_MIN_BITS.
+        # {84 choose 13} times {23 choose 11} passes DECIMAL_MIN_BITS, but the
+        # smaller operand packs to less than DECIMAL_MIN_OPERAND_BITS.
+        p, big = lucanomial(40, 20), lucanomial(84, 13)
+        small = lucanomial(23, 11)
+        args = tier_args(big, small)
+        slots = polys._slot_count(args[2], args[3])
+        assert slots * args[5] > polys.DECIMAL_MIN_BITS
+        assert polys._operand_slots(args[3], args[4]) * args[5] < polys.DECIMAL_MIN_OPERAND_BITS
+        p * p
+        big * small
+        assert decimal_calls == []
+
+
 class TestCanonicalForm:
     def test_no_zero_terms_stored(self):
         assert (T - T).terms == {}

@@ -16,7 +16,7 @@ import lucanomials
 from lucanomials.cli import main
 
 SRC = str(Path(lucanomials.__file__).resolve().parent.parent)
-NEVER_LOADED = ("dataclasses", "inspect", "json", "typing", "pathlib")
+NEVER_LOADED = ("dataclasses", "inspect", "json", "typing", "pathlib", "decimal", "_decimal")
 
 
 def fresh(*args: str) -> str:
