@@ -2,80 +2,79 @@
 
 Every symbolic quantity in this package (Lucas polynomials, lucanomial
 coefficients, Narayana polynomials, tiling weight sums) is a polynomial in
-s and t with arbitrary-precision integer coefficients.  Values are kept in
-canonical form: a mapping from exponent pairs (s_exp, t_exp) to nonzero int
-coefficients.  Equality is therefore plain dict equality, and no operation
-ever rounds or overflows.
+s and t with arbitrary-precision integer coefficients, and no operation
+ever rounds or overflows.  A term s^se t^te has weight w = se + 2*te.
+Every Lucas object has one weight and a coefficient at every t exponent
+between its least and its greatest, so a value is stored as rows: a map
+from each weight to (t_min, [c_tmin, ..., c_tmax]), the coefficients of
+that weight in ascending powers of t.  Each row starts and ends with a
+nonzero coefficient and may hold zeros inside; a weight with no terms has
+no row.  That form is canonical, so equality is plain dict equality.
 
-Multiplication is one kernel with three size tiers, chosen from the
-operands: the pairwise loop for small or sparse products, and above it one
-big-number product of the operands packed by Kronecker substitution, taken
-in CPython ints or, for the largest products, in libmpdec decimals.  The
-two packed tiers share the slot layout and the sign scheme:
+Multiplication takes one row product per pair of rows, in three size
+tiers: the pairwise loop for short or sparse rows, and above it one
+big-number product of the rows packed by Kronecker substitution, taken in
+CPython ints or, for the largest products, in libmpdec decimals.  The two
+packed tiers share the slot layout and the sign scheme:
 
-* Slots.  A term s^se t^te has weight w = se + 2*te.  It goes to slot
-  (w - wmin) * span + (te - tmin), where wmin and tmin are the operand's
-  least weight and t exponent, and span = (tmax_a - tmin_a) +
-  (tmax_b - tmin_b) + 1 is the number of t exponents the product can
-  reach at one weight, so sums of t exponents never spill into the next
-  weight.  Every Lucas object is weighted-homogeneous (one weight), so its
-  slots are dense: one per term, no zeros.  Other polynomials leave some
-  slots zero.
+* Slots.  The coefficient at t^te goes to slot te - t_min of its row, so
+  the product of two rows is read off its slots with no key to rebuild.
+  The product of two rows with nonzero ends has nonzero ends, as Z is a
+  domain, so it is a row as it stands.
 * Bound.  With bits = bits(max|a|) + bits(max|b|) + bits(min(len a,
   len b)), every product coefficient has absolute value below 2^bits.
-* Sign.  An operand is the number read from its positive coefficients'
-  slots minus the number read from its negative ones'.  When either
-  operand has a negative coefficient, adding half the slot's range to
-  every slot of the product makes each slot nonnegative, so the product
-  splits slot by slot, and the bias is subtracted again per slot.  Zero
-  slots are dropped, which leaves the result canonical.
+* Sign.  A row with a negative coefficient is packed with half the slot's
+  range added to every slot, which the tier subtracts again as one number.
+  When either row has one, adding half the slot's range to every slot of
+  the product makes each slot nonnegative, so the product splits slot by
+  slot, and the bias is subtracted again per slot.
 * Int tier.  Each slot is `width` bytes with 8*width - 1 >= bits, and any
   bias is 2^(8*width - 1).  One `to_bytes` splits the product.
 * Decimal tier.  Each slot is `digits` decimal digits with
   10^digits > 2^(bits + 1), and any bias is 5 * 10^(digits - 1).  Each
-  operand is one `Decimal` read from its zero-padded coefficient texts,
+  row is one `Decimal` read from its zero-padded coefficient texts,
   joined once; the product is taken in a local context of maximal precision,
   where libmpdec multiplies large operands by number-theoretic transform
   in O(n log n) against Karatsuba's O(n^1.58), and one `format(..., "f")`
   splits it.  It serves products of more than DECIMAL_MIN_BITS packed
-  bits whose smaller operand packs to more than DECIMAL_MIN_OPERAND_BITS,
+  bits whose shorter row packs to more than DECIMAL_MIN_OPERAND_BITS,
   and only when the C `_decimal` module imports (it is imported then, not
   at start-up); otherwise the int tier does.  Neither the decimal module's
   global context nor the int/str digit limit is left changed.
-* Pairwise loop.  When the smaller operand has at most SCHOOLBOOK_MAX_TERMS
-  terms, or the product's slot grid would hold more slots than there are
-  term pairs (sparse, non-homogeneous operands), the pairwise loop runs
-  instead; it is the kernel's base case, not a second kernel.
+* Pairwise loop.  When the shorter row has at most SCHOOLBOOK_MAX_TERMS
+  slots, or the product has more slots than there are pairs of nonzero
+  coefficients (sparse rows), the pairwise loop runs instead; it is the
+  kernel's base case, not a second kernel.
 
 Division exists only as :func:`divide_exact`, which raises
 :class:`NotDivisibleError` when no exact quotient exists.  All quotients
 taken elsewhere in the package are guaranteed exact by identities, so a
 NotDivisibleError signals a violated identity or a bug, never a user error.
-Its one step divides two weighted-homogeneous operands as a series:
+Its one step divides one row by another as a series:
 
-* Series.  With u = t/s^2 a polynomial of weight W is s^W p(u), so the
-  quotient has weight W_num - W_den and is p_num(u) / p_den(u).  The
-  weights and the two t ranges fix the quotient's t range; a range that is
-  empty or starts below t^0, or one that would need a negative s exponent,
-  admits no quotient.
-* Steps.  The coefficients, held in dense int lists, are taken in
-  ascending powers of u, each one inner product of the divisor's tail with
-  the quotient so far, then a divmod by the divisor's lowest-t
-  coefficient; a nonzero remainder means no quotient.
+* Series.  With u = t/s^2 a row of weight W is s^W p(u), so the quotient
+  has weight W_num - W_den and is p_num(u) / p_den(u).  The weights and
+  the two t ranges fix the quotient's t range; a range that is empty or
+  starts below t^0, or one that would need a negative s exponent, admits
+  no quotient.
+* Steps.  The coefficients are taken in ascending powers of u, each one
+  inner product of the divisor's tail with the quotient so far, then a
+  divmod by the divisor's lowest-t coefficient; a nonzero remainder means
+  no quotient.
 * Certificate.  The numerator's coefficients past the quotient's length
   must equal the same convolution, so quotient times divisor is the
   numerator exactly.
-* Grading.  The weight grades Z[s, t], and the top-weight part of q * d is
-  q_top * d_top.  So each step divides the top-weight terms of the
-  remainder by those of the divisor, keeps that quotient piece and
-  subtracts piece * divisor.  The remainder's top weight falls strictly
-  and is never negative, so the loop ends.  When both operands have one
-  weight, as every Lucas object has, the certificate already proves the
-  remainder zero: one step and no product.
+* Grading.  The weight grades Z[s, t], and the top-weight row of q * d is
+  q_top * d_top.  So each step divides the remainder's top row by the
+  divisor's, keeps that quotient row and subtracts it times the divisor.
+  The remainder's top weight falls strictly and is never negative, so the
+  loop ends.  When both operands have one row, as every Lucas object has,
+  the certificate already proves the remainder zero: one step and no
+  product.
 
 Rendering uses graded lexicographic term order (total degree first, then
 s exponent), descending, so output is deterministic.  The zero polynomial
-has an empty term mapping and renders as "0".
+has no rows and no terms, and renders as "0".
 """
 
 from __future__ import annotations
@@ -83,10 +82,11 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Mapping
-from operator import mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 
 Monomial = tuple[int, int]  # (s exponent, t exponent)
+Row = tuple[int, list[int]]  # (least t exponent, coefficients from it up)
 
 
 class NotDivisibleError(ArithmeticError):
@@ -101,70 +101,91 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _is_int(value: object) -> bool:
+    # A bool is an int to isinstance(), but True would write "s": true in JSON.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _ordered_items(terms: Mapping[Monomial, int]) -> list[tuple[Monomial, int]]:
     # Graded lex, s before t, descending.
     return sorted(terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
 
 
 class Poly:
-    """Immutable polynomial in Z[s, t], stored in canonical form."""
+    """Immutable polynomial in Z[s, t], stored in canonical form.
 
-    __slots__ = ("_terms", "_hash")
+    The storage is one dense row per weight (see the module docstring), so
+    a row costs memory in proportion to its t span, not to its number of
+    terms: s^(2N) + t^N holds a row of N + 1 slots, and construction, `+`,
+    `*` and division all allocate O(N) for it.  The pairwise loop
+    multiplies such sparse rows in time linear in their lengths plus the
+    pairs of nonzero terms.
+    """
+
+    __slots__ = ("_rows", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] | None = None):
-        canonical: dict[Monomial, int] = {}
+        by_weight: dict[int, dict[int, int]] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
                 se, te = key
-                # A bool is an int to isinstance(), but True would write "s": true in JSON.
-                if (not (isinstance(se, int) and isinstance(te, int) and isinstance(coeff, int))
-                        or bool in (type(se), type(te), type(coeff))):
+                if not (_is_int(se) and _is_int(te) and _is_int(coeff)):
                     raise TypeError("exponents and coefficients must be int, not bool")
                 if se < 0 or te < 0:
                     raise ValueError(f"negative exponent in monomial {key}")
-                total = canonical.get((se, te), 0) + coeff
+                row = by_weight.setdefault(se + 2 * te, {})
+                total = row.get(te, 0) + coeff
                 if total:
-                    canonical[(se, te)] = total
+                    row[te] = total
                 else:
-                    canonical.pop((se, te), None)
-        self._terms = canonical
+                    row.pop(te, None)
+        self._rows: dict[int, Row] = {}
+        for weight, row in by_weight.items():
+            if row:
+                lo = min(row)
+                dense = [0] * (max(row) - lo + 1)
+                for te, coeff in row.items():
+                    dense[te - lo] = coeff
+                self._rows[weight] = (lo, dense)
         self._hash: int | None = None
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
-        """Read-only view of the canonical term mapping."""
-        return MappingProxyType(self._terms)
+        """Read-only term mapping {(s exponent, t exponent): coefficient}, built on demand."""
+        return MappingProxyType({(weight - 2 * te, te): c for weight, (lo, row) in self._rows.items()
+                                 for te, c in enumerate(row, lo) if c})
+
+    _terms = terms  # the name perfbench/trace_child.py reads
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            rows = self._rows
+            # A constant hashes as its int, since it compares equal to it.
+            self._hash = hash(self.evaluate(0, 0) if rows.keys() <= {0} else
+                              frozenset((weight, lo, tuple(row)) for weight, (lo, row) in rows.items()))
         return self._hash
 
     def __neg__(self) -> Poly:
-        return Poly({k: -c for k, c in self._terms.items()})
+        return _from_rows({weight: (lo, [-c for c in row]) for weight, (lo, row) in self._rows.items()})
 
     def __add__(self, other: Poly | int) -> Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return _from_canonical(out)
+        out = dict(self._rows)
+        for weight, (lo, row) in other._rows.items():
+            _add_row(out, weight, lo, row)
+        return _from_rows(out)
 
     __radd__ = __add__
 
@@ -184,17 +205,21 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if min(len(a), len(b)) > SCHOOLBOOK_MAX_TERMS:
-            ea, eb = _extent(a), _extent(b)
-            if _slot_count(ea, eb) <= len(a) * len(b):
-                return _from_canonical(_mul_kronecker(a, b, ea, eb))
-        return _from_canonical(_mul_schoolbook(a, b))
+        out: dict[int, Row] = {}
+        for wa, (la, a) in self._rows.items():
+            for wb, (lb, b) in other._rows.items():
+                if (min(len(a), len(b)) <= SCHOOLBOOK_MAX_TERMS
+                        or len(a) + len(b) - 1 > (len(a) - a.count(0)) * (len(b) - b.count(0))):
+                    row = _mul_schoolbook(a, b)
+                else:
+                    row = _mul_kronecker(a, b)
+                _add_row(out, wa + wb, la + lb, row)
+        return _from_rows(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError("exponent must be a nonnegative int")
         # Square-and-multiply over the bits of the exponent, low bit first.
         result = None
@@ -208,16 +233,22 @@ class Poly:
             base = base * base
 
     def evaluate(self, s0: int, t0: int) -> int:
-        """Exact integer value at (s, t) = (s0, t0)."""
-        return sum(c * s0**se * t0**te for (se, te), c in self._terms.items())
+        """Exact integer value at (s, t) = (s0, t0); int points only, not bool."""
+        if not (_is_int(s0) and _is_int(t0)):
+            raise TypeError("evaluation points must be int, not bool")
+        total, square = 0, s0 * s0
+        for weight, (lo, row) in self._rows.items():
+            # Horner over the row: sum of c_i (s0^2)^(len - 1 - i) t0^i, then the common factor.
+            acc, power = 0, 1
+            for c in row:
+                acc = acc * square + c * power
+                power *= t0
+            total += acc * s0 ** (weight - 2 * (lo + len(row) - 1)) * t0**lo
+        return total
 
     def is_nonneg(self) -> bool:
-        """True iff every stored coefficient is positive.
-
-        Canonical form stores no zeros, so this is the coefficientwise
-        positivity witness.
-        """
-        return all(c > 0 for c in self._terms.values())
+        """True iff every nonzero coefficient is positive: the coefficientwise positivity witness."""
+        return all(min(row) >= 0 for _, row in self._rows.values())
 
     def to_json_dict(self) -> dict:
         """JSON form with coefficients as decimal strings (no 64-bit or digit limits)."""
@@ -235,16 +266,39 @@ class Poly:
         return f"Poly({render(self)!r})"
 
 
+def _add_row(rows: dict[int, Row], weight: int, lo: int, row: list[int]) -> None:
+    """Add the row (lo, row) at `weight` into `rows` in place, keeping it canonical.
+
+    No row list is changed: a sum is a new list, so rows may be shared.
+    """
+    if weight not in rows:
+        rows[weight] = (lo, row)
+        return
+    lo2, row2 = rows[weight]
+    start, end = min(lo, lo2), max(lo + len(row), lo2 + len(row2))
+    total = list(map(add, [0] * (lo - start) + row + [0] * (end - lo - len(row)),
+                     [0] * (lo2 - start) + row2 + [0] * (end - lo2 - len(row2))))
+    i, j = 0, len(total)
+    while i < j and not total[i]:
+        i += 1
+    while j > i and not total[j - 1]:
+        j -= 1
+    if i == j:
+        del rows[weight]
+    else:
+        rows[weight] = (start + i, total[i:j])
+
+
 # ---------------------------------------------------------------------------
 # Multiplication kernel
 # ---------------------------------------------------------------------------
 
-# Products whose smaller operand has at most this many terms use the pairwise
+# Products whose shorter row has at most this many slots use the pairwise
 # loop; packing and unpacking cost more than they save below it.
 SCHOOLBOOK_MAX_TERMS = 8
 
 # Products of more packed bits (slots times the per-slot bound) than
-# DECIMAL_MIN_BITS, whose smaller operand packs to more than
+# DECIMAL_MIN_BITS, whose shorter row packs to more than
 # DECIMAL_MIN_OPERAND_BITS, take the decimal tier; both cutoffs are measured
 # crossovers.  The transform costs about as much for a lopsided product as
 # for a balanced one of the same size, while Karatsuba's cost falls with the
@@ -254,136 +308,86 @@ DECIMAL_MIN_BITS = 300_000
 DECIMAL_MIN_OPERAND_BITS = 75_000
 
 
-def _mul_schoolbook(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Canonical product of two canonical term maps, one step per term pair."""
-    out: dict[Monomial, int] = {}
-    for (sa, ta), ca in a.items():
-        for (sb, tb), cb in b.items():
-            key = (sa + sb, ta + tb)
-            total = out.get(key, 0) + ca * cb
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+def _mul_schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """Product of two rows, one step per pair of nonzero coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, cb) for j, cb in enumerate(b) if cb]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in nonzero_b:
+                out[i + j] += ca * cb
     return out
 
 
-_Extent = tuple[int, int, int, int]
-
-
-def _extent(terms: dict[Monomial, int]) -> _Extent:
-    """(least weight, greatest weight, least t exponent, greatest t exponent)."""
-    weights = [se + 2 * te for se, te in terms]
-    ts = [te for _, te in terms]
-    return min(weights), max(weights), min(ts), max(ts)
-
-
-def _span(ea: _Extent, eb: _Extent) -> int:
-    # Slots per weight: the range of t exponents the product can reach.
-    return (ea[3] - ea[2]) + (eb[3] - eb[2]) + 1
-
-
-def _slot_count(ea: _Extent, eb: _Extent) -> int:
-    return (ea[1] - ea[0] + eb[1] - eb[0] + 1) * _span(ea, eb)
-
-
-def _slot_bits(a: dict[Monomial, int], b: dict[Monomial, int]) -> int:
+def _slot_bits(a: list[int], b: list[int]) -> int:
     # Every product coefficient has absolute value below 2^bits.
     return (
-        max(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
+        max(max(a), -min(a)).bit_length()
+        + max(max(b), -min(b)).bit_length()
         + min(len(a), len(b)).bit_length()
     )
 
 
-def _operand_slots(e: _Extent, span: int) -> int:
-    # Slots from the operand's first term to its last.
-    return (e[1] - e[0]) * span + e[3] - e[2] + 1
+def _pack(a: list[int], b: list[int], number, bias, half: int, subtract) -> tuple:
+    """(packed a, packed b, signed): each row as one number, and whether
+    either has a negative coefficient.
 
-
-def _pack(a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int,
-          number, subtract) -> tuple:
-    """(packed a, packed b, signed): each operand as one number, its positive
-    slots less its negative ones, and whether either has a negative term.
-
-    number(magnitudes) packs one coefficient magnitude per slot, slot 0
-    first, and subtract(x, y) is x - y in the tier's arithmetic.  A square
+    number(slots) packs one nonnegative value per slot, slot 0 first;
+    bias(count) is `half` in each of count slots as one number, and
+    subtract(x, y) is x - y in the tier's arithmetic.  A signed row is
+    packed with `half` added to every slot, less bias(len(row)).  A square
     is packed once.
     """
     packed = []
     signed = False
-    for terms, e in [(a, ea)] if b is a else [(a, ea), (b, eb)]:
-        w0, _, t0, _ = e
-        pos = [0] * _operand_slots(e, span)
-        neg = None
-        for (se, te), c in terms.items():
-            at = (se + 2 * te - w0) * span + te - t0
-            if c > 0:
-                pos[at] = c
-            else:
-                if neg is None:
-                    neg = [0] * len(pos)
-                neg[at] = -c
-        if neg is None:
-            packed.append(number(pos))
+    for row in [a] if b is a else [a, b]:
+        if min(row) >= 0:
+            packed.append(number(row))
         else:
             signed = True
-            packed.append(subtract(number(pos), number(neg)))
+            packed.append(subtract(number([c + half for c in row]), bias(len(row))))
     return packed[0], packed[-1], signed
 
 
-def _mul_kronecker(
-    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent
-) -> dict[Monomial, int]:
-    """Canonical product of two nonempty term maps by one big-number product.
+def _mul_kronecker(a: list[int], b: list[int]) -> list[int]:
+    """Product of two rows by one big-number product.
 
-    ea and eb are the operands' extents.  See the module docstring for the
-    slot layout, the bound, the bias and the int and decimal tiers.
+    See the module docstring for the slot layout, the bound, the bias and
+    the int and decimal tiers.
     """
-    span = _span(ea, eb)
-    slots = _slot_count(ea, eb)
     bits = _slot_bits(a, b)
-    values = None
-    if (slots * bits > DECIMAL_MIN_BITS
-            and min(_operand_slots(ea, span), _operand_slots(eb, span)) * bits > DECIMAL_MIN_OPERAND_BITS):
-        values = _no_digit_limit(_product_decimal, a, b, ea, eb, span, bits)
-    if values is None:
-        values = _product_int(a, b, ea, eb, span, bits)
-    w0, t0 = ea[0] + eb[0], ea[2] + eb[2]
-    out: dict[Monomial, int] = {}
-    values = iter(values)
-    for w in range(w0, w0 + slots // span):
-        for te, c in zip(range(t0, t0 + span), values):
-            if c:
-                out[(w - 2 * te, te)] = c
-    return out
+    if ((len(a) + len(b) - 1) * bits > DECIMAL_MIN_BITS
+            and min(len(a), len(b)) * bits > DECIMAL_MIN_OPERAND_BITS):
+        values = _no_digit_limit(_product_decimal, a, b, bits)
+        if values is not None:
+            return values
+    return _product_int(a, b, bits)
 
 
-def _product_int(
-    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int, bits: int
-) -> list[int]:
-    """The product's coefficients, slot by slot, from one int product of width-byte slots."""
+def _product_int(a: list[int], b: list[int], bits: int) -> list[int]:
+    """The product row, from one int product of width-byte slots."""
     width = bits // 8 + 1  # 8 * width - 1 >= bits
-
-    def number(magnitudes):
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in magnitudes]), "little")
-
-    packed_a, packed_b, signed = _pack(a, b, ea, eb, span, number, sub)
-    slots = _slot_count(ea, eb)
     half = 1 << (8 * width - 1)
+
+    def number(slots):
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in slots]), "little")
+
+    def bias(count):
+        return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+    packed_a, packed_b, signed = _pack(a, b, number, bias, half, sub)
+    slots = len(a) + len(b) - 1
     product = packed_a * packed_b
     if signed:
-        product += int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+        product += bias(slots)
     data = product.to_bytes(slots * width, "little")
     from_bytes = int.from_bytes
     values = [from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
     return [c - half for c in values] if signed else values
 
 
-def _product_decimal(
-    a: dict[Monomial, int], b: dict[Monomial, int], ea: _Extent, eb: _Extent, span: int, bits: int
-) -> list[int] | None:
-    """The product's coefficients, slot by slot, from one decimal product of digit slots.
+def _product_decimal(a: list[int], b: list[int], bits: int) -> list[int] | None:
+    """The product row, from one decimal product of digit slots.
 
     None when the C decimal module is missing: the pure-Python one has no
     fast multiply, and the int tier serves instead.  The digit limit must be
@@ -397,34 +401,38 @@ def _product_decimal(
     digits = (bits + 1) * 30103 // 100000 + 1
     slot = f"{{:0{digits}d}}".format
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
-
-    def number(magnitudes):
-        # Decimal text puts the highest slot first.
-        return Decimal("".join(map(slot, reversed(magnitudes))))
-
-    packed_a, packed_b, signed = _pack(a, b, ea, eb, span, number, context.subtract)
-    slots = _slot_count(ea, eb)
     half = 5 * 10 ** (digits - 1)
+
+    def number(slots):
+        # Decimal text puts the highest slot first.
+        return Decimal("".join(map(slot, reversed(slots))))
+
+    def bias(count):
+        return Decimal(("5" + "0" * (digits - 1)) * count)
+
+    packed_a, packed_b, signed = _pack(a, b, number, bias, half, context.subtract)
+    slots = len(a) + len(b) - 1
     product = context.multiply(packed_a, packed_b)
     if signed:
-        product = context.add(product, Decimal(("5" + "0" * (digits - 1)) * slots))
+        product = context.add(product, bias(slots))
     text = format(product, "f").zfill(slots * digits)
     values = [int(text[at - digits:at]) for at in range(len(text), 0, -digits)]
     return [c - half for c in values] if signed else values
 
 
-def _from_canonical(terms: dict[Monomial, int]) -> Poly:
-    # Internal fast path: `terms` is already canonical.
-    poly = Poly()
-    poly._terms = terms
+def _from_rows(rows: dict[int, Row]) -> Poly:
+    # Internal fast path: `rows` is already canonical.
+    poly = Poly.__new__(Poly)
+    poly._rows = rows
+    poly._hash = None
     return poly
 
 
 def _coerce(value: object) -> Poly:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Poly({(0, 0): value}) if value else ZERO
+    if _is_int(value):
+        return _from_rows({0: (0, [value])}) if value else ZERO
     return NotImplemented
 
 
@@ -545,7 +553,7 @@ def _parse(text: str) -> Poly:
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
 
-    terms: dict[Monomial, int] = {}
+    terms: list[tuple[Monomial, int]] = []
     i = 0
     sign = 1
     if tokens[i][0] in "+-":
@@ -591,12 +599,7 @@ def _parse(text: str) -> Poly:
         if not matched:
             raise PolyParseError("expected a term", start)
 
-        key = (se, te)
-        total = terms.get(key, 0) + sign * coeff
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
+        terms.append(((se, te), sign * coeff))
 
         if i == len(tokens):
             break
@@ -606,7 +609,7 @@ def _parse(text: str) -> Poly:
         sign = -1 if kind == "-" else 1
         i += 1
 
-    return _from_canonical(terms)
+    return Poly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -625,44 +628,30 @@ def divide_exact(num: Poly | int, den: Poly | int) -> Poly:
         raise TypeError("divide_exact operands must be Poly or int")
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    rem, top = num._terms, _top_weight(den._terms)
-    out: dict[Monomial, int] = {}
+    top = max(den._rows)
+    rem = num._rows
+    out: dict[int, Row] = {}
     while rem:
-        head = _top_weight(rem)
-        piece = _divide_series(head, top)
-        out.update(piece)
-        if head is rem and top is den._terms:
-            break  # the series certificate proves head == piece * den
-        rem = (_from_canonical(rem) - _from_canonical(piece) * den)._terms
-    return _from_canonical(out)
+        head = max(rem)
+        weight = head - top
+        out[weight] = row = _divide_series(weight, rem[head], den._rows[top])
+        if len(rem) == len(den._rows) == 1:
+            break  # the series certificate proves rem == row * den
+        rem = (_from_rows(rem) - _from_rows({weight: row}) * den)._rows
+    return _from_rows(out)
 
 
-def _top_weight(terms: dict[Monomial, int]) -> dict[Monomial, int]:
-    # The terms of greatest weight se + 2*te; `terms` itself if it has one weight.
-    w0, w1, _, _ = _extent(terms)
-    return terms if w0 == w1 else {(se, te): c for (se, te), c in terms.items() if se + 2 * te == w1}
-
-
-def _divide_series(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Exact quotient of two nonempty weighted-homogeneous term maps.
+def _divide_series(weight: int, a: Row, b: Row) -> Row:
+    """The quotient row, of weight `weight`, of the row a by the row b.
 
     See the module docstring: the coefficients of p_a / p_b in ascending
     powers of u = t/s^2, each checked by a divmod, then a certificate over
     the numerator's remaining coefficients.
     """
-    (sa, ta), (sb, tb) = next(iter(a)), next(iter(b))
-    weight = sa + 2 * ta - sb - 2 * tb
-    a_lo, a_hi = min(te for _, te in a), max(te for _, te in a)
-    b_lo, b_hi = min(te for _, te in b), max(te for _, te in b)
-    q_lo, q_hi = a_lo - b_lo, a_hi - b_hi
+    (a_lo, num), (b_lo, den) = a, b
+    q_lo, q_hi = a_lo - b_lo, a_lo + len(num) - b_lo - len(den)
     if q_lo < 0 or q_hi < q_lo or 2 * q_hi > weight:
         raise NotDivisibleError("no exact quotient: the weights or t ranges do not fit")
-    num = [0] * (a_hi - a_lo + 1)
-    for (_, te), c in a.items():
-        num[te - a_lo] = c
-    den = [0] * (b_hi - b_lo + 1)
-    for (_, te), c in b.items():
-        den[te - b_lo] = c
     lead, tail = den[0], den[1:]
     size = q_hi - q_lo + 1
     # rev[size - 1 - i] is the i-th quotient coefficient, so rev[size - i:]
@@ -677,8 +666,6 @@ def _divide_series(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monom
     for i in range(size, len(num)):
         if num[i] != sum(map(mul, den[i - size + 1:], rev)):
             raise NotDivisibleError("no exact quotient: the numerator's top coefficients disagree")
-    out: dict[Monomial, int] = {}
-    for te, c in enumerate(reversed(rev), q_lo):
-        if c:
-            out[(weight - 2 * te, te)] = c
-    return out
+    # Both ends are nonzero: num[0] / den[0] starts the quotient, and the
+    # certificate makes quotient * den == num, whose top coefficient is nonzero.
+    return q_lo, rev[::-1]

@@ -1,5 +1,7 @@
 """Unit and property tests for the exact polynomial layer."""
 
+import copy
+import pickle
 import sys
 from functools import reduce
 from operator import mul
@@ -33,6 +35,13 @@ poly_strategy = st.dictionaries(st.tuples(exponents, exponents), coefficients, m
 nonzero_polys = poly_strategy.filter(bool)
 points = st.integers(min_value=-4, max_value=4)
 
+
+def weights(p):
+    return {se + 2 * te for se, te in p.terms}
+
+
+mixed_polys = nonzero_polys.filter(lambda p: len(weights(p)) > 1)
+
 big_coefficients = st.integers(min_value=-(2**256), max_value=2**256).filter(bool)
 
 
@@ -52,14 +61,26 @@ def wide_polys(draw, homogeneous, min_terms=SCHOOLBOOK_MAX_TERMS + 1, max_terms=
     return Poly(terms)
 
 
+def by_rows(p, q, product):
+    """p * q with the row of every pair of weights multiplied by product(a, b).
+
+    A square passes the same list twice, as the kernel does, which packs it once.
+    """
+    terms = []
+    for wa, (la, a) in p._rows.items():
+        for wb, (lb, b) in q._rows.items():
+            terms += [((wa + wb - 2 * te, te), c) for te, c in enumerate(product(a, b), la + lb)]
+    return Poly(terms)
+
+
 def kronecker(p, q):
-    a = dict(p.terms)
-    b = a if q is p else dict(q.terms)  # the kernel packs a square once
-    return Poly(polys._mul_kronecker(a, b, polys._extent(a), polys._extent(b)))
+    return by_rows(p, q, polys._mul_kronecker)
 
 
 def schoolbook(p, q):
-    return Poly(polys._mul_schoolbook(dict(p.terms), dict(q.terms)))
+    """p * q one term pair at a time: the reference, sharing no code with the kernel."""
+    return Poly([((sa + sb, ta + tb), ca * cb)
+                 for (sa, ta), ca in p.terms.items() for (sb, tb), cb in q.terms.items()])
 
 
 class TestArithmetic:
@@ -116,10 +137,18 @@ class TestArithmetic:
     def test_sub_is_add_neg(self, p):
         assert p - p == ZERO
 
-    @given(poly_strategy, poly_strategy)
+    @given(
+        st.one_of(poly_strategy, coefficients.map(lambda c: Poly({(0, 0): c}))),
+        st.one_of(poly_strategy, coefficients),
+    )
     def test_equal_polys_hash_equal(self, p, q):
+        # An int operand is the constant it equals, in a set or a dict too.
         if p == q:
             assert hash(p) == hash(q)
+            assert len({p, q}) == 1
+            assert {q: "x"}.get(p) == "x"
+        assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+        assert len({ONE, 1}) == 1 and {1: "x"}.get(ONE) == "x"
 
 
 class TestPow:
@@ -218,29 +247,37 @@ class TestKroneckerKernel:
         assert a * a == expected
 
     def test_sparse_products_use_the_loop(self, monkeypatch):
-        # Nine terms spread over t^0 .. t^800 would need 1601 slots for 81
-        # term pairs.
+        # Nine terms of one weight spread over t^0 .. t^800: a row of 801
+        # slots, whose square would need 1601 slots for 81 term pairs.
         def refuse(*args):
             raise AssertionError("kernel called")
 
-        a = Poly({(j, 100 * j): 1 for j in range(9)})
+        a = Poly({(1600 - 200 * j, 100 * j): 1 for j in range(9)})
+        assert len(a._rows) == 1
         expected = schoolbook(a, a)
         monkeypatch.setattr(polys, "_mul_kronecker", refuse)
         assert a * a == expected
 
 
 def tier_args(p, q):
-    """The arguments the kernel passes to either tier for p * q."""
-    a = dict(p.terms)
-    b = a if q is p else dict(q.terms)  # the kernel packs a square once
-    ea, eb = polys._extent(a), polys._extent(b)
-    return a, b, ea, eb, polys._span(ea, eb), polys._slot_bits(a, b)
+    """The arguments the kernel passes to either tier for p * q, each of one weight."""
+    [(_, a)] = p._rows.values()
+    [(_, b)] = q._rows.values()  # the same list when q is p: a square is packed once
+    return a, b, polys._slot_bits(a, b)
 
 
 def both_tiers(p, q):
-    """The product's slot values from the decimal tier and from the int tier."""
+    """The product row's slot values from the decimal tier and from the int tier."""
     args = tier_args(p, q)
     return polys._no_digit_limit(polys._product_decimal, *args), polys._product_int(*args)
+
+
+def decimal_tier(a, b):
+    return polys._no_digit_limit(polys._product_decimal, a, b, polys._slot_bits(a, b))
+
+
+def int_tier(a, b):
+    return polys._product_int(a, b, polys._slot_bits(a, b))
 
 
 @pytest.fixture
@@ -299,16 +336,21 @@ class TestDecimalTier:
         assert len(decimal_calls) == 1
 
     def test_signed_non_homogeneous_products_that_cancel(self, decimal_calls):
-        # (L s - L t)(L s + L t) = L^2 (s^2 - t^2): the L^2 s t terms cancel.
+        # L(u) L(-u) is even in u = t/s^2: in one row product every odd slot
+        # cancels to zero, and the even ones take both signs.
         lc = lucanomial(50, 25)
-        a, b = lc * S - lc * T, lc * S + lc * T
-        decimal, ints = both_tiers(a, b)
+        alternating = Poly({(se, te): (-1) ** te * c for (se, te), c in lc.terms.items()})
+        decimal, ints = both_tiers(lc, alternating)
         assert decimal == ints
         assert min(decimal) < 0 < max(decimal) and 0 in decimal
+        # (L s - L t)(L s + L t) = L^2 (s^2 - t^2): two rows each, four row
+        # products, and the L^2 s t rows cancel in their sum.
+        a, b = lc * S - lc * T, lc * S + lc * T
+        assert by_rows(a, b, decimal_tier) == by_rows(a, b, int_tier) == schoolbook(a, b)
         decimal_calls.clear()
         assert a * b == (lc * lc) * parse("s^2 - t^2")
         assert a * (-a) + a * a == ZERO
-        assert len(decimal_calls) == 4
+        assert len(decimal_calls) == 4 + 1 + 4 + 4
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("bits_a", range(250, 262))
@@ -335,9 +377,10 @@ class TestDecimalTier:
             return Poly({(j % 7, j // 7 + j % 3): c for j, c in enumerate(coefficients)})
 
         p, q = poly(ca), poly(cb)
-        decimal, ints = both_tiers(p, q)
-        assert decimal == ints
-        assert Poly(polys._mul_kronecker(*tier_args(p, q)[:4])) == schoolbook(p, q)
+        if homogeneous:
+            decimal, ints = both_tiers(p, q)
+            assert decimal == ints
+        assert by_rows(p, q, decimal_tier) == by_rows(p, q, int_tier) == kronecker(p, q) == schoolbook(p, q)
 
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python has no int/str digit limit")
     def test_coefficients_past_digit_limit(self, decimal_calls):
@@ -399,10 +442,9 @@ class TestDecimalTier:
         # smaller operand packs to less than DECIMAL_MIN_OPERAND_BITS.
         p, big = lucanomial(40, 20), lucanomial(84, 13)
         small = lucanomial(23, 11)
-        args = tier_args(big, small)
-        slots = polys._slot_count(args[2], args[3])
-        assert slots * args[5] > polys.DECIMAL_MIN_BITS
-        assert polys._operand_slots(args[3], args[4]) * args[5] < polys.DECIMAL_MIN_OPERAND_BITS
+        a, b, bits = tier_args(big, small)
+        assert (len(a) + len(b) - 1) * bits > polys.DECIMAL_MIN_BITS
+        assert len(b) * bits < polys.DECIMAL_MIN_OPERAND_BITS
         p * p
         big * small
         assert decimal_calls == []
@@ -442,6 +484,45 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
             S**exponent
 
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys, st.one_of(poly_strategy, wide_polys(homogeneous=False, min_terms=1, max_terms=12)))
+    def test_rows_roundtrip_through_terms(self, p, q):
+        # Every result keeps one row per weight, with a nonzero coefficient
+        # at both ends, and reads back from its term mapping unchanged.
+        for r in (p, q, p + q, p - q, p * q, -p, p * p - p * p):
+            assert Poly(r.terms) == r
+            assert all(row[0] and row[-1] for _, row in r._rows.values())
+            assert len(r._terms) == len(r.terms) == sum(len(row) - row.count(0) for _, row in r._rows.values())
+
+    @pytest.mark.parametrize(
+        "p", [ZERO, 7 * ONE, parse("s^3 - 2*s*t + t^5"), parse("s^2*t^40 - 3*t^41") + 10**50 * T]
+    )
+    def test_pickle_and_copy_roundtrip(self, p):
+        hash(p)  # a cached hash travels with the copy
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p and hash(clone) == hash(p) and render(clone) == render(p)
+            assert clone * p == p * p and clone + 1 == p + 1
+
+
+class TestSparseWeight:
+    """A row is dense over its t span: s^(2N) + t^N holds N + 1 slots."""
+
+    def test_long_sparse_row(self, monkeypatch):
+        p = parse("s^200000 + t^100000")
+        assert [(lo, len(row), len(row) - row.count(0)) for lo, row in p._rows.values()] == [(0, 100001, 2)]
+        assert render(p) == "s^200000 + t^100000"
+        assert Poly.from_json_dict(p.to_json_dict()) == p
+        assert p.evaluate(1, 1) == 2 and p.evaluate(2, -1) == 2**200000 + 1
+
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(polys, "_mul_kronecker", refuse)
+        square = p * p
+        assert render(square) == "s^400000 + 2*s^200000*t^100000 + t^200000"
+        assert square - p * p == ZERO
+        assert divide_exact(p * (S + T), S + T) == divide_exact(p * T**3, T**3) == p
+
 
 class TestEval:
     def test_sum_of_coefficients(self):
@@ -457,6 +538,16 @@ class TestEval:
     def test_ring_homomorphism(self, p, q, s0, t0):
         assert (p + q).evaluate(s0, t0) == p.evaluate(s0, t0) + q.evaluate(s0, t0)
         assert (p * q).evaluate(s0, t0) == p.evaluate(s0, t0) * q.evaluate(s0, t0)
+
+    @given(poly_strategy, points, points)
+    def test_matches_the_sum_over_terms(self, p, s0, t0):
+        assert p.evaluate(s0, t0) == sum(c * s0**se * t0**te for (se, te), c in p.terms.items())
+
+    @pytest.mark.parametrize("point", [(1.5, 2), (2, 1.0), (True, 2), (2, False), ("1", 1), (None, 1)])
+    def test_points_must_be_ints(self, point):
+        # An exact integer value needs int points; a bool is no int point.
+        with pytest.raises(TypeError):
+            parse("s^2 + t").evaluate(*point)
 
 
 class TestDivideExact:
@@ -524,7 +615,11 @@ def homogeneous_polys(draw, min_terms=1, max_terms=6):
 
 
 def series(num, den):
-    return Poly(polys._divide_series(dict(num.terms), dict(den.terms)))
+    """num / den by the series kernel alone, on the one row of each."""
+    [(wa, a)] = num._rows.items()
+    [(wb, b)] = den._rows.items()
+    lo, row = polys._divide_series(wa - wb, a, b)
+    return Poly({(wa - wb - 2 * te, te): c for te, c in enumerate(row, lo)})
 
 
 def _group_by_s(terms: dict[Monomial, int]) -> dict[int, dict[int, int]]:
@@ -604,20 +699,13 @@ def assert_not_divisible(num, den):
             divide(num, den)
 
 
-def weights(p):
-    return {se + 2 * te for se, te in p.terms}
-
-
-mixed_polys = nonzero_polys.filter(lambda p: len(weights(p)) > 1)
-
-
 def count_series_calls(monkeypatch):
     calls = []
     kernel = polys._divide_series
 
-    def counting(a, b):
-        calls.append(a)
-        return kernel(a, b)
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
     monkeypatch.setattr(polys, "_divide_series", counting)
     return calls
