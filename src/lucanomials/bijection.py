@@ -57,7 +57,8 @@ two cases of :func:`verify_pair_decomposition` realizes the identity
                       * [fib(n-1,k-1)^2 + fib(n-1,k) * fib(n-1,k-2)]
 
 by exhaustion; the check compares the total with the prefactor times
-:func:`narayana.fibonarayana`, the function the bracket defines.
+:func:`narayana.fibonarayana`, the atom product that ``narayana --mode
+fibo`` prints, which computes the bracket without the recurrence.
 
 Where validation happens.  Shapes are validated at the boundary: when a
 :class:`StairstepTiling` or :class:`TilingTriple` is constructed (so also

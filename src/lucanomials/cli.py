@@ -21,9 +21,10 @@ import operator
 import os
 import sys
 from collections.abc import Callable, Iterable
+from functools import lru_cache
 
 from . import bijection, narayana, tilings
-from .lucas import fibonomial, lucanomial
+from .lucas import MEMO_SIZE, fibonomial, lucanomial, lucas_atom
 from .lucas import lucas as lucas_poly
 from .polys import Poly, int_text
 from .tilings import ShapeError
@@ -156,7 +157,7 @@ def _two_routes(lhs: Callable, rhs: Callable, agree: Callable = operator.eq,
                 nonneg: Callable | None = None, reported: bool = False) -> Callable[..., dict]:
     """The check of a two-route row at (n,) or (n, k): lhs, then rhs, both
     reported as values.  It passes when agree(lhs, rhs) holds and so does the
-    certificate nonneg(lhs, rhs), if given, which the report holds as
+    certificate nonneg(lhs, rhs, *point), if given, which the report holds as
     ``nonneg``; where reported, it also holds the agreement as ``oracle_agrees``."""
 
     def check(*point: int) -> dict:
@@ -169,11 +170,23 @@ def _two_routes(lhs: Callable, rhs: Callable, agree: Callable = operator.eq,
         if reported:
             report["oracle_agrees"] = agrees
         if nonneg is not None:
-            report["nonneg"] = positive = nonneg(a, b)
+            report["nonneg"] = positive = nonneg(a, b, *point)
             report["pass"] = agrees and positive
         return report
 
     return check
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _atom_nonneg(d: int) -> bool:
+    """Whether the Lucas atom P_d has nonnegative coefficients, checked once per d."""
+    return lucas_atom(d).is_nonneg()
+
+
+def _atoms_nonneg(exponents: list[tuple[int, int]]) -> bool:
+    """The atom certificate of positivity: every exponent is nonnegative and
+    every atom of a positive exponent has nonnegative coefficients."""
+    return all(x >= 0 and (not x or _atom_nonneg(d)) for d, x in exponents)
 
 
 def _classical_line(report: dict) -> str:
@@ -216,9 +229,9 @@ _TARGETS = {
     "theorem2": _Target(
         25, 2,
         _Checks(lambda n: range(1, n + 1), _two_routes(
-            lambda n, k: narayana.fibonarayana(n, k),
+            lambda n, k: narayana.fibonarayana_recurrence(n, k),
             lambda n, k: narayana.fibonarayana_definition_oracle(n, k),
-            nonneg=lambda value, _: value > 0, reported=True)),
+            nonneg=lambda value, _, n, k: value > 0, reported=True)),
         # Exhaustive realization of the identity at one (n, k) by pair
         # decomposition; it scans the F_{n-1}! stairsteps of size n-2 once
         # per column parameter, storing only the heads of each scan.
@@ -226,15 +239,19 @@ _TARGETS = {
                        lambda n, k: bijection.verify_pair_decomposition(n, k)),
     ),
     "theorem3": _Target(12, 2, _Checks(lambda n: range(1, n + 1), _two_routes(
-        lambda n, k: narayana.generalized_narayana(n, k),
+        lambda n, k: narayana.generalized_narayana_recurrence(n, k),
         lambda n, k: narayana.generalized_narayana_definition_oracle(n, k),
-        nonneg=lambda value, _: value.is_nonneg(), reported=True))),
+        nonneg=lambda value, _, n, k: (value.is_nonneg()
+                                       and _atoms_nonneg(narayana.narayana_atom_exponents(n, k))),
+        reported=True))),
     "bijection": _Target(6, 2, _Checks(lambda n: range(1, n),
                                        lambda n, k: bijection.verify_cardinality(n, k))),
     "catalan": _Target(8, 0, _Checks(None, _two_routes(
-        lambda n: narayana.fibocatalan(n), lambda n: narayana.generalized_catalan(n),
+        lambda n: narayana.fibocatalan_definition_oracle(n),
+        lambda n: narayana.generalized_catalan(n),
         agree=lambda value, poly: poly.evaluate(1, 1) == value,
-        nonneg=lambda _, poly: poly.is_nonneg()))),
+        nonneg=lambda _, poly, n: (poly.is_nonneg()
+                                   and _atoms_nonneg(narayana.catalan_atom_exponents(n)))))),
     "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
                          cumulative=True, text=_classical_line),
 }

@@ -1,25 +1,50 @@
 """FiboNarayana, generalized Narayana, and Catalan-style numbers.
 
-The generalized Narayana polynomial is computed division-free as
+Three routes compute each value, and they must agree exactly.
 
-    generalized_narayana(n, k) = {n-1,k-1}^2 + t * {n-1,k} * {n-1,k-2},
+The primary route is the Lucas-atom product (B. Sagan and J. Tirrell,
+"Lucas atoms", Adv. Math. 2020; the atoms P_d are those of
+:mod:`lucanomials.lucas`).  With e(n, k, d) = [n mod d < k mod d], the
+exponent of P_d in the lucanomial {n choose k}, and {n} the product of the
+P_d over the divisors d > 1 of n,
+
+    generalized_narayana(n, k) = prod_{d=2..n} P_d^(e(n,k,d) + e(n,k-1,d) - [d | n]),
+    generalized_catalan(n) = prod_{d=2..2n} P_d^(e(2n,n,d) - [d | n+1]),
+
+on 1 <= k <= n and n >= 0; the Narayana value is 0 for k outside 1..n.
+Every Narayana exponent is 0, 1 or 2 and every Catalan exponent 0 or 1,
+so both are products with no division: the atoms of exponent 1 and those
+of exponent 2 are multiplied as two products, and the second, built once,
+enters the result twice.  A negative exponent would falsify the
+factorisation and raises as an internal assertion.  Since every atom has nonnegative coefficients, these
+exponents are a certificate of coefficientwise positivity, which ``verify
+theorem3`` and ``verify catalan`` check beside the coefficients.
+
+The paper's theorem is the division-free recurrence
+
+    generalized_narayana_recurrence(n, k) = {n-1,k-1}^2 + t * {n-1,k} * {n-1,k-2},
 
 on 1 <= k <= n (the lucanomial zero convention gives the value 1 at
-(1, 1)), and it is 0 for k outside 1..n.  The definitional quotient
-({n,k} * {n,k-1}) / {n} is kept as an oracle: it must agree exactly with
-the recurrence, and a NotDivisibleError from it would falsify the
-integrality the recurrence establishes.  Catalan versions divide
-{2n choose n} by {n+1}.
+(1, 1)).  ``verify theorem2``, ``verify theorem3`` and
+:func:`classical_specialization_report` check it, because in a sweep it
+reuses the lucanomials of row n-1 that the lucanomial memo already holds.
 
-Both routes read the same lucanomials at k and at n+1-k, so each value is
-memoised, in each ring, on the mirror key (n, min(k, n+1-k)) by an
-lru_cache bounded at MEMO_SIZE: the four memos _fibonarayana,
-_generalized_narayana, _fibonarayana_definition and
-_generalized_narayana_definition compute one value per mirror pair.
+The oracle is the definitional quotient ({n,k} * {n,k-1}) / {n}, or
+{2n choose n} / {n+1} for Catalan, by exact division: a NotDivisibleError
+from it would falsify the integrality the other routes establish.
 
-The FiboNarayana number is this polynomial at s = t = 1, and the integer
-functions are the same code there: as in :mod:`lucanomials.lucas`, each
-algorithm is one private body that takes the ring's pieces as arguments.
+The recurrence and the Narayana quotient read the same lucanomials at k
+and at n+1-k, so each is memoised, in each ring, on the mirror key
+(n, min(k, n+1-k)) by an lru_cache bounded at MEMO_SIZE: the four memos
+_fibonarayana_recurrence, _generalized_narayana_recurrence,
+_fibonarayana_definition and _generalized_narayana_definition compute one
+value per mirror pair.  The atom product needs no memo: its exponents are
+the same at k and at n+1-k.
+
+The FiboNarayana and FiboCatalan numbers are these polynomials at
+s = t = 1, and the integer functions are the same code there: as in
+:mod:`lucanomials.lucas`, each algorithm is one private body that takes the
+ring's pieces as arguments.
 
 At (s, t) = (2, -1) the whole tower specializes to the classical objects
 (n, binomials, Narayana numbers, Catalan numbers), which
@@ -30,9 +55,19 @@ math.comb formulas of :func:`classical_narayana` and :func:`catalan`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
-from .lucas import MEMO_SIZE, _int_quotient, fibonacci, fibonomial, lucanomial, lucas
+from .lucas import (
+    MEMO_SIZE,
+    _balanced_product,
+    _int_quotient,
+    fibonacci,
+    fibonacci_atom,
+    fibonomial,
+    lucanomial,
+    lucas,
+    lucas_atom,
+)
 from .polys import ZERO, Poly, T, divide_exact
 
 
@@ -45,28 +80,82 @@ def _narayana(n: int, k: int, zero, reduced):
     return reduced(n, min(k, n + 1 - k))
 
 
+def narayana_atom_exponents(n: int, k: int) -> list[tuple[int, int]]:
+    """(d, x) for d = 2..n: P_d^x is the power of the atom P_d in generalized_narayana(n, k).
+
+    On 1 <= k <= n; x is e(n,k,d) + e(n,k-1,d) - [d | n], with e the
+    lucanomial exponent [n mod d < k mod d].
+    """
+    return [(d, (n % d < k % d) + (n % d < (k - 1) % d) - (n % d == 0)) for d in range(2, n + 1)]
+
+
+def catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
+    """(d, x) for d = 2..2n: P_d^x is the power of the atom P_d in generalized_catalan(n).
+
+    On n >= 0; x is e(2n,n,d) - [d | n+1], with e the lucanomial exponent.
+    """
+    return [(d, (2 * n % d < n % d) - ((n + 1) % d == 0)) for d in range(2, 2 * n + 1)]
+
+
+def _atom_power_product(exponents: list[tuple[int, int]], atom, product):
+    """prod atom(d)^x over the (d, x) pairs, each x in {0, 1, 2}.
+
+    The atoms of exponent 1 and those of exponent 2 are two products, and
+    the second enters twice: (ones * twos) * twos.  Squaring twos first
+    would leave one lopsided product of the small ones with the square,
+    which the multiply kernel takes slower than these two.  Any other
+    exponent falsifies the factorisation and raises AssertionError.
+    """
+    ones, twos = [], []
+    for d, x in exponents:
+        if x:
+            if x not in (1, 2):
+                raise AssertionError(f"the atom P_{d} has exponent {x}, outside 0..2")
+            (ones if x == 1 else twos).append(atom(d))
+    value = product(ones)
+    if twos:
+        twice = product(twos)
+        value = value * twice * twice
+    return value
+
+
+def _narayana_atoms(n: int, k: int, atom, product):
+    """The Narayana value at 1 <= k <= n as an atom product."""
+    return _atom_power_product(narayana_atom_exponents(n, k), atom, product)
+
+
+def fibonarayana(n: int, k: int) -> int:
+    """FiboNarayana number as a product of integer atoms; 0 outside 1 <= k <= n."""
+    return _narayana(n, k, 0, lambda n, k: _narayana_atoms(n, k, fibonacci_atom, prod))
+
+
+def generalized_narayana(n: int, k: int) -> Poly:
+    """Generalized Narayana polynomial as a product of Lucas atoms; 0 outside 1 <= k <= n."""
+    return _narayana(n, k, ZERO, lambda n, k: _narayana_atoms(n, k, lucas_atom, _balanced_product))
+
+
 def _recurrence(n: int, k: int, t, coefficient):
     """The recurrence in the ring of t, with coefficient the lucanomial there."""
     return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
-def fibonarayana(n: int, k: int) -> int:
-    """FiboNarayana number via the integer recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 0, _fibonarayana)
+def fibonarayana_recurrence(n: int, k: int) -> int:
+    """FiboNarayana number via the paper's integer recurrence; 0 outside 1 <= k <= n."""
+    return _narayana(n, k, 0, _fibonarayana_recurrence)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _fibonarayana(n: int, k: int) -> int:
+def _fibonarayana_recurrence(n: int, k: int) -> int:
     return _recurrence(n, k, 1, fibonomial)
 
 
-def generalized_narayana(n: int, k: int) -> Poly:
-    """Generalized Narayana polynomial via the recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, ZERO, _generalized_narayana)
+def generalized_narayana_recurrence(n: int, k: int) -> Poly:
+    """Generalized Narayana polynomial via the paper's recurrence; 0 outside 1 <= k <= n."""
+    return _narayana(n, k, ZERO, _generalized_narayana_recurrence)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _generalized_narayana(n: int, k: int) -> Poly:
+def _generalized_narayana_recurrence(n: int, k: int) -> Poly:
     return _recurrence(n, k, T, lucanomial)
 
 
@@ -93,7 +182,7 @@ def _fibonarayana_definition(n: int, k: int) -> int:
 
 
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
-    """({n,k} * {n,k-1}) / {n} by exact division; must equal the recurrence."""
+    """({n,k} * {n,k-1}) / {n} by exact division; must equal the atom product."""
     return _definition(n, k, _generalized_narayana_definition)
 
 
@@ -102,21 +191,41 @@ def _generalized_narayana_definition(n: int, k: int) -> Poly:
     return _quotient(n, k, lucanomial, lucas, divide_exact)
 
 
-def _catalan(n: int, coefficient, term, quotient):
-    """coefficient(2n, n) / term(n+1) by exact division."""
+def _catalan(n: int, body, *pieces):
+    """body(n, *pieces) on n >= 0, a ValueError below it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return body(n, *pieces)
+
+
+def _catalan_atoms(n: int, atom, product):
+    """The Catalan value as an atom product."""
+    return _atom_power_product(catalan_atom_exponents(n), atom, product)
+
+
+def _catalan_quotient(n: int, coefficient, term, quotient):
+    """coefficient(2n, n) / term(n+1) by exact division."""
     return quotient(coefficient(2 * n, n), term(n + 1))
 
 
 def fibocatalan(n: int) -> int:
-    """fibonomial(2n, n) / F_{n+1} by exact division."""
-    return _catalan(n, fibonomial, fibonacci, _int_quotient)
+    """FiboCatalan number fibonomial(2n, n) / F_{n+1}, as a product of integer atoms."""
+    return _catalan(n, _catalan_atoms, fibonacci_atom, prod)
 
 
 def generalized_catalan(n: int) -> Poly:
-    """{2n choose n} / {n+1} by exact division."""
-    return _catalan(n, lucanomial, lucas, divide_exact)
+    """Generalized Catalan polynomial {2n choose n} / {n+1}, as a product of Lucas atoms."""
+    return _catalan(n, _catalan_atoms, lucas_atom, _balanced_product)
+
+
+def fibocatalan_definition_oracle(n: int) -> int:
+    """fibonomial(2n, n) / F_{n+1} by exact division."""
+    return _catalan(n, _catalan_quotient, fibonomial, fibonacci, _int_quotient)
+
+
+def generalized_catalan_definition_oracle(n: int) -> Poly:
+    """{2n choose n} / {n+1} by exact division; must equal the atom product."""
+    return _catalan(n, _catalan_quotient, lucanomial, lucas, divide_exact)
 
 
 def classical_narayana(n: int, k: int) -> int:
@@ -139,8 +248,8 @@ def classical_specialization_report(n_max: int) -> dict:
     """Exact checks of the (s, t) = (2, -1) specialization up to n_max.
 
     Verifies that {n} evaluates to n, lucanomials to binomials, generalized
-    Narayana polynomials to classical Narayana numbers, and that the
-    Narayana numbers of each row sum to the Catalan number.
+    Narayana polynomials (by the recurrence) to classical Narayana numbers,
+    and that the Narayana numbers of each row sum to the Catalan number.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -152,7 +261,7 @@ def classical_specialization_report(n_max: int) -> dict:
         if any(lucanomial(n, k).evaluate(2, -1) != comb(n, k) for k in range(0, n + 1)):
             first_failure = {"n": n, "check": "binomial"}
             break
-        row = [generalized_narayana(n, k).evaluate(2, -1) for k in range(1, n + 1)]
+        row = [generalized_narayana_recurrence(n, k).evaluate(2, -1) for k in range(1, n + 1)]
         if row != [classical_narayana(n, k) for k in range(1, n + 1)]:
             first_failure = {"n": n, "check": "narayana"}
             break

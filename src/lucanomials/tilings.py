@@ -195,6 +195,14 @@ class _Record:
     def __post_init__(self):
         """Validate the fields; raise ShapeError when they do not fit together."""
 
+    @classmethod
+    def _trusted(cls, *values):
+        # Internal fast path: the values are tuples that already fit together.
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -302,7 +310,9 @@ def _json_field(data, key: str, what: str, kind: type, item: type | None = None)
 def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
     """All rectangle tilings for the k x (n-k) rectangle, each exactly once.
 
-    At s = t = 1 the number of tilings equals fibonomial(n, k).
+    At s = t = 1 the number of tilings equals fibonomial(n, k).  Each
+    tiling fits its rectangle by construction, so it is built without the
+    constructor's validation.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -313,7 +323,7 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
         column_choices = [tuple(domino_initial_tilings(part)) for part in star_parts]
         for rows in itertools.product(*row_choices):
             for columns in itertools.product(*column_choices):
-                yield RectTiling(lam, rows, columns)
+                yield RectTiling._trusted(lam, rows, columns)
 
 
 def lucanomial_tiling_oracle(n: int, k: int) -> Poly:

@@ -29,10 +29,12 @@ from lucanomials.narayana import (
     catalan,
     classical_narayana,
     fibocatalan,
-    fibonarayana,
     fibonarayana_definition_oracle,
+    fibonarayana_recurrence,
     generalized_catalan,
+    generalized_catalan_definition_oracle,
     generalized_narayana,
+    generalized_narayana_recurrence,
 )
 from lucanomials.polys import divide_exact
 from lucanomials.tilings import RectTiling, linear_tilings, lucanomial_tiling_oracle
@@ -52,11 +54,11 @@ def test_criterion_1_tiling_oracle_equivalence():
 
 
 def test_criterion_2_integer_recurrence():
-    assert fibonarayana(4, 2) == 6
-    assert fibonarayana(5, 2) == 15
+    assert fibonarayana_recurrence(4, 2) == 6
+    assert fibonarayana_recurrence(5, 2) == 15
     for n in range(2, 26):
         for k in range(1, n + 1):
-            value = fibonarayana(n, k)
+            value = fibonarayana_recurrence(n, k)
             assert value == fibonarayana_definition_oracle(n, k), (n, k)
             assert value > 0, (n, k)
     _passed(2, "integer recurrence equals quotient, positive, 2 <= n <= 25")
@@ -65,7 +67,7 @@ def test_criterion_2_integer_recurrence():
 def test_criterion_3_polynomial_recurrence():
     for n in range(2, 13):
         for k in range(1, n + 1):
-            recurrence = generalized_narayana(n, k)
+            recurrence = generalized_narayana_recurrence(n, k)
             quotient = divide_exact(lucanomial(n, k) * lucanomial(n, k - 1), lucas(n))
             assert recurrence == quotient, (n, k)
             assert recurrence.is_nonneg(), (n, k)
@@ -123,7 +125,8 @@ def test_criterion_5_pair_decomposition():
 def test_criterion_6_catalan_values():
     assert [fibocatalan(n) for n in (1, 2, 3)] == [1, 3, 20]
     for n in range(0, 9):
-        poly = generalized_catalan(n)  # raises if the division is not exact
+        poly = generalized_catalan(n)
+        assert poly == generalized_catalan_definition_oracle(n), n  # raises if the division is not exact
         assert poly.is_nonneg(), n
         assert poly.evaluate(1, 1) == fibocatalan(n), n
     _passed(6, "Catalan quotients exact and positive for n <= 8")

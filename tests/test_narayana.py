@@ -1,28 +1,38 @@
 """Tests for FiboNarayana, generalized Narayana, and Catalan-style numbers."""
 
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lucanomials import narayana
+from lucanomials import cli, narayana
 from lucanomials.cli import _TARGETS, main
 from lucanomials.narayana import (
-    _fibonarayana,
+    _atom_power_product,
     _fibonarayana_definition,
-    _generalized_narayana,
+    _fibonarayana_recurrence,
     _generalized_narayana_definition,
+    _generalized_narayana_recurrence,
     catalan,
+    catalan_atom_exponents,
     classical_narayana,
     classical_specialization_report,
     fibocatalan,
+    fibocatalan_definition_oracle,
     fibonarayana,
     fibonarayana_definition_oracle,
+    fibonarayana_recurrence,
     generalized_catalan,
+    generalized_catalan_definition_oracle,
     generalized_narayana,
     generalized_narayana_definition_oracle,
+    generalized_narayana_recurrence,
+    narayana_atom_exponents,
 )
 from lucanomials.lucas import (
     MEMO_SIZE,
+    _balanced_product,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -36,8 +46,8 @@ from lucanomials.polys import ONE, S, T, ZERO, Poly, parse
 
 # The two routes of each Narayana row of verify: the recurrence and the quotient.
 ROUTES = {
-    "theorem2": ("fibonarayana", "fibonarayana_definition_oracle"),
-    "theorem3": ("generalized_narayana", "generalized_narayana_definition_oracle"),
+    "theorem2": ("fibonarayana_recurrence", "fibonarayana_definition_oracle"),
+    "theorem3": ("generalized_narayana_recurrence", "generalized_narayana_definition_oracle"),
 }
 
 
@@ -87,7 +97,7 @@ class TestFibonarayana:
         assert all(fibonarayana(n, k) > 0 for n in range(1, 16) for k in range(1, n + 1))
 
     def test_symmetry(self):
-        check_mirror_memos(fibonarayana, _fibonarayana,
+        check_mirror_memos(fibonarayana_recurrence, _fibonarayana_recurrence,
                            fibonarayana_definition_oracle, _fibonarayana_definition)
 
     def test_reports_hold_values(self):
@@ -154,7 +164,7 @@ class TestGeneralizedNarayana:
         assert generalized_narayana_definition_oracle(3, 2) == parse("s^2 + t")
 
     def test_symmetry(self):
-        check_mirror_memos(generalized_narayana, _generalized_narayana,
+        check_mirror_memos(generalized_narayana_recurrence, _generalized_narayana_recurrence,
                            generalized_narayana_definition_oracle,
                            _generalized_narayana_definition)
 
@@ -222,11 +232,17 @@ RING_PAIRS = {
     "narayana": (fibonarayana, generalized_narayana,
                  [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(-1, n + 2)],
                  [(0, 1), (-1, 0)]),
+    "recurrence": (fibonarayana_recurrence, generalized_narayana_recurrence,
+                   [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(-1, n + 2)],
+                   [(0, 1), (-1, 0)]),
     "definition_oracle": (fibonarayana_definition_oracle, generalized_narayana_definition_oracle,
                           [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(1, n + 1)],
                           [(5, 0), (5, 6), (0, 1)]),
     "catalan": (fibocatalan, generalized_catalan,
                 [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
+    "catalan_definition_oracle": (fibocatalan_definition_oracle,
+                                  generalized_catalan_definition_oracle,
+                                  [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
 }
 
 
@@ -240,6 +256,106 @@ def test_int_route_is_poly_route_at_one_one(pair):
         for fn in (int_fn, poly_fn):
             with pytest.raises(ValueError):
                 fn(*a)
+
+
+EXPONENT_N_MAX = 300
+
+
+class TestAtomProduct:
+    """The primary route: one product of Lucas (or integer) atoms, no division."""
+
+    def test_narayana_exponents_are_zero_one_or_two(self):
+        for n in range(1, EXPONENT_N_MAX + 1):
+            seen = set()
+            for k in range(1, n + 1):
+                exponents = narayana_atom_exponents(n, k)
+                assert [d for d, _ in exponents] == list(range(2, n + 1))
+                seen.update(x for _, x in exponents)
+            assert seen <= {0, 1, 2}, n
+        assert seen == {0, 1, 2}
+
+    def test_catalan_exponents_are_zero_or_one(self):
+        for n in range(EXPONENT_N_MAX + 1):
+            exponents = catalan_atom_exponents(n)
+            assert [d for d, _ in exponents] == list(range(2, 2 * n + 1))
+            assert {x for _, x in exponents} <= {0, 1}, n
+        assert {x for _, x in exponents} == {0, 1}
+
+    def test_exponents_are_symmetric_under_the_mirror(self):
+        for n in range(1, 40):
+            for k in range(1, n + 1):
+                assert narayana_atom_exponents(n, k) == narayana_atom_exponents(n, n + 1 - k)
+
+    def test_hand_exponents(self):
+        # N(4, 2) = {4,2}{4,1}/{4}, where {4,2} = P_3 P_4 and {4,1} = {4} = P_2 P_4.
+        assert narayana_atom_exponents(4, 2) == [(2, 0), (3, 1), (4, 1)]
+        assert generalized_narayana(4, 2) == parse("s^2 + t") * parse("s^2 + 2*t")
+        # C(3) = {6,3}/{4}: {6,3} = P_2 P_4 P_5 P_6, {4} = P_2 P_4.
+        assert catalan_atom_exponents(3) == [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
+
+    @pytest.mark.parametrize("atom,product", [(lucas_atom, _balanced_product), (fibonacci_atom, prod)])
+    def test_forced_negative_exponent_raises(self, atom, product):
+        with pytest.raises(AssertionError, match="exponent -1"):
+            _atom_power_product([(2, 1), (3, -1)], atom, product)
+        with pytest.raises(AssertionError, match="exponent 3"):
+            _atom_power_product([(2, 3)], atom, product)
+        assert _atom_power_product([(3, 2), (4, 1), (5, 0)], atom, product) == (
+            atom(3) ** 2 * atom(4))
+
+    def test_forced_negative_exponent_raises_from_the_public_functions(self, monkeypatch):
+        monkeypatch.setattr(narayana, "narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
+        monkeypatch.setattr(narayana, "catalan_atom_exponents", lambda n: [(2, -1)])
+        for call in (lambda: generalized_narayana(5, 2), lambda: fibonarayana(5, 2),
+                     lambda: generalized_catalan(3), lambda: fibocatalan(3)):
+            with pytest.raises(AssertionError):
+                call()
+
+    def test_certificate_fails_on_a_negative_exponent(self, monkeypatch):
+        # theorem3 compares the recurrence with the quotient; the atom
+        # exponents are its certificate of positivity.
+        monkeypatch.setattr(narayana, "narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
+        report = _TARGETS["theorem3"].checks.check(5, 2)
+        assert report["lhs"] == report["rhs"] and report["lhs"].is_nonneg()
+        assert report["oracle_agrees"] is True and report["nonneg"] is False
+        assert report["pass"] is False
+
+    def test_certificate_fails_on_a_negative_atom(self, monkeypatch):
+        monkeypatch.setattr(cli, "_atom_nonneg", lambda d: False)
+        for target, point in (("theorem3", (5, 2)), ("catalan", (3,))):
+            report = _TARGETS[target].checks.check(*point)
+            assert report["nonneg"] is False and report["pass"] is False, target
+
+    def test_certificate_holds_across_the_default_sweeps(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert _TARGETS["theorem3"].checks.check(n, k)["nonneg"] is True
+        for n in range(9):
+            assert _TARGETS["catalan"].checks.check(n)["nonneg"] is True
+
+
+narayana_points = st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=-1, max_value=n + 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(narayana_points)
+def test_three_narayana_routes_agree_in_both_rings(point):
+    n, k = point
+    poly = generalized_narayana(n, k)
+    assert poly == generalized_narayana_recurrence(n, k)
+    value = fibonarayana(n, k)
+    assert value == fibonarayana_recurrence(n, k) == poly.evaluate(1, 1)
+    if 1 <= k <= n:
+        assert poly == generalized_narayana_definition_oracle(n, k)
+        assert value == fibonarayana_definition_oracle(n, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=60))
+def test_catalan_routes_agree_in_both_rings(n):
+    poly = generalized_catalan(n)
+    assert poly == generalized_catalan_definition_oracle(n)
+    assert fibocatalan(n) == fibocatalan_definition_oracle(n) == poly.evaluate(1, 1)
 
 
 def cli_triangle(capsys, n_max, mode):

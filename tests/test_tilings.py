@@ -292,6 +292,15 @@ class TestEnumerateRectTilings:
             for k in range(n + 1):
                 assert len(list(enumerate_rect_tilings(n, k))) == fibonomial(n, k)
 
+    def test_enumerated_tilings_pass_the_constructor_checks(self):
+        # The enumeration builds its tilings without validation; each one must
+        # rebuild through the validating constructor as an equal tiling.
+        for n in range(9):
+            for k in range(n + 1):
+                for rt in enumerate_rect_tilings(n, k):
+                    rebuilt = RectTiling(rt.lam, rt.lambda_rows, rt.star_rows)
+                    assert type(rt) is RectTiling and rebuilt == rt and hash(rebuilt) == hash(rt)
+
     def test_weight_sum_matches_oracle(self):
         for n in range(7):
             for k in range(n + 1):
