@@ -21,10 +21,9 @@ import operator
 import os
 import sys
 from collections.abc import Callable, Iterable
-from functools import lru_cache
 
 from . import bijection, narayana, tilings
-from .lucas import MEMO_SIZE, fibonomial, lucanomial, lucas_atom
+from .lucas import fibonomial, lucanomial, lucas_atom
 from .lucas import lucas as lucas_poly
 from .polys import Poly, int_text
 from .tilings import ShapeError
@@ -177,16 +176,10 @@ def _two_routes(lhs: Callable, rhs: Callable, agree: Callable = operator.eq,
     return check
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _atom_nonneg(d: int) -> bool:
-    """Whether the Lucas atom P_d has nonnegative coefficients, checked once per d."""
-    return lucas_atom(d).is_nonneg()
-
-
 def _atoms_nonneg(exponents: list[tuple[int, int]]) -> bool:
     """The atom certificate of positivity: every exponent is nonnegative and
     every atom of a positive exponent has nonnegative coefficients."""
-    return all(x >= 0 and (not x or _atom_nonneg(d)) for d, x in exponents)
+    return all(x >= 0 and (not x or lucas_atom(d).is_nonneg()) for d, x in exponents)
 
 
 def _classical_line(report: dict) -> str:
@@ -242,7 +235,7 @@ _TARGETS = {
         lambda n, k: narayana.generalized_narayana_recurrence(n, k),
         lambda n, k: narayana.generalized_narayana_definition_oracle(n, k),
         nonneg=lambda value, _, n, k: (value.is_nonneg()
-                                       and _atoms_nonneg(narayana.narayana_atom_exponents(n, k))),
+                                       and _atoms_nonneg(narayana._narayana_atom_exponents(n, k))),
         reported=True))),
     "bijection": _Target(6, 2, _Checks(lambda n: range(1, n),
                                        lambda n, k: bijection.verify_cardinality(n, k))),
@@ -251,7 +244,7 @@ _TARGETS = {
         lambda n: narayana.generalized_catalan(n),
         agree=lambda value, poly: poly.evaluate(1, 1) == value,
         nonneg=lambda _, poly, n: (poly.is_nonneg()
-                                   and _atoms_nonneg(narayana.catalan_atom_exponents(n)))))),
+                                   and _atoms_nonneg(narayana._catalan_atom_exponents(n)))))),
     "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
                          cumulative=True, text=_classical_line),
 }

@@ -13,12 +13,14 @@ P_d over the divisors d > 1 of n,
 
 on 1 <= k <= n and n >= 0; the Narayana value is 0 for k outside 1..n.
 Every Narayana exponent is 0, 1 or 2 and every Catalan exponent 0 or 1,
-so both are products with no division: the atoms of exponent 1 and those
-of exponent 2 are multiplied as two products, and the second, built once,
-enters the result twice.  A negative exponent would falsify the
-factorisation and raises as an internal assertion.  Since every atom has nonnegative coefficients, these
-exponents are a certificate of coefficientwise positivity, which ``verify
-theorem3`` and ``verify catalan`` check beside the coefficients.
+so both are products with no division, taken by the lucanomials' own
+body, lucas._atom_product: the atoms of exponent 1 and those of exponent 2
+are multiplied as two products, and the second, built once, enters the
+result twice.  A negative exponent would falsify the factorisation and
+raises as an internal assertion.  Since every atom has nonnegative
+coefficients, these exponents are a certificate of coefficientwise
+positivity, which ``verify theorem3`` and ``verify catalan`` check beside
+the coefficients.
 
 The paper's theorem is the division-free recurrence
 
@@ -38,8 +40,8 @@ and at n+1-k, so each is memoised, in each ring, on the mirror key
 (n, min(k, n+1-k)) by an lru_cache bounded at MEMO_SIZE: the four memos
 _fibonarayana_recurrence, _generalized_narayana_recurrence,
 _fibonarayana_definition and _generalized_narayana_definition compute one
-value per mirror pair.  The atom product needs no memo: its exponents are
-the same at k and at n+1-k.
+value per mirror pair.  The atom product has no memo of its own: it
+reads the memoised atoms, and a command asks for each value once.
 
 The FiboNarayana and FiboCatalan numbers are these polynomials at
 s = t = 1, and the integer functions are the same code there: as in
@@ -59,6 +61,7 @@ from math import comb, prod
 
 from .lucas import (
     MEMO_SIZE,
+    _atom_product,
     _balanced_product,
     _int_quotient,
     fibonacci,
@@ -80,58 +83,53 @@ def _narayana(n: int, k: int, zero, reduced):
     return reduced(n, min(k, n + 1 - k))
 
 
-def narayana_atom_exponents(n: int, k: int) -> list[tuple[int, int]]:
+def _narayana_atom_exponents(n: int, k: int) -> list[tuple[int, int]]:
     """(d, x) for d = 2..n: P_d^x is the power of the atom P_d in generalized_narayana(n, k).
 
-    On 1 <= k <= n; x is e(n,k,d) + e(n,k-1,d) - [d | n], with e the
+    On 1 <= k <= n only; x is e(n,k,d) + e(n,k-1,d) - [d | n], with e the
     lucanomial exponent [n mod d < k mod d].
     """
     return [(d, (n % d < k % d) + (n % d < (k - 1) % d) - (n % d == 0)) for d in range(2, n + 1)]
 
 
-def catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
+def _catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
     """(d, x) for d = 2..2n: P_d^x is the power of the atom P_d in generalized_catalan(n).
 
-    On n >= 0; x is e(2n,n,d) - [d | n+1], with e the lucanomial exponent.
+    x is e(2n,n,d) - [d | n+1], with e the lucanomial exponent; a
+    ValueError for n < 0.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return [(d, (2 * n % d < n % d) - ((n + 1) % d == 0)) for d in range(2, 2 * n + 1)]
 
 
-def _atom_power_product(exponents: list[tuple[int, int]], atom, product):
-    """prod atom(d)^x over the (d, x) pairs, each x in {0, 1, 2}.
+def _atom_powers(exponents: list[tuple[int, int]], atom, product):
+    """prod atom(d)^x over the (d, x) pairs, by lucas._atom_product.
 
-    The atoms of exponent 1 and those of exponent 2 are two products, and
-    the second enters twice: (ones * twos) * twos.  Squaring twos first
-    would leave one lopsided product of the small ones with the square,
-    which the multiply kernel takes slower than these two.  Any other
-    exponent falsifies the factorisation and raises AssertionError.
+    Every x is 0, 1 or 2; any other falsifies the factorisation and raises
+    AssertionError.
     """
     ones, twos = [], []
     for d, x in exponents:
-        if x:
-            if x not in (1, 2):
-                raise AssertionError(f"the atom P_{d} has exponent {x}, outside 0..2")
-            (ones if x == 1 else twos).append(atom(d))
-    value = product(ones)
-    if twos:
-        twice = product(twos)
-        value = value * twice * twice
-    return value
-
-
-def _narayana_atoms(n: int, k: int, atom, product):
-    """The Narayana value at 1 <= k <= n as an atom product."""
-    return _atom_power_product(narayana_atom_exponents(n, k), atom, product)
+        if x == 1:
+            ones.append(atom(d))
+        elif x == 2:
+            twos.append(atom(d))
+        elif x:
+            raise AssertionError(f"the atom P_{d} has exponent {x}, outside 0..2")
+    return _atom_product(ones, twos, product)
 
 
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number as a product of integer atoms; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 0, lambda n, k: _narayana_atoms(n, k, fibonacci_atom, prod))
+    return _narayana(n, k, 0, lambda n, k: _atom_powers(
+        _narayana_atom_exponents(n, k), fibonacci_atom, prod))
 
 
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial as a product of Lucas atoms; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, ZERO, lambda n, k: _narayana_atoms(n, k, lucas_atom, _balanced_product))
+    return _narayana(n, k, ZERO, lambda n, k: _atom_powers(
+        _narayana_atom_exponents(n, k), lucas_atom, _balanced_product))
 
 
 def _recurrence(n: int, k: int, t, coefficient):
@@ -191,41 +189,31 @@ def _generalized_narayana_definition(n: int, k: int) -> Poly:
     return _quotient(n, k, lucanomial, lucas, divide_exact)
 
 
-def _catalan(n: int, body, *pieces):
-    """body(n, *pieces) on n >= 0, a ValueError below it."""
+def _catalan_quotient(n: int, coefficient, term, quotient):
+    """coefficient(2n, n) / term(n+1) by exact division; a ValueError for n < 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return body(n, *pieces)
-
-
-def _catalan_atoms(n: int, atom, product):
-    """The Catalan value as an atom product."""
-    return _atom_power_product(catalan_atom_exponents(n), atom, product)
-
-
-def _catalan_quotient(n: int, coefficient, term, quotient):
-    """coefficient(2n, n) / term(n+1) by exact division."""
     return quotient(coefficient(2 * n, n), term(n + 1))
 
 
 def fibocatalan(n: int) -> int:
     """FiboCatalan number fibonomial(2n, n) / F_{n+1}, as a product of integer atoms."""
-    return _catalan(n, _catalan_atoms, fibonacci_atom, prod)
+    return _atom_powers(_catalan_atom_exponents(n), fibonacci_atom, prod)
 
 
 def generalized_catalan(n: int) -> Poly:
     """Generalized Catalan polynomial {2n choose n} / {n+1}, as a product of Lucas atoms."""
-    return _catalan(n, _catalan_atoms, lucas_atom, _balanced_product)
+    return _atom_powers(_catalan_atom_exponents(n), lucas_atom, _balanced_product)
 
 
 def fibocatalan_definition_oracle(n: int) -> int:
     """fibonomial(2n, n) / F_{n+1} by exact division."""
-    return _catalan(n, _catalan_quotient, fibonomial, fibonacci, _int_quotient)
+    return _catalan_quotient(n, fibonomial, fibonacci, _int_quotient)
 
 
 def generalized_catalan_definition_oracle(n: int) -> Poly:
     """{2n choose n} / {n+1} by exact division; must equal the atom product."""
-    return _catalan(n, _catalan_quotient, lucanomial, lucas, divide_exact)
+    return _catalan_quotient(n, lucanomial, lucas, divide_exact)
 
 
 def classical_narayana(n: int, k: int) -> int:

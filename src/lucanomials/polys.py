@@ -60,9 +60,7 @@ Its one step divides one row by another as a series:
 * Steps.  The coefficients are taken in ascending powers of u, each one
   inner product of the divisor's tail with the quotient so far, then a
   divmod by the divisor's lowest-t coefficient; a nonzero remainder means
-  no quotient.  When most of the divisor's row is zeros, the inner
-  products read its nonzero slots only, so dividing by s^(2N) + t^N takes
-  time linear in N.
+  no quotient.
 * Certificate.  The numerator's coefficients past the quotient's length
   must equal the same convolution, so quotient times divisor is the
   numerator exactly.
@@ -654,10 +652,8 @@ def _divide_series(weight: int, a: Row, b: Row) -> Row:
     q_lo, q_hi = a_lo - b_lo, a_lo + len(num) - b_lo - len(den)
     if q_lo < 0 or q_hi < q_lo or 2 * q_hi > weight:
         raise NotDivisibleError("no exact quotient: the weights or t ranges do not fit")
-    size = q_hi - q_lo + 1
-    if 2 * den.count(0) > len(den):
-        return q_lo, _series_sparse(num, [(j, c) for j, c in enumerate(den) if c], size)
     lead, tail = den[0], den[1:]
+    size = q_hi - q_lo + 1
     # rev[size - 1 - i] is the i-th quotient coefficient, so rev[size - i:]
     # lists the ones already found, latest first, ready for an inner product.
     rev = [0] * size
@@ -673,20 +669,3 @@ def _divide_series(weight: int, a: Row, b: Row) -> Row:
     # Both ends are nonzero: num[0] / den[0] starts the quotient, and the
     # certificate makes quotient * den == num, whose top coefficient is nonzero.
     return q_lo, rev[::-1]
-
-
-def _series_sparse(num: list[int], terms: list[tuple[int, int]], size: int) -> list[int]:
-    """The steps and certificate of _divide_series for a divisor row that is
-    mostly zeros, given as its nonzero (slot, coefficient) pairs, slot 0
-    first; each inner product reads those slots only."""
-    (_, lead), rest = terms[0], terms[1:]
-    quotient: list[int] = []
-    for i in range(size):
-        q, r = divmod(num[i] - sum([c * quotient[i - j] for j, c in rest if j <= i]), lead)
-        if r:
-            raise NotDivisibleError("no exact quotient: a series coefficient is not an integer")
-        quotient.append(q)
-    for i in range(size, len(num)):
-        if num[i] != sum([c * quotient[i - j] for j, c in terms if 0 <= i - j < size]):
-            raise NotDivisibleError("no exact quotient: the numerator's top coefficients disagree")
-    return quotient

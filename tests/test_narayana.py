@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from lucanomials import cli, narayana
 from lucanomials.cli import _TARGETS, main
 from lucanomials.narayana import (
-    _atom_power_product,
+    _atom_powers,
+    _catalan_atom_exponents,
     _fibonarayana_definition,
     _fibonarayana_recurrence,
     _generalized_narayana_definition,
     _generalized_narayana_recurrence,
+    _narayana_atom_exponents,
     catalan,
-    catalan_atom_exponents,
     classical_narayana,
     classical_specialization_report,
     fibocatalan,
@@ -28,7 +29,6 @@ from lucanomials.narayana import (
     generalized_narayana,
     generalized_narayana_definition_oracle,
     generalized_narayana_recurrence,
-    narayana_atom_exponents,
 )
 from lucanomials.lucas import (
     MEMO_SIZE,
@@ -268,7 +268,7 @@ class TestAtomProduct:
         for n in range(1, EXPONENT_N_MAX + 1):
             seen = set()
             for k in range(1, n + 1):
-                exponents = narayana_atom_exponents(n, k)
+                exponents = _narayana_atom_exponents(n, k)
                 assert [d for d, _ in exponents] == list(range(2, n + 1))
                 seen.update(x for _, x in exponents)
             assert seen <= {0, 1, 2}, n
@@ -276,7 +276,7 @@ class TestAtomProduct:
 
     def test_catalan_exponents_are_zero_or_one(self):
         for n in range(EXPONENT_N_MAX + 1):
-            exponents = catalan_atom_exponents(n)
+            exponents = _catalan_atom_exponents(n)
             assert [d for d, _ in exponents] == list(range(2, 2 * n + 1))
             assert {x for _, x in exponents} <= {0, 1}, n
         assert {x for _, x in exponents} == {0, 1}
@@ -284,27 +284,27 @@ class TestAtomProduct:
     def test_exponents_are_symmetric_under_the_mirror(self):
         for n in range(1, 40):
             for k in range(1, n + 1):
-                assert narayana_atom_exponents(n, k) == narayana_atom_exponents(n, n + 1 - k)
+                assert _narayana_atom_exponents(n, k) == _narayana_atom_exponents(n, n + 1 - k)
 
     def test_hand_exponents(self):
         # N(4, 2) = {4,2}{4,1}/{4}, where {4,2} = P_3 P_4 and {4,1} = {4} = P_2 P_4.
-        assert narayana_atom_exponents(4, 2) == [(2, 0), (3, 1), (4, 1)]
+        assert _narayana_atom_exponents(4, 2) == [(2, 0), (3, 1), (4, 1)]
         assert generalized_narayana(4, 2) == parse("s^2 + t") * parse("s^2 + 2*t")
         # C(3) = {6,3}/{4}: {6,3} = P_2 P_4 P_5 P_6, {4} = P_2 P_4.
-        assert catalan_atom_exponents(3) == [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
+        assert _catalan_atom_exponents(3) == [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
 
     @pytest.mark.parametrize("atom,product", [(lucas_atom, _balanced_product), (fibonacci_atom, prod)])
     def test_forced_negative_exponent_raises(self, atom, product):
         with pytest.raises(AssertionError, match="exponent -1"):
-            _atom_power_product([(2, 1), (3, -1)], atom, product)
+            _atom_powers([(2, 1), (3, -1)], atom, product)
         with pytest.raises(AssertionError, match="exponent 3"):
-            _atom_power_product([(2, 3)], atom, product)
-        assert _atom_power_product([(3, 2), (4, 1), (5, 0)], atom, product) == (
+            _atom_powers([(2, 3)], atom, product)
+        assert _atom_powers([(3, 2), (4, 1), (5, 0)], atom, product) == (
             atom(3) ** 2 * atom(4))
 
     def test_forced_negative_exponent_raises_from_the_public_functions(self, monkeypatch):
-        monkeypatch.setattr(narayana, "narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
-        monkeypatch.setattr(narayana, "catalan_atom_exponents", lambda n: [(2, -1)])
+        monkeypatch.setattr(narayana, "_narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
+        monkeypatch.setattr(narayana, "_catalan_atom_exponents", lambda n: [(2, -1)])
         for call in (lambda: generalized_narayana(5, 2), lambda: fibonarayana(5, 2),
                      lambda: generalized_catalan(3), lambda: fibocatalan(3)):
             with pytest.raises(AssertionError):
@@ -313,14 +313,14 @@ class TestAtomProduct:
     def test_certificate_fails_on_a_negative_exponent(self, monkeypatch):
         # theorem3 compares the recurrence with the quotient; the atom
         # exponents are its certificate of positivity.
-        monkeypatch.setattr(narayana, "narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
+        monkeypatch.setattr(narayana, "_narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
         report = _TARGETS["theorem3"].checks.check(5, 2)
         assert report["lhs"] == report["rhs"] and report["lhs"].is_nonneg()
         assert report["oracle_agrees"] is True and report["nonneg"] is False
         assert report["pass"] is False
 
     def test_certificate_fails_on_a_negative_atom(self, monkeypatch):
-        monkeypatch.setattr(cli, "_atom_nonneg", lambda d: False)
+        monkeypatch.setattr(cli, "lucas_atom", lambda d: -ONE)
         for target, point in (("theorem3", (5, 2)), ("catalan", (3,))):
             report = _TARGETS[target].checks.check(*point)
             assert report["nonneg"] is False and report["pass"] is False, target
