@@ -96,6 +96,7 @@ from .tilings import (
     SQUARE,
     RectTiling,
     ShapeError,
+    _check_rows_field,
     _cut_offsets,
     _Record,
     _json_field,
@@ -119,6 +120,7 @@ class StairstepTiling(_Record):
     __slots__ = ("rows",)
 
     def __post_init__(self):
+        _check_rows_field(self.rows, "rows")
         size = len(self.rows)
         for index, row in enumerate(self.rows):
             expected = size - index

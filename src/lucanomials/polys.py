@@ -11,40 +11,36 @@ that weight in ascending powers of t.  Each row starts and ends with a
 nonzero coefficient and may hold zeros inside; a weight with no terms has
 no row.  That form is canonical, so equality is plain dict equality.
 
-Multiplication takes one row product per pair of rows, in three size
-tiers: the pairwise loop for short or sparse rows, and above it one
-big-number product of the rows packed by Kronecker substitution, taken in
-CPython ints or, for the largest products, in libmpdec decimals.  The two
-packed tiers share the slot layout and the sign scheme:
+Multiplication takes one row product per pair of rows.  Short, sparse or
+signed rows take the pairwise loop; the rest, one big-number product of
+the rows packed by Kronecker substitution, in CPython ints or, for the
+largest products, in libmpdec decimals.  The two packed tiers take only
+nonnegative rows, as every Lucas object and atom has, and share:
 
 * Slots.  The coefficient at t^te goes to slot te - t_min of its row, so
   the product of two rows is read off its slots with no key to rebuild.
   The product of two rows with nonzero ends has nonzero ends, as Z is a
   domain, so it is a row as it stands.
-* Bound.  With bits = bits(max|a|) + bits(max|b|) + bits(min(len a,
-  len b)), every product coefficient has absolute value below 2^bits.
-* Sign.  A row with a negative coefficient is packed with half the slot's
-  range added to every slot, which the tier subtracts again as one number.
-  When either row has one, adding half the slot's range to every slot of
-  the product makes each slot nonnegative, so the product splits slot by
-  slot, and the bias is subtracted again per slot.
-* Int tier.  Each slot is `width` bytes with 8*width - 1 >= bits, and any
-  bias is 2^(8*width - 1).  One `to_bytes` splits the product.
-* Decimal tier.  Each slot is `digits` decimal digits with
-  10^digits > 2^(bits + 1), and any bias is 5 * 10^(digits - 1).  Each
-  row is one `Decimal` read from its zero-padded coefficient texts,
-  joined once; the product is taken in a local context of maximal precision,
-  where libmpdec multiplies large operands by number-theoretic transform
-  in O(n log n) against Karatsuba's O(n^1.58), and one `format(..., "f")`
-  splits it.  It serves products of more than DECIMAL_MIN_BITS packed
-  bits whose shorter row packs to more than DECIMAL_MIN_OPERAND_BITS,
-  and only when the C `_decimal` module imports (it is imported then, not
-  at start-up); otherwise the int tier does.  Neither the decimal module's
-  global context nor the int/str digit limit is left changed.
+* Bound.  With bits = bits(max a) + bits(max b) + bits(min(len a,
+  len b)), every product coefficient is below 2^bits.
+* Int tier.  Each slot is `width` bytes with 8*width >= bits.  One
+  `to_bytes` splits the product.
+* Decimal tier.  Each slot is `digits` decimal digits, the fewest with
+  10^digits > 2^bits.  Each row is one `Decimal` read from its
+  zero-padded coefficient texts, joined once; the product is taken in a
+  local context of maximal precision, where libmpdec multiplies large
+  operands by number-theoretic transform in O(n log n) against
+  Karatsuba's O(n^1.58), and one `format(..., "f")` splits it.  It serves
+  products of more than DECIMAL_MIN_BITS packed bits whose shorter row
+  packs to more than DECIMAL_MIN_OPERAND_BITS, and only when the C
+  `_decimal` module imports (it is imported then, not at start-up);
+  otherwise the int tier does.  Neither the decimal module's global
+  context nor the int/str digit limit is left changed.
 * Pairwise loop.  When the shorter row has at most SCHOOLBOOK_MAX_TERMS
-  slots, or the product has more slots than there are pairs of nonzero
-  coefficients (sparse rows), the pairwise loop runs instead; it is the
-  kernel's base case, not a second kernel.
+  slots, the product has more slots than there are pairs of nonzero
+  coefficients (sparse rows), or either row has a negative coefficient,
+  the pairwise loop runs instead; it is the kernel's exact base case, not
+  a second kernel.  A signed product is quadratic in its row lengths.
 
 Division exists only as :func:`divide_exact`, which raises
 :class:`NotDivisibleError` when no exact quotient exists.  All quotients
@@ -82,7 +78,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Mapping
-from operator import add, mul, sub
+from operator import add, mul
 from types import MappingProxyType
 
 Monomial = tuple[int, int]  # (s exponent, t exponent)
@@ -119,7 +115,8 @@ class Poly:
     terms: s^(2N) + t^N holds a row of N + 1 slots, and construction, `+`,
     `*` and division all allocate O(N) for it.  The pairwise loop
     multiplies such sparse rows in time linear in their lengths plus the
-    pairs of nonzero terms.
+    pairs of nonzero terms.  It also takes every row pair with a negative
+    coefficient, since the packed tiers take nonnegative rows only.
     """
 
     __slots__ = ("_rows", "_hash")
@@ -209,7 +206,8 @@ class Poly:
         for wa, (la, a) in self._rows.items():
             for wb, (lb, b) in other._rows.items():
                 if (min(len(a), len(b)) <= SCHOOLBOOK_MAX_TERMS
-                        or len(a) + len(b) - 1 > (len(a) - a.count(0)) * (len(b) - b.count(0))):
+                        or len(a) + len(b) - 1 > (len(a) - a.count(0)) * (len(b) - b.count(0))
+                        or min(a) < 0 or min(b) < 0):
                     row = _mul_schoolbook(a, b)
                 else:
                     row = _mul_kronecker(a, b)
@@ -320,41 +318,12 @@ def _mul_schoolbook(a: list[int], b: list[int]) -> list[int]:
 
 
 def _slot_bits(a: list[int], b: list[int]) -> int:
-    # Every product coefficient has absolute value below 2^bits.
-    return (
-        max(max(a), -min(a)).bit_length()
-        + max(max(b), -min(b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
-
-
-def _pack(a: list[int], b: list[int], number, bias, half: int, subtract) -> tuple:
-    """(packed a, packed b, signed): each row as one number, and whether
-    either has a negative coefficient.
-
-    number(slots) packs one nonnegative value per slot, slot 0 first;
-    bias(count) is `half` in each of count slots as one number, and
-    subtract(x, y) is x - y in the tier's arithmetic.  A signed row is
-    packed with `half` added to every slot, less bias(len(row)).  A square
-    is packed once.
-    """
-    packed = []
-    signed = False
-    for row in [a] if b is a else [a, b]:
-        if min(row) >= 0:
-            packed.append(number(row))
-        else:
-            signed = True
-            packed.append(subtract(number([c + half for c in row]), bias(len(row))))
-    return packed[0], packed[-1], signed
+    # Every coefficient of the product of two nonnegative rows is below 2^bits.
+    return max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
 
 
 def _mul_kronecker(a: list[int], b: list[int]) -> list[int]:
-    """Product of two rows by one big-number product.
-
-    See the module docstring for the slot layout, the bound, the bias and
-    the int and decimal tiers.
-    """
+    """Product of two nonnegative rows in a packed tier (see the module docstring)."""
     bits = _slot_bits(a, b)
     if ((len(a) + len(b) - 1) * bits > DECIMAL_MIN_BITS
             and min(len(a), len(b)) * bits > DECIMAL_MIN_OPERAND_BITS):
@@ -366,24 +335,16 @@ def _mul_kronecker(a: list[int], b: list[int]) -> list[int]:
 
 def _product_int(a: list[int], b: list[int], bits: int) -> list[int]:
     """The product row, from one int product of width-byte slots."""
-    width = bits // 8 + 1  # 8 * width - 1 >= bits
-    half = 1 << (8 * width - 1)
+    width = -(-bits // 8)  # 8 * width >= bits
 
     def number(slots):
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in slots]), "little")
 
-    def bias(count):
-        return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-    packed_a, packed_b, signed = _pack(a, b, number, bias, half, sub)
-    slots = len(a) + len(b) - 1
-    product = packed_a * packed_b
-    if signed:
-        product += bias(slots)
-    data = product.to_bytes(slots * width, "little")
+    packed_a = number(a)
+    product = packed_a * (packed_a if b is a else number(b))
+    data = product.to_bytes((len(a) + len(b) - 1) * width, "little")
     from_bytes = int.from_bytes
-    values = [from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
-    return [c - half for c in values] if signed else values
+    return [from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
 
 
 def _product_decimal(a: list[int], b: list[int], bits: int) -> list[int] | None:
@@ -397,27 +358,19 @@ def _product_decimal(a: list[int], b: list[int], bits: int) -> list[int] | None:
         from _decimal import MAX_EMAX, MAX_PREC, Context, Decimal
     except ImportError:
         return None
-    # 10^digits > 2^(bits + 1), since log10(2) < 0.30103; so half > 2^bits.
-    digits = (bits + 1) * 30103 // 100000 + 1
+    # 10^digits > 2^bits, since log10(2) < 0.30102999566398119522, and
+    # no fewer digits do for any width below 10^9 bits.
+    digits = bits * 30102999566398119522 // 10**20 + 1
     slot = f"{{:0{digits}d}}".format
-    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
-    half = 5 * 10 ** (digits - 1)
 
     def number(slots):
         # Decimal text puts the highest slot first.
         return Decimal("".join(map(slot, reversed(slots))))
 
-    def bias(count):
-        return Decimal(("5" + "0" * (digits - 1)) * count)
-
-    packed_a, packed_b, signed = _pack(a, b, number, bias, half, context.subtract)
-    slots = len(a) + len(b) - 1
-    product = context.multiply(packed_a, packed_b)
-    if signed:
-        product = context.add(product, bias(slots))
-    text = format(product, "f").zfill(slots * digits)
-    values = [int(text[at - digits:at]) for at in range(len(text), 0, -digits)]
-    return [c - half for c in values] if signed else values
+    packed_a = number(a)
+    product = Context(prec=MAX_PREC, Emax=MAX_EMAX).multiply(packed_a, packed_a if b is a else number(b))
+    text = format(product, "f").zfill((len(a) + len(b) - 1) * digits)
+    return [int(text[at - digits:at]) for at in range(len(text), 0, -digits)]
 
 
 def _from_rows(rows: dict[int, Row]) -> Poly:

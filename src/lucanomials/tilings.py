@@ -56,6 +56,12 @@ def covered_length(tiling: str) -> int:
     return len(tiling) + dominos
 
 
+def _check_rows_field(rows, name: str) -> None:
+    # A string is a sequence of one-letter rows; a field of rows is a tuple of them.
+    if isinstance(rows, str):
+        raise ShapeError(f"{name} must be a tuple of row tilings, not the string {rows!r}")
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _cut_offsets(row: str) -> tuple[int, ...]:
     """String offset of every cell boundary of a row tiling; -1 inside a domino.
@@ -241,6 +247,8 @@ class RectTiling(_Record):
     __slots__ = ("lam", "lambda_rows", "star_rows")
 
     def __post_init__(self):
+        _check_rows_field(self.lambda_rows, "lambda_rows")
+        _check_rows_field(self.star_rows, "star_rows")
         k = len(self.lam)
         m = len(self.star_rows)
         star_parts = star(self.lam, k, m)

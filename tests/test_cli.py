@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, and determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -627,6 +628,44 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, "lucanomial", "--n", "6")
         assert excinfo.value.code == 2
+
+
+class TestKernelTraffic:
+    """Every product the commands form multiplies nonnegative rows.
+
+    The packed tiers of the multiply kernel take nonnegative rows only, and
+    a signed row pair takes the pairwise loop, which is quadratic in the row
+    lengths.  A route that starts forming signed products fails here instead
+    of running slowly unnoticed.
+    """
+
+    COMMANDS = [["verify", target] for target in VERIFY_TARGETS] + [
+        ["lucas", "--n", "12"],
+        ["lucanomial", "--n", "14", "--k", "6"],
+        ["fibonomial", "--n", "14", "--k", "6"],
+        *(["narayana", "--n", "12", "--k", "5", "--mode", mode] for mode in ("fibo", "general", "classical")),
+        *(["catalan", "--n", "9", "--mode", mode] for mode in ("fibo", "general", "classical")),
+    ]
+
+    def test_no_signed_row_products(self, capsys, monkeypatch):
+        products = {"_mul_schoolbook": [], "_mul_kronecker": []}
+        for name, seen in products.items():
+            def recording(a, b, original=getattr(polys, name), seen=seen):
+                seen.append(min(a) >= 0 and min(b) >= 0)
+                return original(a, b)
+
+            monkeypatch.setattr(polys, name, recording)
+        # Cold memos, so that the commands form every product they need here.
+        lucas = importlib.import_module("lucanomials.lucas")  # the package exports a function `lucas`
+        for module in (lucas, narayana, tilings):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        monkeypatch.setattr(lucas, "_lucas_polys", [polys.ZERO, polys.ONE])
+        for argv in self.COMMANDS:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert all(products.values())  # both kernels ran
+        assert all(map(all, products.values()))
 
 
 class TestClosedStdout:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import sys
+import types
 from functools import reduce
 from operator import mul
 
@@ -64,7 +65,8 @@ def wide_polys(draw, homogeneous, min_terms=SCHOOLBOOK_MAX_TERMS + 1, max_terms=
 def by_rows(p, q, product):
     """p * q with the row of every pair of weights multiplied by product(a, b).
 
-    A square passes the same list twice, as the kernel does, which packs it once.
+    A square passes the same list twice, as the kernel does, which packs it
+    once.  The packed tiers take nonnegative rows only: see `magnitudes`.
     """
     terms = []
     for wa, (la, a) in p._rows.items():
@@ -75,6 +77,11 @@ def by_rows(p, q, product):
 
 def kronecker(p, q):
     return by_rows(p, q, polys._mul_kronecker)
+
+
+def magnitudes(p):
+    """p with each coefficient replaced by its absolute value: an operand for the packed tiers."""
+    return Poly({key: abs(c) for key, c in p.terms.items()})
 
 
 def schoolbook(p, q):
@@ -172,21 +179,26 @@ class TestPow:
 
 
 class TestKroneckerKernel:
-    """The packed big-int product against the pairwise loop it replaces."""
+    """The packed big-int product against the pairwise loop it replaces.
+
+    The packed tiers take nonnegative rows, so they get the magnitudes of
+    the drawn operands; the signed operands themselves go through `*`, which
+    sends their row pairs to the pairwise loop.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(wide_polys(homogeneous=True), wide_polys(homogeneous=True))
     def test_homogeneous(self, p, q):
-        expected = schoolbook(p, q)
-        assert kronecker(p, q) == expected
-        assert p * q == expected
+        assert p * q == schoolbook(p, q)
+        p, q = magnitudes(p), magnitudes(q)
+        assert kronecker(p, q) == p * q == schoolbook(p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(wide_polys(homogeneous=False), wide_polys(homogeneous=False))
     def test_non_homogeneous(self, p, q):
-        expected = schoolbook(p, q)
-        assert kronecker(p, q) == expected
-        assert p * q == expected
+        assert p * q == schoolbook(p, q)
+        p, q = magnitudes(p), magnitudes(q)
+        assert kronecker(p, q) == p * q == schoolbook(p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,41 +206,47 @@ class TestKroneckerKernel:
         wide_polys(homogeneous=False, min_terms=1),
     )
     def test_every_size(self, p, q):
-        expected = schoolbook(p, q)
-        assert kronecker(p, q) == expected
-        assert p * q == expected
+        assert p * q == schoolbook(p, q)
+        p, q = magnitudes(p), magnitudes(q)
+        assert kronecker(p, q) == p * q == schoolbook(p, q)
 
     @settings(max_examples=30, deadline=None)
     @given(wide_polys(homogeneous=True))
     def test_square(self, p):
-        assert kronecker(p, p) == schoolbook(p, p)
         assert p * p == p**2 == schoolbook(p, p)
+        p = magnitudes(p)
+        assert kronecker(p, p) == p * p == p**2 == schoolbook(p, p)
 
     @settings(max_examples=30, deadline=None)
     @given(wide_polys(homogeneous=False))
     def test_cancels_to_zero(self, p):
         assert p * (-p) + p * p == ZERO
-        assert kronecker(p, -p) == -kronecker(p, p)
+        assert p * (-p) == -(p * p) == -schoolbook(p, p)
 
     def test_cancels_to_sparse(self):
-        assert kronecker(S - T, S + T) == parse("s^2 - t^2") == (S - T) * (S + T)
+        assert (S - T) * (S + T) == parse("s^2 - t^2") == schoolbook(S - T, S + T)
         # (1 + s + ... + s^9)(1 - s)(1 + s^10 + ... + s^90) = 1 - s^100
         a = sum((S**j for j in range(10)), ZERO)
         b = (1 - S) * sum((S ** (10 * j) for j in range(10)), ZERO)
         assert len(a.terms) == 10 and len(b.terms) == 20
-        assert a * b == kronecker(a, b) == 1 - S**100
+        assert a * b == schoolbook(a, b) == 1 - S**100
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("bits_a", [253, 254])
     def test_coefficient_at_slot_bound(self, bits_a, sign):
         # The middle coefficient of the product is 15 (2^bits_a - 1)(2^254 - 1),
-        # within a sixteenth of 2^(bits_a + 258).  At bits_a = 253 it fills
-        # 64-byte slots up to the bias bit; at 254 it needs a 65th byte.
+        # which has as many bits as the slot bound: bits = bits_a + 258, 511
+        # or 512.  Both take 64-byte slots, and at 512 the coefficient fills
+        # the top bit of its slot.  A negative b takes the pairwise loop.
         a = Poly({(30 - 2 * j, j): 2**bits_a - 1 for j in range(15)})
-        b = Poly({(30 - 2 * j, j): sign * (2**254 - 1) for j in range(15)})
-        product = a * b
-        assert product == kronecker(a, b) == schoolbook(a, b)
-        assert product.terms[(32, 14)] == sign * 15 * (2**bits_a - 1) * (2**254 - 1)
+        b = Poly({(30 - 2 * j, j): 2**254 - 1 for j in range(15)})
+        bits = polys._slot_bits(a._rows[30][1], b._rows[30][1])
+        middle = 15 * (2**bits_a - 1) * (2**254 - 1)
+        assert bits == bits_a + 258 == middle.bit_length()
+        product = kronecker(a, b)
+        assert product == a * b == schoolbook(a, b)
+        assert product.terms[(32, 14)] == middle
+        assert a * (sign * b) == sign * product
 
     @settings(max_examples=20, deadline=None)
     @given(wide_polys(homogeneous=True))
@@ -258,9 +276,21 @@ class TestKroneckerKernel:
         monkeypatch.setattr(polys, "_mul_kronecker", refuse)
         assert a * a == expected
 
+    def test_signed_products_use_the_loop(self, monkeypatch):
+        # The dense row of test_dense_products_use_the_kernel, its first coefficient made negative.
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        a = Poly({(20 - 2 * j, j): j + 1 for j in range(11)})
+        signed = a - 2 * S**20
+        assert len(signed._rows) == 1 and min(signed._rows[20][1]) == -1
+        expected = [schoolbook(signed, a), schoolbook(a, signed), schoolbook(signed, signed)]
+        monkeypatch.setattr(polys, "_mul_kronecker", refuse)
+        assert [signed * a, a * signed, signed * signed] == expected
+
 
 def tier_args(p, q):
-    """The arguments the kernel passes to either tier for p * q, each of one weight."""
+    """The arguments the kernel passes to either tier for p * q, each nonnegative and of one weight."""
     [(_, a)] = p._rows.values()
     [(_, b)] = q._rows.values()  # the same list when q is p: a square is packed once
     return a, b, polys._slot_bits(a, b)
@@ -311,14 +341,19 @@ class TestDecimalTier:
         p * p
         assert len(decimal_calls) == 1
 
-    def test_negated_operand_negates_every_slot(self):
-        # Nonnegative operands take no bias; a negative coefficient brings it in.
+    def test_negated_operand_negates_every_slot(self, decimal_calls):
+        # A negative coefficient sends the row pair to the pairwise loop,
+        # which gives the packed product's slots, negated.
         p, q = lucanomial(44, 22), lucanomial(43, 20)
-        unbiased, _ = both_tiers(p, q)
-        for signed in ((-p, q), (p, -q)):
-            decimal, ints = both_tiers(*signed)
-            assert decimal == ints == [-c for c in unbiased]
-        assert both_tiers(-p, -q) == (unbiased, unbiased)
+        decimal, ints = both_tiers(p, q)
+        assert decimal == ints
+        decimal_calls.clear()
+        product = p * q
+        assert len(decimal_calls) == 1
+        assert [row for _, row in product._rows.values()] == [decimal]
+        assert (-p) * q == p * (-q) == -product
+        assert (-p) * (-q) == product
+        assert len(decimal_calls) == 1
 
     @pytest.mark.parametrize("operands", [
         lambda: (lucanomial(44, 22), lucanomial(43, 20)),
@@ -340,29 +375,46 @@ class TestDecimalTier:
         # cancels to zero, and the even ones take both signs.
         lc = lucanomial(50, 25)
         alternating = Poly({(se, te): (-1) ** te * c for (se, te), c in lc.terms.items()})
-        decimal, ints = both_tiers(lc, alternating)
-        assert decimal == ints
-        assert min(decimal) < 0 < max(decimal) and 0 in decimal
+        product = lc * alternating
+        assert product == schoolbook(lc, alternating)
+        [(_, row)] = product._rows.values()
+        assert min(row) < 0 < max(row) and 0 in row
         # (L s - L t)(L s + L t) = L^2 (s^2 - t^2): two rows each, four row
         # products, and the L^2 s t rows cancel in their sum.
         a, b = lc * S - lc * T, lc * S + lc * T
-        assert by_rows(a, b, decimal_tier) == by_rows(a, b, int_tier) == schoolbook(a, b)
+        positive = magnitudes(a)
+        assert by_rows(positive, b, decimal_tier) == by_rows(positive, b, int_tier) == schoolbook(positive, b)
         decimal_calls.clear()
         assert a * b == (lc * lc) * parse("s^2 - t^2")
         assert a * (-a) + a * a == ZERO
-        assert len(decimal_calls) == 4 + 1 + 4 + 4
+        # Only pairs of nonnegative rows take the decimal tier: two of the
+        # four in a * b, lc * lc, and one of the four in each of a * (-a) and a * a.
+        assert len(decimal_calls) == 2 + 1 + 1 + 1
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("bits_a", range(250, 262))
-    def test_coefficient_at_slot_bound(self, bits_a, sign):
-        # As in the int kernel's test: the middle coefficient comes within a
-        # sixteenth of the slot bound 2^bits, for slot widths either side of
-        # a change in the digit count.
+    def test_coefficient_at_slot_bound(self, bits_a, sign, monkeypatch):
+        # As in the int kernel's test: the middle coefficient has as many
+        # bits as the slot bound, bits = bits_a + 258.  The fewest digits
+        # with 10^digits > 2^bits change from 153 to 154 between bits 508
+        # and 509, and again between 511 and 512, 514 and 515, and 518 and
+        # 519, so the cases lie on both sides of each change, and each
+        # slot must have exactly that many digits.
+        import _decimal
+
+        texts = []
+        recording = types.ModuleType("_decimal")
+        recording.__dict__.update(vars(_decimal))
+        recording.Decimal = lambda text: texts.append(text) or _decimal.Decimal(text)
+        monkeypatch.setitem(sys.modules, "_decimal", recording)
         a = Poly({(30 - 2 * j, j): 2**bits_a - 1 for j in range(15)})
-        b = Poly({(30 - 2 * j, j): sign * (2**254 - 1) for j in range(15)})
+        b = Poly({(30 - 2 * j, j): 2**254 - 1 for j in range(15)})
         decimal, ints = both_tiers(a, b)
         assert decimal == ints
-        assert decimal[14] == sign * 15 * (2**bits_a - 1) * (2**254 - 1)
+        assert [len(text) for text in texts] == [15 * len(str(2 ** (bits_a + 258)))] * 2
+        middle = 15 * (2**bits_a - 1) * (2**254 - 1)
+        assert decimal[14] == middle and middle.bit_length() == bits_a + 258
+        assert [row for _, row in (a * (sign * b))._rows.values()] == [[sign * c for c in decimal]]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -377,6 +429,8 @@ class TestDecimalTier:
             return Poly({(j % 7, j // 7 + j % 3): c for j, c in enumerate(coefficients)})
 
         p, q = poly(ca), poly(cb)
+        assert p * q == schoolbook(p, q)
+        p, q = magnitudes(p), magnitudes(q)
         if homogeneous:
             decimal, ints = both_tiers(p, q)
             assert decimal == ints
@@ -387,12 +441,14 @@ class TestDecimalTier:
         p, q = huge(1, 4400, 15), huge(-1, 4400, 14)
         assert min(len(polys.int_text(abs(c))) for c in p.terms.values()) > 4300
         before = sys.get_int_max_str_digits()
-        decimal, ints = both_tiers(p, q)
+        decimal, ints = both_tiers(p, magnitudes(q))
         assert sys.get_int_max_str_digits() == before
         assert decimal == ints
         decimal_calls.clear()
-        assert p * q == schoolbook(p, q)
+        assert p * magnitudes(q) == schoolbook(p, magnitudes(q))
         assert p * p == schoolbook(p, p)
+        assert len(decimal_calls) == 2
+        assert p * q == schoolbook(p, q)  # signed: the pairwise loop
         assert len(decimal_calls) == 2
         assert sys.get_int_max_str_digits() == before
 
@@ -404,10 +460,10 @@ class TestDecimalTier:
 
         def fail(*args):
             lifted.append(sys.get_int_max_str_digits())
-            raise RuntimeError("packing failed")
+            raise RuntimeError("decimal tier failed")
 
-        monkeypatch.setattr(polys, "_pack", fail)
-        with pytest.raises(RuntimeError, match="packing failed"):
+        monkeypatch.setattr(polys, "_product_decimal", fail)
+        with pytest.raises(RuntimeError, match="decimal tier failed"):
             p * p
         assert lifted == [0]
         assert sys.get_int_max_str_digits() == before

@@ -128,6 +128,19 @@ class TestFieldTypes:
         with pytest.raises(ShapeError, match="not a string"):
             RectTiling(lam, lambda_rows, star_rows)
 
+    def test_rows_may_not_be_a_string(self):
+        # A string is a sequence of strings: "DS" would be read as the rows "D", "S".
+        with pytest.raises(ShapeError, match="rows must be a tuple of row tilings, not the string 'DS'"):
+            StairstepTiling("DS")
+        with pytest.raises(ShapeError, match="lambda_rows must be a tuple"):
+            RectTiling((1,), "S", ("",))
+        with pytest.raises(ShapeError, match="star_rows must be a tuple"):
+            RectTiling((0, 0), ("", ""), "")
+        with pytest.raises(ShapeError, match="star_rows must be a tuple"):
+            RectTiling((0, 0), ("", ""), "D")
+        assert StairstepTiling(("D", "S")).rows == ("D", "S")
+        assert RectTiling((1,), ("S",), ("",)).lambda_rows == ("S",)
+
     @pytest.mark.parametrize("lam", [(True,), (1, False), (1.0,), ("1",), (None,)])
     def test_rect_part_must_be_an_int(self, lam):
         rows = ("S",) * len(lam)
