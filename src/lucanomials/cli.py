@@ -282,11 +282,12 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
 def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
     if not 1 <= args.k <= args.n - 1:
         parser.error("need 1 <= --k <= --n - 1")
-    if not os.path.isfile(args.input):
-        parser.error(f"--input file not found: {args.input}")
+    # Open whatever path is given, so a pipe such as /dev/stdin is input too.
     try:
         with open(args.input, encoding="utf-8") as file:
             text = file.read()
+    except FileNotFoundError:
+        parser.error(f"--input file not found: {args.input}")
     except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"--input cannot be read as UTF-8 text: {exc}")
     if args.action == "forward":

@@ -31,19 +31,18 @@ Memoisation.  The sequences {n} and F_n are append-only module lists that
 grow by the recurrence, one term at a time and without recursion, so a large
 index never meets the interpreter's recursion limit.  Every other memo in the
 package is a functools.lru_cache bounded at MEMO_SIZE entries: the atoms
-(keyed on d), the factorials (keyed on n), lucanomials and fibonomials
-(keyed on (n, min(k, n-k))), the four Narayana memos of
-:mod:`lucanomials.narayana` (the recurrence and the definitional quotient
-in each ring, keyed on the mirror key (n, min(k, n+1-k))), and the row
-tilings and cut offsets of :mod:`lucanomials.tilings`.  An evicted entry
-is recomputed on its next use, so the bound caps memory and never changes
-a result.  An atom recurses through the cache over the divisors of d, so
-its recursion depth is at most log2 d.
+(keyed on d), the factorials (keyed on n), the row tilings and cut offsets
+of :mod:`lucanomials.tilings`, and the lucanomials, fibonomials and six
+Narayana functions, which :func:`_mirrored` keys on the mirror key of their
+symmetry, (n, min(k, n-k)) or (n, min(k, n+1-k)).  An evicted entry is
+recomputed on its next use, so the bound caps memory and never changes a
+result.  An atom recurses through the cache over the divisors of d, so its
+recursion depth is at most log2 d.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import prod
 
 from .polys import ONE, NotDivisibleError, Poly, S, T, ZERO, divide_exact
@@ -157,29 +156,32 @@ def fibonacci_atom(d: int) -> int:
     return _atom(d, fibonacci, fibonacci_atom, _int_quotient)
 
 
-def _coefficient(n: int, k: int, zero, reduced):
-    """reduced(n, min(k, n-k)) on 0 <= k <= n, zero outside it."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return zero
-    return reduced(n, min(k, n - k))
+def _mirrored(first: int, zero):
+    """The public function of a family f(n, k) = f(n, n+first-k), made from its body.
 
-
-def _atom_product(ones: list, twos: list, product):
-    """product(ones) times product(twos) squared, for lists of atoms.
-
-    The square's factor is built once and enters twice, (ones * twos) *
-    twos: squaring it first would leave one lopsided product of the small
-    ones with the square, which the multiply kernel takes slower than these
-    two.  Lucanomials have no twos; the Narayana analogues of
-    :mod:`lucanomials.narayana` do.
+    It raises ValueError for n < first, returns zero for k outside first..n
+    (or raises ValueError when zero is None), and otherwise calls the body
+    at (n, min(k, n+first-k)) through an lru_cache bounded at MEMO_SIZE,
+    whose cache_info and cache_clear it carries; __wrapped__ is the body.
     """
-    value = product(ones)
-    if not twos:
-        return value
-    twice = product(twos)
-    return value * twice * twice
+    def decorate(body):
+        memo = lru_cache(maxsize=MEMO_SIZE)(body)
+
+        @wraps(body)
+        def family(n: int, k: int):
+            if n < first:
+                raise ValueError(f"need n >= {first}")
+            if not first <= k <= n:
+                if zero is None:
+                    raise ValueError(f"need {first} <= k <= n")
+                return zero
+            return memo(n, min(k, n + first - k))
+
+        family.cache_info = memo.cache_info
+        family.cache_clear = memo.cache_clear
+        return family
+
+    return decorate
 
 
 def _lucanomial_atoms(n: int, k: int, atom) -> list:
@@ -192,6 +194,7 @@ def _lucanomial_atoms(n: int, k: int, atom) -> list:
     return [atom(d) for d in range(2, n + 1) if n % d < k % d]
 
 
+@_mirrored(0, ZERO)
 def lucanomial(n: int, k: int) -> Poly:
     """The lucanomial {n choose k}, zero outside 0 <= k <= n.
 
@@ -199,22 +202,13 @@ def lucanomial(n: int, k: int) -> Poly:
     multiplied as a balanced tree; agrees with the recurrence and with the
     factorial quotient.
     """
-    return _coefficient(n, k, ZERO, _lucanomial)
+    return _balanced_product(_lucanomial_atoms(n, k, lucas_atom))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _lucanomial(n: int, k: int) -> Poly:
-    return _atom_product(_lucanomial_atoms(n, k, lucas_atom), [], _balanced_product)
-
-
+@_mirrored(0, 0)
 def fibonomial(n: int, k: int) -> int:
     """The fibonomial coefficient F_n!/(F_k! F_{n-k}!), zero outside 0 <= k <= n.
 
     Computed as the product of the integer atoms with exponent 1.
     """
-    return _coefficient(n, k, 0, _fibonomial)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _fibonomial(n: int, k: int) -> int:
-    return _atom_product(_lucanomial_atoms(n, k, fibonacci_atom), [], prod)
+    return prod(_lucanomial_atoms(n, k, fibonacci_atom))

@@ -13,14 +13,13 @@ P_d over the divisors d > 1 of n,
 
 on 1 <= k <= n and n >= 0; the Narayana value is 0 for k outside 1..n.
 Every Narayana exponent is 0, 1 or 2 and every Catalan exponent 0 or 1,
-so both are products with no division, taken by the lucanomials' own
-body, lucas._atom_product: the atoms of exponent 1 and those of exponent 2
-are multiplied as two products, and the second, built once, enters the
-result twice.  A negative exponent would falsify the factorisation and
-raises as an internal assertion.  Since every atom has nonnegative
-coefficients, these exponents are a certificate of coefficientwise
-positivity, which ``verify theorem3`` and ``verify catalan`` check beside
-the coefficients.
+so both are products with no division, taken by :func:`_atom_powers`:
+the atoms of exponent 1 and those of exponent 2 are multiplied as two
+products, and the second, built once, enters the result twice.  A
+negative exponent would falsify the factorisation and raises as an
+internal assertion.  Since every atom has nonnegative coefficients, these
+exponents are a certificate of coefficientwise positivity, which ``verify
+theorem3`` and ``verify catalan`` check beside the coefficients.
 
 The paper's theorem is the division-free recurrence
 
@@ -35,13 +34,11 @@ The oracle is the definitional quotient ({n,k} * {n,k-1}) / {n}, or
 {2n choose n} / {n+1} for Catalan, by exact division: a NotDivisibleError
 from it would falsify the integrality the other routes establish.
 
-The recurrence and the Narayana quotient read the same lucanomials at k
-and at n+1-k, so each is memoised, in each ring, on the mirror key
-(n, min(k, n+1-k)) by an lru_cache bounded at MEMO_SIZE: the four memos
-_fibonarayana_recurrence, _generalized_narayana_recurrence,
-_fibonarayana_definition and _generalized_narayana_definition compute one
-value per mirror pair.  The atom product has no memo of its own: it
-reads the memoised atoms, and a command asks for each value once.
+Every route gives N(n, k) = N(n, n+1-k), so lucas._mirrored makes each of
+the six Narayana functions (the atom product, the recurrence and the
+quotient, in each ring) from its body with first = 1: one value per mirror
+pair, memoised on (n, min(k, n+1-k)) by an lru_cache bounded at MEMO_SIZE.
+Outside 1 <= k <= n the two quotients raise ValueError; the others give 0.
 
 The FiboNarayana and FiboCatalan numbers are these polynomials at
 s = t = 1, and the integer functions are the same code there: as in
@@ -56,14 +53,12 @@ math.comb formulas of :func:`classical_narayana` and :func:`catalan`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, prod
 
 from .lucas import (
-    MEMO_SIZE,
-    _atom_product,
     _balanced_product,
     _int_quotient,
+    _mirrored,
     fibonacci,
     fibonacci_atom,
     fibonomial,
@@ -72,15 +67,6 @@ from .lucas import (
     lucas_atom,
 )
 from .polys import ZERO, Poly, T, divide_exact
-
-
-def _narayana(n: int, k: int, zero, reduced):
-    """reduced(n, min(k, n+1-k)) on 1 <= k <= n, zero outside it."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= k <= n:
-        return zero
-    return reduced(n, min(k, n + 1 - k))
 
 
 def _narayana_atom_exponents(n: int, k: int) -> list[tuple[int, int]]:
@@ -104,10 +90,13 @@ def _catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
 
 
 def _atom_powers(exponents: list[tuple[int, int]], atom, product):
-    """prod atom(d)^x over the (d, x) pairs, by lucas._atom_product.
+    """prod atom(d)^x over the (d, x) pairs, with product multiplying a list of atoms.
 
     Every x is 0, 1 or 2; any other falsifies the factorisation and raises
-    AssertionError.
+    AssertionError.  The square's factor is built once and enters twice,
+    (ones * twos) * twos: squaring it first would leave one lopsided product
+    of the small ones with the square, which the multiply kernel takes
+    slower than these two.
     """
     ones, twos = [], []
     for d, x in exponents:
@@ -117,19 +106,23 @@ def _atom_powers(exponents: list[tuple[int, int]], atom, product):
             twos.append(atom(d))
         elif x:
             raise AssertionError(f"the atom P_{d} has exponent {x}, outside 0..2")
-    return _atom_product(ones, twos, product)
+    value = product(ones)
+    if not twos:
+        return value
+    twice = product(twos)
+    return value * twice * twice
 
 
+@_mirrored(1, 0)
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number as a product of integer atoms; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 0, lambda n, k: _atom_powers(
-        _narayana_atom_exponents(n, k), fibonacci_atom, prod))
+    return _atom_powers(_narayana_atom_exponents(n, k), fibonacci_atom, prod)
 
 
+@_mirrored(1, ZERO)
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial as a product of Lucas atoms; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, ZERO, lambda n, k: _atom_powers(
-        _narayana_atom_exponents(n, k), lucas_atom, _balanced_product))
+    return _atom_powers(_narayana_atom_exponents(n, k), lucas_atom, _balanced_product)
 
 
 def _recurrence(n: int, k: int, t, coefficient):
@@ -137,31 +130,16 @@ def _recurrence(n: int, k: int, t, coefficient):
     return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
+@_mirrored(1, 0)
 def fibonarayana_recurrence(n: int, k: int) -> int:
     """FiboNarayana number via the paper's integer recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, 0, _fibonarayana_recurrence)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _fibonarayana_recurrence(n: int, k: int) -> int:
     return _recurrence(n, k, 1, fibonomial)
 
 
+@_mirrored(1, ZERO)
 def generalized_narayana_recurrence(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the paper's recurrence; 0 outside 1 <= k <= n."""
-    return _narayana(n, k, ZERO, _generalized_narayana_recurrence)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _generalized_narayana_recurrence(n: int, k: int) -> Poly:
     return _recurrence(n, k, T, lucanomial)
-
-
-def _definition(n: int, k: int, reduced):
-    """reduced(n, min(k, n+1-k)) on 1 <= k <= n, a ValueError outside it."""
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
-    return reduced(n, min(k, n + 1 - k))
 
 
 def _quotient(n: int, k: int, coefficient, term, quotient):
@@ -169,23 +147,15 @@ def _quotient(n: int, k: int, coefficient, term, quotient):
     return quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
 
 
+@_mirrored(1, None)
 def fibonarayana_definition_oracle(n: int, k: int) -> int:
     """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
-    return _definition(n, k, _fibonarayana_definition)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _fibonarayana_definition(n: int, k: int) -> int:
     return _quotient(n, k, fibonomial, fibonacci, _int_quotient)
 
 
+@_mirrored(1, None)
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
     """({n,k} * {n,k-1}) / {n} by exact division; must equal the atom product."""
-    return _definition(n, k, _generalized_narayana_definition)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _generalized_narayana_definition(n: int, k: int) -> Poly:
     return _quotient(n, k, lucanomial, lucas, divide_exact)
 
 

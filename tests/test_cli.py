@@ -301,6 +301,28 @@ class TestBijectionCommand:
             run(capsys, "bijection", "forward", "--n", "4", "--k", "2",
                 "--input", str(tmp_path / "absent.txt"))
         assert excinfo.value.code == 2
+        assert "file not found" in capsys.readouterr().err
+
+    def test_input_through_a_pipe(self, capsys, tmp_path):
+        # A pipe is no regular file, yet it is readable input.
+        stair = tmp_path / "stair.txt"
+        stair.write_text("SDSS\nDD\nDS\nD\nS\n")
+        argv = ["bijection", "forward", "--n", "6", "--k", "3", "--format", "json", "--input"]
+        expected = run(capsys, *argv, str(stair))
+        assert expected[0] == 0
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as writer:
+            writer.write(stair.read_text())
+        try:
+            assert run(capsys, *argv, f"/dev/fd/{read_end}") == expected
+        finally:
+            os.close(read_end)
+
+    def test_directory_input_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "bijection", "forward", "--n", "4", "--k", "2", "--input", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("action", ["forward", "inverse"])
     def test_non_utf8_input_is_usage_error(self, capsys, tmp_path, action):
@@ -657,10 +679,18 @@ class TestKernelTraffic:
             monkeypatch.setattr(polys, name, recording)
         # Cold memos, so that the commands form every product they need here.
         lucas = importlib.import_module("lucanomials.lucas")  # the package exports a function `lucas`
-        for module in (lucas, narayana, tilings):
-            for value in list(vars(module).values()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+        memos = [value for module in (lucas, narayana, tilings)
+                 for value in vars(module).values() if hasattr(value, "cache_clear")]
+        for memo in memos:
+            memo.cache_clear()
+        # Every (n, k) family carries its memo, so the loop above reaches it.
+        families = [lucas.lucanomial, lucas.fibonomial,
+                    narayana.fibonarayana, narayana.generalized_narayana,
+                    narayana.fibonarayana_recurrence, narayana.generalized_narayana_recurrence,
+                    narayana.fibonarayana_definition_oracle,
+                    narayana.generalized_narayana_definition_oracle]
+        for family in families:
+            assert family in memos and family.cache_info().currsize == 0, family.__name__
         monkeypatch.setattr(lucas, "_lucas_polys", [polys.ZERO, polys.ONE])
         for argv in self.COMMANDS:
             assert run(capsys, *argv)[0] == 0, argv

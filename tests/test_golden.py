@@ -76,6 +76,28 @@ GOLDEN = [
     # these takes at least one product above the tier's cutoff.
     ("narayana --n 50 --k 25 --mode general", "e151e5bc7bbb97c9f4899bdce04b2bbb5d8c1430208b121300b41a0fe035d95b"),
     ("lucanomial --n 64 --k 32", "c59ef298e482464fa4aba4956a548773ac3def6464178b3ba18daddd5aeed754"),
+    # Recorded before one decorator took over the domain check, mirror key
+    # and memo of every (n, k) family: the edges of each family's domain.
+    ("lucanomial --n 5 --k 9", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("lucanomial --n 5 --k 9 --format json", "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    ("lucanomial --n 0 --k 0", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("lucanomial --n 0 --k 0 --format json", "1944dc7d3d944e23038010ebdc17a9c30bd02defddccf4692648f9b3aa6036aa"),
+    ("fibonomial --n 7 --k -1", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("fibonomial --n 7 --k -1 --format json", "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe"),
+    ("narayana --n 1 --k 1 --mode fibo", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("narayana --n 1 --k 1 --mode fibo --format json", "e1a9c5d6d1ec67d6ed503753511669eec4c2af07287393d13295bac9d3ac1761"),
+    ("narayana --n 5 --k 0 --mode fibo", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("narayana --n 5 --k 0 --mode fibo --format json", "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe"),
+    ("narayana --n 1 --k 1 --mode general", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("narayana --n 1 --k 1 --mode general --format json", "1944dc7d3d944e23038010ebdc17a9c30bd02defddccf4692648f9b3aa6036aa"),
+    ("narayana --n 5 --k 0 --mode general", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("narayana --n 5 --k 0 --mode general --format json", "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+    ("narayana --n 1 --k 1 --mode classical", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("narayana --n 1 --k 1 --mode classical --format json", "e1a9c5d6d1ec67d6ed503753511669eec4c2af07287393d13295bac9d3ac1761"),
+    ("narayana --n 5 --k 0 --mode classical", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("narayana --n 5 --k 0 --mode classical --format json", "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe"),
+    ("narayana --n 6 --k 7 --mode fibo", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("narayana --n 6 --k 7 --mode fibo --format json", "848764aca4b1f0f83e39cfe42a00b726cbe045450bef87d62b9955bfe52e07fe"),
 ]
 
 

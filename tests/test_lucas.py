@@ -5,7 +5,6 @@ from math import comb, gcd
 import pytest
 
 from lucanomials.lucas import (
-    _atom_product,
     _lucanomial_atoms,
     _lucas_polys,
     fib_factorial,
@@ -228,8 +227,8 @@ class TestLucasAtom:
         # The carry test picks the d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
         for n in range(301):
             for k in range(n + 1):
-                picked = _atom_product(_lucanomial_atoms(n, k, lambda d: d), [], tuple)
-                expected = tuple(d for d in range(2, n + 1) if n // d - k // d - (n - k) // d)
+                picked = _lucanomial_atoms(n, k, lambda d: d)
+                expected = [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
                 assert picked == expected, (n, k)
 
 

@@ -11,10 +11,6 @@ from lucanomials.cli import _TARGETS, main
 from lucanomials.narayana import (
     _atom_powers,
     _catalan_atom_exponents,
-    _fibonarayana_definition,
-    _fibonarayana_recurrence,
-    _generalized_narayana_definition,
-    _generalized_narayana_recurrence,
     _narayana_atom_exponents,
     catalan,
     classical_narayana,
@@ -51,21 +47,32 @@ ROUTES = {
 }
 
 
-def check_mirror_memos(recurrence, memo, oracle, oracle_memo):
-    """Each public value, which the memo serves from the mirror key (n, min(k, n+1-k)),
-    equals the uncached body evaluated at k itself, for n <= 14."""
-    memo.cache_clear()
-    oracle_memo.cache_clear()
+def check_mirror_memos(family, first):
+    """Each value of a family f(n, k) = f(n, n+first-k), which its memo serves
+    from the mirror key (n, min(k, n+first-k)), equals the uncached body
+    evaluated at k itself, for first <= k <= n <= 14."""
+    family.cache_clear()
+    for n in range(first, 15):
+        for k in range(first, n + 1):
+            assert family(n, k) == family.__wrapped__(n, k), (family.__name__, n, k)
+    # One entry per mirror pair: ceil((n+1-first)/2) keys in row n.
+    pairs = sum((n + 2 - first) // 2 for n in range(first, 15))
+    assert family.cache_info().currsize == pairs, family.__name__
+    assert family.cache_info().maxsize == MEMO_SIZE
+
+
+def check_recurrence_zero(recurrence, zero):
+    """The recurrence's body itself is zero outside 1 <= k <= n, by the lucanomial zero convention."""
     for n in range(1, 15):
-        for k in range(-1, n + 3):
-            assert recurrence(n, k) == memo.__wrapped__(n, k), (n, k)
-        for k in range(1, n + 1):
-            assert oracle(n, k) == oracle_memo.__wrapped__(n, k), (n, k)
-    # One entry per mirror pair: ceil(n/2) keys in row n.
-    pairs = sum((n + 1) // 2 for n in range(1, 15))
-    for cache in (memo, oracle_memo):
-        assert cache.cache_info().currsize == pairs
-        assert cache.cache_info().maxsize == MEMO_SIZE
+        for k in (-1, 0, n + 1, n + 2):
+            assert recurrence(n, k) == recurrence.__wrapped__(n, k) == zero, (n, k)
+
+
+class TestLucanomialMemos:
+    def test_one_entry_per_mirror_pair(self):
+        # lucas._mirrored makes these two with first = 0: {n, k} = {n, n-k}.
+        for family in (lucanomial, fibonomial):
+            check_mirror_memos(family, 0)
 
 
 class TestFibonarayana:
@@ -97,8 +104,9 @@ class TestFibonarayana:
         assert all(fibonarayana(n, k) > 0 for n in range(1, 16) for k in range(1, n + 1))
 
     def test_symmetry(self):
-        check_mirror_memos(fibonarayana_recurrence, _fibonarayana_recurrence,
-                           fibonarayana_definition_oracle, _fibonarayana_definition)
+        for family in (fibonarayana, fibonarayana_recurrence, fibonarayana_definition_oracle):
+            check_mirror_memos(family, 1)
+        check_recurrence_zero(fibonarayana_recurrence, 0)
 
     def test_reports_hold_values(self):
         # verify theorem2 and theorem3 report the recurrence as lhs and the
@@ -164,9 +172,10 @@ class TestGeneralizedNarayana:
         assert generalized_narayana_definition_oracle(3, 2) == parse("s^2 + t")
 
     def test_symmetry(self):
-        check_mirror_memos(generalized_narayana_recurrence, _generalized_narayana_recurrence,
-                           generalized_narayana_definition_oracle,
-                           _generalized_narayana_definition)
+        for family in (generalized_narayana, generalized_narayana_recurrence,
+                       generalized_narayana_definition_oracle):
+            check_mirror_memos(family, 1)
+        check_recurrence_zero(generalized_narayana_recurrence, ZERO)
 
     def test_positive_coefficients(self):
         assert all(
@@ -303,6 +312,9 @@ class TestAtomProduct:
             atom(3) ** 2 * atom(4))
 
     def test_forced_negative_exponent_raises_from_the_public_functions(self, monkeypatch):
+        # A memoised value would not reach the patched exponents.
+        generalized_narayana.cache_clear()
+        fibonarayana.cache_clear()
         monkeypatch.setattr(narayana, "_narayana_atom_exponents", lambda n, k: [(2, 1), (3, -1)])
         monkeypatch.setattr(narayana, "_catalan_atom_exponents", lambda n: [(2, -1)])
         for call in (lambda: generalized_narayana(5, 2), lambda: fibonarayana(5, 2),
