@@ -27,17 +27,17 @@ same code there: each algorithm is one private body that takes the ring's
 pieces (s, t, zero, the exact quotient, the product) as arguments, passed by
 module name at call time, so a wrapper on a module function sees every call.
 
-Memoisation.  The sequences {n} and F_n are append-only module lists that
-grow by the recurrence, one term at a time and without recursion, so a large
-index never meets the interpreter's recursion limit.  Every other memo in the
-package is a functools.lru_cache bounded at MEMO_SIZE entries: the atoms
-(keyed on d), the factorials (keyed on n), the row tilings and cut offsets
-of :mod:`lucanomials.tilings`, and the lucanomials, fibonomials and six
-Narayana functions, which :func:`_mirrored` keys on the mirror key of their
-symmetry, (n, min(k, n-k)) or (n, min(k, n+1-k)).  An evicted entry is
-recomputed on its next use, so the bound caps memory and never changes a
-result.  An atom recurses through the cache over the divisors of d, so its
-recursion depth is at most log2 d.
+Memoisation.  There is one memo style: every memo in the package is a
+functools.lru_cache bounded at MEMO_SIZE entries, so no module state grows.
+They hold {n} and F_n, the atoms (keyed on d), the factorials (keyed on n),
+the row tilings and cut offsets of :mod:`lucanomials.tilings`, and the
+lucanomials, fibonomials and six Narayana functions, which :func:`_mirrored`
+keys on the mirror key of their symmetry, (n, min(k, n-k)) or
+(n, min(k, n+1-k)).  {n} comes by index doubling, the splitting identity
+above at the middle k, so its recursion depth is about log2 n; an atom
+recurses through the cache over the divisors of d, at most log2 d deep.  An
+evicted entry is recomputed on its next use, so the bound caps memory and
+never changes a result.
 """
 
 from __future__ import annotations
@@ -74,27 +74,31 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
-def _sequence(terms: list, n: int, s, t):
-    """x_n of x_n = s*x_{n-1} + t*x_{n-2}, appending to terms, which holds x_0, x_1, ..."""
+def _term(n: int, term, s, t, zero, one):
+    """x_n of x_n = s*x_{n-1} + t*x_{n-2}, x_0 = zero, x_1 = one, by index doubling.
+
+    x_{2m+1} = x_{m+1}^2 + t*x_m^2 and x_{2m} = x_m (x_{m+1} + t*x_{m-1}), x_j = term(j).
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    while len(terms) <= n:
-        terms.append(s * terms[-1] + t * terms[-2])
-    return terms[n]
+    if n < 3:
+        return (zero, one, s)[n]
+    a, b = term(n // 2), term(n // 2 + 1)
+    if n % 2:
+        return b * b + t * (a * a)
+    return a * (b + t * term(n // 2 - 1))
 
 
-_lucas_polys: list[Poly] = [ZERO, ONE]
-_fibs: list[int] = [0, 1]
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def lucas(n: int) -> Poly:
     """The Lucas polynomial {n}."""
-    return _sequence(_lucas_polys, n, S, T)
+    return _term(n, lucas, S, T, ZERO, ONE)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0, F_1 = 1."""
-    return _sequence(_fibs, n, 1, 1)
+    return _term(n, fibonacci, 1, 1, 0, 1)
 
 
 def _factorial(n: int, term, product):

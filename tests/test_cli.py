@@ -683,19 +683,49 @@ class TestKernelTraffic:
                  for value in vars(module).values() if hasattr(value, "cache_clear")]
         for memo in memos:
             memo.cache_clear()
-        # Every (n, k) family carries its memo, so the loop above reaches it.
-        families = [lucas.lucanomial, lucas.fibonomial,
+        # Every sequence and (n, k) family carries its memo, so the loop above reaches it.
+        families = [lucas.lucas, lucas.fibonacci, lucas.lucanomial, lucas.fibonomial,
                     narayana.fibonarayana, narayana.generalized_narayana,
                     narayana.fibonarayana_recurrence, narayana.generalized_narayana_recurrence,
                     narayana.fibonarayana_definition_oracle,
                     narayana.generalized_narayana_definition_oracle]
         for family in families:
             assert family in memos and family.cache_info().currsize == 0, family.__name__
-        monkeypatch.setattr(lucas, "_lucas_polys", [polys.ZERO, polys.ONE])
         for argv in self.COMMANDS:
             assert run(capsys, *argv)[0] == 0, argv
         assert all(products.values())  # both kernels ran
         assert all(map(all, products.values()))
+
+
+class TestModuleState:
+    """Every memo is a bounded lru_cache: running commands grows no module-level container."""
+
+    # Every verify target and value command, in a new interpreter so that the
+    # containers start as the import leaves them; the commands share that process.
+    SCRIPT = """
+import contextlib, importlib, io, json, pkgutil, sys
+import lucanomials
+from lucanomials.cli import main
+modules = [lucanomials] + [importlib.import_module("lucanomials." + info.name)
+                           for info in pkgutil.iter_modules(lucanomials.__path__)]
+def sizes():
+    return {f"{module.__name__}.{name}": len(value) for module in modules
+            for name, value in vars(module).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))}
+before = sizes()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(name for name, size in sizes().items() if before.get(name) != size))
+"""
+
+    def test_commands_grow_no_module_container(self):
+        env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(lucanomials.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-c", self.SCRIPT, json.dumps(TestKernelTraffic.COMMANDS)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestClosedStdout:

@@ -1,12 +1,12 @@
 """Tests for Lucas polynomials, lucanomials, and Fibonacci specializations."""
 
-from math import comb, gcd
+from math import comb, gcd, log2
 
 import pytest
 
 from lucanomials.lucas import (
+    MEMO_SIZE,
     _lucanomial_atoms,
-    _lucas_polys,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -97,23 +97,48 @@ class TestLucas:
     def test_closed_form(self):
         # {n} = sum_j C(n-1-j, j) s^(n-1-2j) t^j: the square/domino tilings of
         # a row of n-1 cells with j dominos, a route without the recurrence.
+        lucas.cache_clear()
         assert lucas(0) == ZERO
-        for n in range(1, 81):
+        for n in range(1, 301):
             assert lucas(n) == Poly({(n - 1 - 2 * j, j): comb(n - 1 - j, j)
                                      for j in range((n + 1) // 2)}), n
 
 
 class TestLucasTable:
-    """The append-only list of {n} and the factorial memo built on it."""
+    """The bounded memos of {n} and F_n, and the factorial memo built on them."""
 
     def test_recurrence_invariants(self):
+        # Filled from the top down, so most terms come from the doubling
+        # identities rather than from their neighbours.
+        lucas.cache_clear()
+        lucas(300)
+        for n in range(300, 1, -1):
+            assert lucas(n) == S * lucas(n - 1) + T * lucas(n - 2), n
         lucas_factorial(10)
         for n in range(2, 11):
-            assert lucas(n) == S * lucas(n - 1) + T * lucas(n - 2)
             assert lucas_factorial(n) == lucas(n) * lucas_factorial(n - 1)
 
-    def test_shared_table_backs_module_functions(self):
-        assert lucas(7) is _lucas_polys[7]
+    def test_memos_are_bounded(self):
+        for memo in (lucas, fibonacci):
+            memo.cache_clear()
+            assert memo.cache_info().maxsize == MEMO_SIZE
+
+    def test_cold_fibonacci_keeps_logarithmic_entries(self):
+        n = 100_000
+        fibonacci.cache_clear()
+        a, b = 0, 1
+        for _ in range(n):
+            a, b = b, a + b
+        assert fibonacci(n) == a
+        assert fibonacci.cache_info().currsize <= 4 * log2(n)
+
+    def test_large_index_without_recursion_error(self):
+        n = 10**6
+        fibonacci.cache_clear()
+        a, b = 0, 1
+        for _ in range(n):
+            a, b = b, (a + b) % 10**9
+        assert fibonacci(n) % 10**9 == a
 
 
 class TestLucasFactorial:
