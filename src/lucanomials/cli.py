@@ -205,13 +205,14 @@ class _Target:
     """One row of the verify table."""
 
     def __init__(self, default: int, first: int, checks: _Checks, single: _Checks | None = None,
-                 cumulative: bool = False, text: Callable[[dict], str] | None = None):
+                 text: Callable[[dict], str] | None = None):
         self.default = default  # --n-max when neither --n-max nor --n is given
         self.first = first  # the smallest n of the sweep
         self.checks = checks
         self.single = single or checks  # the checks of --n
-        self.cumulative = cumulative  # the check at n covers every n' <= n, so a sweep is one check
-        self.text = text  # one text line per report, no summary line
+        # One text line per report and no summary line.  A target with its own
+        # line runs one cumulative check: the check at n covers every n' <= n.
+        self.text = text
 
 
 # The routes call through the modules at run time, never through a reference
@@ -246,7 +247,7 @@ _TARGETS = {
         nonneg=lambda _, poly, n: (poly.is_nonneg()
                                    and _atoms_nonneg(narayana._catalan_atom_exponents(n)))))),
     "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
-                         cumulative=True, text=_classical_line),
+                         text=_classical_line),
 }
 
 
@@ -266,7 +267,7 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n must be nonnegative")
     n_max = target.default if args.n_max is None else args.n_max
     n = args.n if single else n_max
-    ns = [n] if single or target.cumulative else range(target.first, n + 1)
+    ns = [n] if single or target.text else range(target.first, n + 1)
     points = [p for m in ns for p in family.at(m, target.first)]
     if not points:
         parser.error(f"verify {args.target} has no check at {'--n' if single else '--n-max'} {n}")

@@ -1,6 +1,7 @@
 """FiboNarayana, generalized Narayana, and Catalan-style numbers.
 
-Three routes compute each value, and they must agree exactly.
+Three routes compute each Narayana value and two each Catalan value, the
+atom product and the quotient, and they must agree exactly.
 
 The primary route is the Lucas-atom product (B. Sagan and J. Tirrell,
 "Lucas atoms", Adv. Math. 2020; the atoms P_d are those of

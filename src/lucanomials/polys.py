@@ -119,7 +119,7 @@ class Poly:
     coefficient, since the packed tiers take nonnegative rows only.
     """
 
-    __slots__ = ("_rows", "_hash")
+    __slots__ = ("_rows",)
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] | None = None):
         by_weight: dict[int, dict[int, int]] = {}
@@ -145,7 +145,6 @@ class Poly:
                 for te, coeff in row.items():
                     dense[te - lo] = coeff
                 self._rows[weight] = (lo, dense)
-        self._hash: int | None = None
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
@@ -165,12 +164,10 @@ class Poly:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            rows = self._rows
-            # A constant hashes as its int, since it compares equal to it.
-            self._hash = hash(self.evaluate(0, 0) if rows.keys() <= {0} else
-                              frozenset((weight, lo, tuple(row)) for weight, (lo, row) in rows.items()))
-        return self._hash
+        rows = self._rows
+        # A constant hashes as its int, since it compares equal to it.
+        return hash(self.evaluate(0, 0) if rows.keys() <= {0} else
+                    frozenset((weight, lo, tuple(row)) for weight, (lo, row) in rows.items()))
 
     def __neg__(self) -> Poly:
         return _from_rows({weight: (lo, [-c for c in row]) for weight, (lo, row) in self._rows.items()})
@@ -377,7 +374,6 @@ def _from_rows(rows: dict[int, Row]) -> Poly:
     # Internal fast path: `rows` is already canonical.
     poly = Poly.__new__(Poly)
     poly._rows = rows
-    poly._hash = None
     return poly
 
 
@@ -467,26 +463,19 @@ def _render(poly: Poly) -> str:
     return "".join(terms)
 
 
+_TOKEN = re.compile(r"([0-9]+)|([-st^*+])|\S")  # ASCII digits: "\d" takes "²" and "٣"
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    # Tokens: ("num", value, pos) or (symbol, 0, pos) for s t ^ * + -.
+    # Tokens: ("num", value, pos) or (symbol, 0, pos) for s t ^ * + -, then
+    # ("end", 0, len(text)), so that no read runs past the list.
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit() takes "²" and "٣"
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("num", int(text[i:j]), i))
-            i = j
-        elif ch in "st^*+-":
-            tokens.append((ch, 0, i))
-            i += 1
-        else:
-            raise PolyParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        digits, symbol = match.groups()
+        if not (digits or symbol):
+            raise PolyParseError(f"unexpected character {match[0]!r}", match.start())
+        tokens.append(("num", int(digits), match.start()) if digits else (symbol, 0, match.start()))
+    tokens.append(("end", 0, len(text)))
     return tokens
 
 
@@ -502,66 +491,40 @@ def parse(text: str) -> Poly:
 
 def _parse(text: str) -> Poly:
     tokens = _tokenize(text)
-    end = len(text)
-    if not tokens:
+    if tokens[0][0] == "end":
         raise PolyParseError("empty polynomial text", 0)
-
+    factors = ("num", "s", "t")
     terms: list[tuple[Monomial, int]] = []
     i = 0
-    sign = 1
-    if tokens[i][0] in "+-":
-        sign = -1 if tokens[i][0] == "-" else 1
-        i += 1
-
-    def expect_exponent(i: int) -> tuple[int, int]:
-        if i >= len(tokens) or tokens[i][0] != "num":
-            raise PolyParseError("expected exponent after '^'", tokens[i][2] if i < len(tokens) else end)
-        return tokens[i][1], i + 1
-
-    while True:
-        if i >= len(tokens):
-            raise PolyParseError("expected a term", tokens[-1][2] if tokens else end)
-        start = tokens[i][2]
-        coeff = 1
-        se = te = 0
-        matched = False
-        if tokens[i][0] == "num":
-            coeff = tokens[i][1]
-            matched = True
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] not in "st":
-                    raise PolyParseError("expected 's' or 't' after '*'", tokens[i][2] if i < len(tokens) else end)
-        if i < len(tokens) and tokens[i][0] == "s":
-            matched = True
-            se = 1
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                se, i = expect_exponent(i + 1)
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "t":
-                    raise PolyParseError("expected 't' after '*'", tokens[i][2] if i < len(tokens) else end)
-        if i < len(tokens) and tokens[i][0] == "t":
-            matched = True
-            te = 1
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                te, i = expect_exponent(i + 1)
-        if not matched:
-            raise PolyParseError("expected a term", start)
-
-        terms.append(((se, te), sign * coeff))
-
-        if i == len(tokens):
-            break
+    while not (terms and tokens[i][0] == "end"):
         kind, _, pos = tokens[i]
-        if kind not in "+-":
+        if kind in ("+", "-"):
+            i += 1
+        elif terms:
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        sign = -1 if kind == "-" else 1
-        i += 1
-
+        first = i
+        values = [1, 0, 0]  # coefficient, s exponent, t exponent
+        # Each factor at most once, in order; a variable takes an optional
+        # exponent, and a '*' must be followed by a later factor.
+        for f, factor in enumerate(factors):
+            if tokens[i][0] != factor:
+                continue
+            values[f] = tokens[i][1] if f == 0 else 1
+            i += 1
+            if f and tokens[i][0] == "^":
+                if tokens[i + 1][0] != "num":
+                    raise PolyParseError("expected exponent after '^'", tokens[i + 1][2])
+                values[f] = tokens[i + 1][1]
+                i += 2
+            if f < 2 and tokens[i][0] == "*":
+                i += 1
+                if tokens[i][0] not in factors[f + 1:]:
+                    later = " or ".join(repr(name) for name in factors[f + 1:])
+                    raise PolyParseError(f"expected {later} after '*'", tokens[i][2])
+        if i == first:
+            # At the end of the text, the missing term is reported at its sign.
+            raise PolyParseError("expected a term", tokens[i - 1 if tokens[i][0] == "end" else i][2])
+        terms.append(((values[1], values[2]), (-1 if kind == "-" else 1) * values[0]))
     return Poly(terms)
 
 

@@ -1,7 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, and determinism."""
 
 import hashlib
-import importlib
 import json
 import os
 import re
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lucanomials
-from lucanomials import bijection, cli, narayana, polys, tilings
+from lucanomials import bijection, cli, lucas, narayana, polys, tilings
 from lucanomials.cli import _emit_checks, main
 from lucanomials.lucas import fib_factorial, fibonacci, lucanomial
 from lucanomials.polys import render
@@ -678,7 +677,6 @@ class TestKernelTraffic:
 
             monkeypatch.setattr(polys, name, recording)
         # Cold memos, so that the commands form every product they need here.
-        lucas = importlib.import_module("lucanomials.lucas")  # the package exports a function `lucas`
         memos = [value for module in (lucas, narayana, tilings)
                  for value in vars(module).values() if hasattr(value, "cache_clear")]
         for memo in memos:

@@ -1,5 +1,7 @@
 """Tests for Lucas polynomials, lucanomials, and Fibonacci specializations."""
 
+import sys
+import types
 from math import comb, gcd, log2
 
 import pytest
@@ -102,6 +104,24 @@ class TestLucas:
         for n in range(1, 301):
             assert lucas(n) == Poly({(n - 1 - 2 * j, j): comb(n - 1 - j, j)
                                      for j in range((n + 1) // 2)}), n
+
+
+class TestModuleName:
+    """`lucanomials.lucas` names the submodule; the function is `lucanomials.lucas.lucas`."""
+
+    def test_dotted_import_gives_the_module(self):
+        import lucanomials
+        import lucanomials.lucas as module
+
+        assert isinstance(module, types.ModuleType) and module.lucas is lucas
+        assert lucanomials.lucas is module and "lucas" not in lucanomials.__all__
+
+    def test_dotted_monkeypatch_resolves(self, monkeypatch):
+        def replacement(n):
+            return ZERO
+
+        monkeypatch.setattr("lucanomials.lucas.lucas", replacement)
+        assert sys.modules["lucanomials.lucas"].lucas is replacement
 
 
 class TestLucasTable:

@@ -554,7 +554,7 @@ class TestCanonicalForm:
         "p", [ZERO, 7 * ONE, parse("s^3 - 2*s*t + t^5"), parse("s^2*t^40 - 3*t^41") + 10**50 * T]
     )
     def test_pickle_and_copy_roundtrip(self, p):
-        hash(p)  # a cached hash travels with the copy
+        # A copy carries only the rows; its hash is computed from them anew.
         for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert clone == p and hash(clone) == hash(p) and render(clone) == render(p)
             assert clone * p == p * p and clone + 1 == p + 1
@@ -941,6 +941,31 @@ class TestTextForm:
         with pytest.raises(PolyParseError) as excinfo:
             parse(text)
         assert excinfo.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("s*", "expected 't' after '*'", 2),
+            ("s^", "expected exponent after '^'", 2),
+            ("2*^", "expected 's' or 't' after '*'", 2),
+            ("t*s", "expected '+' or '-' between terms", 1),
+            ("2 3", "expected '+' or '-' between terms", 2),
+            ("+", "expected a term", 0),
+            ("+-s", "expected a term", 1),
+            ("s +t -", "expected a term", 5),
+            ("s^2^3", "expected '+' or '-' between terms", 3),
+            ("*s", "expected a term", 0),
+            ("  ", "empty polynomial text", 0),
+        ],
+    )
+    def test_parse_error_branches(self, text, message, position):
+        with pytest.raises(PolyParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == f"{message} (at position {position})"
+        assert excinfo.value.position == position
+
+    def test_parse_spaces_between_factors(self):
+        assert parse("3 *  t^ 4 - s") == 3 * T**4 - S
 
     @given(poly_strategy)
     def test_parse_render_roundtrip(self, p):
