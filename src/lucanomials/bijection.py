@@ -106,6 +106,21 @@ from .tilings import (
     split_after,
 )
 
+__all__ = [
+    "EMPTY_STAIRSTEP",
+    "NotInImageError",
+    "PairDecomposition",
+    "StairstepTiling",
+    "TilingTriple",
+    "decompose_pair",
+    "enumerate_stairstep_tilings",
+    "forward",
+    "inverse",
+    "recompose_pair",
+    "verify_cardinality",
+    "verify_pair_decomposition",
+]
+
 
 class NotInImageError(ValueError):
     """No stairstep tiling maps to the given triple."""
@@ -251,7 +266,9 @@ def _finish(state: tuple, height: int) -> tuple[tuple[str, ...], ...]:
 def _first_pass(state: tuple, choices: list, n: int, height: int) -> Iterator[tuple]:
     """The state after rows 0..len(choices)-1 for every choice of them, in
     itertools.product order.  The walk is depth-first, so each event runs
-    once per prefix, and it keeps a stack instead of recursing."""
+    once per prefix.  It keeps a stack instead of recursing: its depth is
+    len(choices), n - max(k, 1) - 1 in :func:`forward`, which passes the
+    default recursion limit of 1000 for one stairstep of size 1199 at k = 1."""
     last = len(choices) - 1
     if last < 0:
         yield state

@@ -47,6 +47,17 @@ from math import prod
 
 from .polys import ONE, NotDivisibleError, Poly, S, T, ZERO, divide_exact
 
+# Not lucas: the package re-exports this list, and lucanomials.lucas names this module.
+__all__ = [
+    "fib_factorial",
+    "fibonacci",
+    "fibonacci_atom",
+    "fibonomial",
+    "lucanomial",
+    "lucas_atom",
+    "lucas_factorial",
+]
+
 MEMO_SIZE = 4096
 """Entries kept by each lru_cache memo of the package."""
 

@@ -69,6 +69,22 @@ from .lucas import (
 )
 from .polys import ZERO, Poly, T, divide_exact
 
+__all__ = [
+    "catalan",
+    "classical_narayana",
+    "classical_specialization_report",
+    "fibocatalan",
+    "fibocatalan_definition_oracle",
+    "fibonarayana",
+    "fibonarayana_definition_oracle",
+    "fibonarayana_recurrence",
+    "generalized_catalan",
+    "generalized_catalan_definition_oracle",
+    "generalized_narayana",
+    "generalized_narayana_definition_oracle",
+    "generalized_narayana_recurrence",
+]
+
 
 def _narayana_atom_exponents(n: int, k: int) -> list[tuple[int, int]]:
     """(d, x) for d = 2..n: P_d^x is the power of the atom P_d in generalized_narayana(n, k).

@@ -81,6 +81,20 @@ from collections.abc import Iterable, Mapping
 from operator import add, mul
 from types import MappingProxyType
 
+__all__ = [
+    "ONE",
+    "S",
+    "T",
+    "ZERO",
+    "NotDivisibleError",
+    "Poly",
+    "PolyParseError",
+    "divide_exact",
+    "int_text",
+    "parse",
+    "render",
+]
+
 Monomial = tuple[int, int]  # (s exponent, t exponent)
 Row = tuple[int, list[int]]  # (least t exponent, coefficients from it up)
 

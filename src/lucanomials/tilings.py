@@ -37,6 +37,20 @@ from functools import lru_cache
 from .lucas import MEMO_SIZE, lucas
 from .polys import ONE, Poly, T, ZERO
 
+__all__ = [
+    "RectTiling",
+    "ShapeError",
+    "covered_length",
+    "domino_initial_tilings",
+    "enumerate_rect_tilings",
+    "linear_tilings",
+    "lucanomial_tiling_oracle",
+    "partitions_in_rectangle",
+    "row_weight_poly",
+    "split_after",
+    "star",
+]
+
 SQUARE = "S"
 DOMINO = "D"
 

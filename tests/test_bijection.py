@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,22 @@ class TestBeyondExhaustion:
         t2 = data.draw(stairsteps(n - 2))
         k = data.draw(st.integers(1, n - 1))
         assert recompose_pair(decompose_pair(t1, t2, k), n, k) == (t1, t2)
+
+    @pytest.mark.parametrize("k", [1, 600])
+    def test_roundtrip_past_the_recursion_limit(self, k):
+        # The forward scan's first pass is n - max(k, 1) - 1 rows deep: 1198
+        # at n = 1200, k = 1, past the default recursion limit of 1000.
+        rng = random.Random(1199)
+        rows = []
+        for length in range(1199, 0, -1):
+            tiles, covered = [], 0
+            while covered < length:
+                tile = "D" if length - covered > 1 and rng.random() < 0.5 else "S"
+                tiles.append(tile)
+                covered += 1 + (tile == "D")
+            rows.append("".join(tiles))
+        t = StairstepTiling(tuple(rows))
+        assert inverse(forward(t, k), 1200, k) == t
 
 
 class TestInverse:
