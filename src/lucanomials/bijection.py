@@ -49,9 +49,9 @@ leftward step never meets c = 0 and the replay always ends.
 :func:`forward` and :func:`inverse` wrap the cores.
 
 :func:`decompose_pair` splits a pair of stairstep tilings of sizes n-1 and
-n-2 along the first row of the larger one, at the boundary between cells
-k-1 and k, and applies :func:`forward` to both remainders.  Counting the
-two cases of :func:`verify_pair_decomposition` realizes the identity
+n-2 along the first row of the larger one at cells k-1|k and maps both
+remainders by :func:`forward`; the tuple it returns is the pair's key, and
+:func:`verify_pair_decomposition` counts keys without forming any, realizing
 
     F_n! * F_{n-1}! = F_k! F_{n-k}! F_{k-1}! F_{n-k+1}!
                       * [fib(n-1,k-1)^2 + fib(n-1,k) * fib(n-1,k-2)]
@@ -109,14 +109,12 @@ from .tilings import (
 __all__ = [
     "EMPTY_STAIRSTEP",
     "NotInImageError",
-    "PairDecomposition",
     "StairstepTiling",
     "TilingTriple",
     "decompose_pair",
     "enumerate_stairstep_tilings",
     "forward",
     "inverse",
-    "recompose_pair",
     "verify_cardinality",
     "verify_pair_decomposition",
 ]
@@ -469,17 +467,6 @@ def verify_cardinality(n: int, k: int) -> dict:
     }
 
 
-class PairDecomposition(_Record):
-    """Outcome of :func:`decompose_pair` for one pair of stairstep tilings.
-
-    ``case_tag`` is "no_domino" or "domino", ``first_row_parts`` the two
-    flanking pieces of the first row, and ``triple_1`` and ``triple_2`` the
-    images of the two remainders.
-    """
-
-    __slots__ = ("case_tag", "first_row_parts", "triple_1", "triple_2")
-
-
 def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str]]:
     """Case tag and flanking pieces of T1's first row at the cells k-1|k boundary."""
     if _cut_offsets(first)[k - 1] < 0:  # a domino covers cells k-1 and k
@@ -493,14 +480,17 @@ def _remainder_params(case_tag: str, k: int) -> tuple[int, int]:
     return (k - 2, k) if case_tag == "domino" else (k - 1, k - 1)
 
 
-def decompose_pair(t1: StairstepTiling, t2: StairstepTiling, k: int) -> PairDecomposition:
-    """Split (T1 of size n-1, T2 of size n-2) along T1's first row at k-1|k.
+def decompose_pair(
+    t1: StairstepTiling, t2: StairstepTiling, k: int
+) -> tuple[str, tuple[str, str], TilingTriple, TilingTriple]:
+    """The key (case_tag, first_row_parts, triple_1, triple_2) of one pair,
+    which :func:`verify_pair_decomposition` counts without forming it.
 
-    With no domino across cells k-1 and k of the first row, the row splits
-    into pieces of lengths k-1 and n-k and both remainders map forward with
-    column parameter k-1.  With a domino there, the flanking pieces have
-    lengths k-2 and n-k-1, T1's remainder maps forward with parameter k-2,
-    and T2 with parameter k.
+    T1 (size n-1) and T2 (size n-2) split along T1's first row at k-1|k.  With
+    no domino across cells k-1 and k, the tag is "no_domino", the pieces have
+    lengths k-1 and n-k, and both remainders map forward with parameter k-1.
+    With a domino, the tag is "domino", the pieces have lengths k-2 and n-k-1,
+    and T1's remainder and T2 map forward with parameters k-2 and k.
     """
     n = t1.size + 1
     if t2.size != n - 2:
@@ -510,26 +500,15 @@ def decompose_pair(t1: StairstepTiling, t2: StairstepTiling, k: int) -> PairDeco
     case_tag, parts = _split_first_row(t1.rows[0], k)
     k1, k2 = _remainder_params(case_tag, k)
     rest = StairstepTiling(t1.rows[1:])
-    return PairDecomposition(case_tag, parts, forward(rest, k1), forward(t2, k2))
-
-
-def recompose_pair(dec: PairDecomposition, n: int, k: int) -> tuple[StairstepTiling, StairstepTiling]:
-    """Invert :func:`decompose_pair`; documents that the splitting loses nothing."""
-    left, right = dec.first_row_parts
-    first = left + "D" + right if dec.case_tag == "domino" else left + right
-    k1, k2 = _remainder_params(dec.case_tag, k)
-    rest = inverse(dec.triple_1, n - 1, k1)
-    t2 = inverse(dec.triple_2, n - 1, k2)
-    return StairstepTiling((first,) + rest.rows), t2
+    return case_tag, parts, forward(rest, k1), forward(t2, k2)
 
 
 def verify_pair_decomposition(n: int, k: int) -> dict:
     """Exhaustively verify the pair-decomposition counting identity at (n, k).
 
-    Checks that the decomposition of :func:`decompose_pair` (case, first-row
-    pieces, and the scan keys of both remainders in place of their triples)
-    is injective over all F_n! * F_{n-1}! pairs and that the per-case image
-    sizes match
+    Checks that the key of :func:`decompose_pair`, with heads in place of
+    triples, is injective over all F_n! * F_{n-1}! pairs and that the
+    per-case image sizes match
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k-1)^2   (no domino) and
     F_k! F_{n-k}! F_{k-1}! F_{n-k+1}! * fib(n-1,k) * fib(n-1,k-2)  (domino),
     and that F_n! F_{n-1}! is that prefactor times fibonarayana(n, k).

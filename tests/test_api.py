@@ -8,7 +8,7 @@ from lucanomials import bijection, lucas, narayana, parse, polys, tilings
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = [
-    "EMPTY_STAIRSTEP", "NotDivisibleError", "NotInImageError", "ONE", "PairDecomposition",
+    "EMPTY_STAIRSTEP", "NotDivisibleError", "NotInImageError", "ONE",
     "Poly", "PolyParseError", "RectTiling", "S", "ShapeError", "StairstepTiling", "T",
     "TilingTriple", "ZERO", "catalan", "classical_narayana", "classical_specialization_report",
     "covered_length", "decompose_pair", "divide_exact", "domino_initial_tilings",
@@ -18,7 +18,7 @@ PUBLIC = [
     "generalized_catalan", "generalized_catalan_definition_oracle", "generalized_narayana",
     "generalized_narayana_definition_oracle", "generalized_narayana_recurrence", "int_text",
     "inverse", "linear_tilings", "lucanomial", "lucanomial_tiling_oracle", "lucas_atom",
-    "lucas_factorial", "parse", "partitions_in_rectangle", "recompose_pair", "render",
+    "lucas_factorial", "parse", "partitions_in_rectangle", "render",
     "row_weight_poly", "split_after", "star", "verify_cardinality", "verify_pair_decomposition",
 ]
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from lucanomials.bijection import (
     enumerate_stairstep_tilings,
     forward,
     inverse,
-    recompose_pair,
     verify_cardinality,
     verify_pair_decomposition,
 )
@@ -307,15 +307,6 @@ class TestBeyondExhaustion:
         assert triple.small_stair.rows == t.rows[len(top):]
         assert _replay_key(head, n, k) == top
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_recompose_undoes_decompose(self, data):
-        n = data.draw(st.integers(10, 30))
-        t1 = data.draw(stairsteps(n - 1))
-        t2 = data.draw(stairsteps(n - 2))
-        k = data.draw(st.integers(1, n - 1))
-        assert recompose_pair(decompose_pair(t1, t2, k), n, k) == (t1, t2)
-
     @pytest.mark.parametrize("k", [1, 600])
     def test_roundtrip_past_the_recursion_limit(self, k):
         # The forward scan's first pass is n - max(k, 1) - 1 rows deep: 1198
@@ -458,33 +449,41 @@ class TestDecomposePair:
         t1 = StairstepTiling(("SSSS", "SSS", "SS", "S"))
         t2 = StairstepTiling(("SSS", "SS", "S"))
         for k in range(1, 5):
-            assert decompose_pair(t1, t2, k).case_tag == "no_domino"
+            assert decompose_pair(t1, t2, k)[0] == "no_domino"
 
     def test_domino_across_the_boundary(self):
         t1 = StairstepTiling(("DSS", "SSS", "SS", "S"))  # domino on cells 1-2
         t2 = StairstepTiling(("SSS", "SS", "S"))
-        assert decompose_pair(t1, t2, 2).case_tag == "domino"
-        assert decompose_pair(t1, t2, 3).case_tag == "no_domino"
+        assert decompose_pair(t1, t2, 2)[0] == "domino"
+        assert decompose_pair(t1, t2, 3)[0] == "no_domino"
 
     def test_first_row_parts(self):
         t1 = StairstepTiling(("SDS", "SSS", "SS", "S"))  # domino on cells 2-3
         t2 = StairstepTiling(("SSS", "SS", "S"))
-        dec = decompose_pair(t1, t2, 3)
-        assert dec.case_tag == "domino"
-        assert dec.first_row_parts == ("S", "S")
+        rest = StairstepTiling(t1.rows[1:])
+        # The domino case maps T1's remainder at k-2 and T2 at k.
+        assert decompose_pair(t1, t2, 3) == ("domino", ("S", "S"), forward(rest, 1), forward(t2, 3))
 
     def test_size_mismatch_rejected(self):
         t1 = StairstepTiling(("SS", "S"))
         with pytest.raises(ShapeError):
             decompose_pair(t1, t1, 1)
 
-    def test_recompose_roundtrip(self):
-        for n, k in [(4, 2), (5, 2), (5, 3), (5, 1), (5, 4)]:
-            seconds = list(enumerate_stairstep_tilings(n - 2))
-            for t1 in enumerate_stairstep_tilings(n - 1):
-                for t2 in seconds:
-                    dec = decompose_pair(t1, t2, k)
-                    assert recompose_pair(dec, n, k) == (t1, t2)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_keys_count_the_pair_check(self, n):
+        # The brute-force reference of the factored counter: one key per
+        # pair, all distinct, and as many of each case as the report counts.
+        firsts = list(enumerate_stairstep_tilings(n - 1))
+        seconds = list(enumerate_stairstep_tilings(n - 2))
+        for k in range(1, n):
+            keys = {decompose_pair(t1, t2, k) for t1 in firsts for t2 in seconds}
+            report = verify_pair_decomposition(n, k)
+            assert len(keys) == len(firsts) * len(seconds) == report["lhs"], k
+            cases = Counter(case_tag for case_tag, *_ in keys)
+            assert (cases["no_domino"], cases["domino"]) == (report["no_domino"], report["domino"]), k
+            # Each remainder maps forward at its case's column parameter.
+            widths = {(tag, len(a.rect.star_rows), len(b.rect.star_rows)) for tag, _, a, b in keys}
+            assert widths <= {("no_domino", k - 1, k - 1), ("domino", k - 2, k)}, k
 
 
 def pair_report(n, k):

@@ -580,13 +580,25 @@ class TestVerifyCommands:
             ("verify", "classical", "--n", "3", "--k", "9"),
             ("verify", "theorem1", "--n", "2", "--n-max", "9"),
             ("verify", "bijection", "--n", "4", "--k", "2", "--n-max", "5"),
+            # Every other flag a subcommand does not define is an argparse error.
+            ("lucas", "--n", "3", "--k", "1"),
+            ("lucas", "--n", "3", "--mode", "fibo"),
+            ("catalan", "--n", "3", "--k", "2"),
+            ("fibonomial", "--n", "3", "--k", "1", "--n-max", "4"),
+            ("tilings", "count", "--n", "4", "--k", "2", "--mode", "fibo"),
+            ("tilings", "list", "--n", "4", "--k", "2", "--input", "x"),
+            ("bijection", "forward", "--n", "3", "--k", "1", "--input", "x", "--n-max", "2"),
+            ("verify", "theorem1", "--mode", "fibo"),
+            ("verify", "theorem1", "--input", "x"),
         ],
     )
     def test_ignored_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, *argv)
         assert excinfo.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert argv[-2] in err  # the error names the flag, not some other fault
 
     def test_k_without_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,20 +5,18 @@ import pickle
 
 import pytest
 
-from lucanomials.bijection import PairDecomposition, StairstepTiling, TilingTriple, decompose_pair
+from lucanomials.bijection import StairstepTiling, TilingTriple
 from lucanomials.tilings import RectTiling, ShapeError, star
 
 RECT = RectTiling((1, 1), ("S", "S"), ("D", ""))
 STAIR = StairstepTiling(("DS", "D", "S"))
 TRIPLE = TilingTriple(StairstepTiling(("S",)), StairstepTiling(("S",)),
                       RectTiling((2, 2), ("D", "D"), ("", "")))
-PAIR = decompose_pair(STAIR, StairstepTiling(("D", "S")), 2)
-RECORDS = [RECT, STAIR, TRIPLE, PAIR]
+RECORDS = [RECT, STAIR, TRIPLE]
 FIELDS = {
     RectTiling: ("lam", "lambda_rows", "star_rows"),
     StairstepTiling: ("rows",),
     TilingTriple: ("small_stair", "other_stair", "rect"),
-    PairDecomposition: ("case_tag", "first_row_parts", "triple_1", "triple_2"),
 }
 
 
@@ -93,17 +91,6 @@ class TestRepr:
             "rect=RectTiling(lam=(2, 2), lambda_rows=('D', 'D'), star_rows=('', '')))"
         )
 
-    def test_pair_decomposition(self):
-        assert repr(PAIR) == (
-            "PairDecomposition(case_tag='domino', first_row_parts=('', 'S'), "
-            "triple_1=TilingTriple(small_stair=StairstepTiling(rows=()), "
-            "other_stair=StairstepTiling(rows=('D', 'S')), "
-            "rect=RectTiling(lam=(0, 0, 0), lambda_rows=('', '', ''), star_rows=())), "
-            "triple_2=TilingTriple(small_stair=StairstepTiling(rows=('S',)), "
-            "other_stair=StairstepTiling(rows=()), "
-            "rect=RectTiling(lam=(2,), lambda_rows=('D',), star_rows=('', ''))))"
-        )
-
 
 class TestFieldTypes:
     def test_lists_are_stored_as_tuples(self):
@@ -112,8 +99,6 @@ class TestFieldTypes:
         rect = RectTiling([1, 1], ["S", "S"], ["D", ""])
         assert (rect.lam, rect.lambda_rows, rect.star_rows) == ((1, 1), ("S", "S"), ("D", ""))
         assert rect == RECT and hash(rect) == hash(RECT)
-        pair = PairDecomposition(PAIR.case_tag, list(PAIR.first_row_parts), PAIR.triple_1, PAIR.triple_2)
-        assert pair.first_row_parts == ("", "S") and hash(pair) == hash(PAIR)
 
     @pytest.mark.parametrize("rows", [(1,), ("D", 1), ("D", None), (["S", "D"],)])
     def test_stairstep_row_must_be_a_string(self, rows):
