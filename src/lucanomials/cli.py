@@ -218,8 +218,15 @@ class _Target:
 # The routes call through the modules at run time, never through a reference
 # taken here, so a wrapper installed on a module function sees every call.
 _TARGETS = {
-    "theorem1": _Target(16, 0, _Checks(lambda n: range(0, n + 1), _two_routes(
-        lambda n, k: tilings.lucanomial_tiling_oracle(n, k), lambda n, k: lucanomial(n, k)))),
+    # A sweep shares each row of tiling sums among its points and builds it a
+    # step from the row before; --n fills only its own rectangle, one row at a time.
+    "theorem1": _Target(
+        16, 0,
+        _Checks(lambda n: range(0, n + 1), _two_routes(
+            lambda n, k: tilings._tiling_row(n)[k], lambda n, k: lucanomial(n, k))),
+        single=_Checks(lambda n: range(0, n + 1), _two_routes(
+            lambda n, k: tilings.lucanomial_tiling_oracle(n, k), lambda n, k: lucanomial(n, k))),
+    ),
     "theorem2": _Target(
         25, 2,
         _Checks(lambda n: range(1, n + 1), _two_routes(

@@ -17,9 +17,10 @@ where every exponent is 0 or 1.  :func:`lucanomial` is that product, with
 no recursion and no table of smaller lucanomials.  Its independent second
 route is the tiling weight sum of
 :func:`lucanomials.tilings.lucanomial_tiling_oracle` (Theorem 1), which
-``verify theorem1`` compares with it.  The tests hold two more references:
-the division-free recurrence from the splitting identity
-{n} = {k}{n-k+1} + t*{k-1}{n-k}, and the factorial quotient {n}!/({k}!{n-k}!).
+``verify theorem1`` compares with it; read on lucanomials, its step is the
+division-free recurrence that follows from the splitting identity
+{n} = {k}{n-k+1} + t*{k-1}{n-k}.  The tests hold one more reference, the
+factorial quotient {n}!/({k}!{n-k}!).
 
 Setting s = t = 1 turns {n} into the Fibonacci number F_n, and the integer
 functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
@@ -30,14 +31,15 @@ module name at call time, so a wrapper on a module function sees every call.
 Memoisation.  There is one memo style: every memo in the package is a
 functools.lru_cache bounded at MEMO_SIZE entries, so no module state grows.
 They hold {n} and F_n, the atoms (keyed on d), the factorials (keyed on n),
-the row tilings and cut offsets of :mod:`lucanomials.tilings`, and the
-lucanomials, fibonomials and six Narayana functions, which :func:`_mirrored`
-keys on the mirror key of their symmetry, (n, min(k, n-k)) or
-(n, min(k, n+1-k)).  {n} comes by index doubling, the splitting identity
-above at the middle k, so its recursion depth is about log2 n; an atom
-recurses through the cache over the divisors of d, at most log2 d deep.  An
-evicted entry is recomputed on its next use, so the bound caps memory and
-never changes a result.
+the row tilings, cut offsets and rows of tiling sums (keyed on n) of
+:mod:`lucanomials.tilings`, and the lucanomials, fibonomials and six
+Narayana functions, which :func:`_mirrored` keys on the mirror key of their
+symmetry, (n, min(k, n-k)) or (n, min(k, n+1-k)).  {n} comes by index
+doubling, the splitting identity above at the middle k, so its recursion
+depth is about log2 n; an atom recurses through the cache over the divisors
+of d, at most log2 d deep; a cold row of tiling sums recurses through the
+rows below it.  An evicted entry is recomputed on its next use, so the
+bound caps memory and never changes a result.
 """
 
 from __future__ import annotations

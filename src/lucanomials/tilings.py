@@ -12,17 +12,27 @@ must begin with a domino when the column is nonempty.  Its weight is the
 monomial s^(#squares) * t^(#dominos).  Summing weights over all rectangle
 tilings of a k x (n-k) rectangle produces the lucanomial {n choose k}.
 
-:func:`lucanomial_tiling_oracle` computes that sum without listing the
-partitions.  A partition is a lattice path from the top-right corner
-(0 rows emitted, column m) to the bottom-left corner (k, 0) of the
-rectangle: a down step at column x emits a row of length x, and a left step
-after i rows closes column x, whose complement has length k - i.  The weight
-of a tiling set factors over the steps of its path (one row polynomial per
-row, one domino-initial polynomial per column), so a transfer DP over the
-(i, x) grid sums all C(n, k) paths with O(k * (n-k)) polynomial products.
-The per-step polynomials are Lucas polynomials, and the route never uses
-the lucanomial formulas of :mod:`lucanomials.lucas`.  The test suite
-checks the factorisation by full enumeration at small sizes.
+Summing without listing the partitions.  A partition is a lattice path
+from the top-right corner of the rectangle to its bottom-left corner: a
+down step at column x emits a row of length x, and a left step after i rows
+closes column x, whose complement has length k - i.  The weight of a tiling
+set factors over the steps of its path (one row polynomial per row, one
+domino-initial polynomial per column), so the weight sum B(k, m) of the
+k x m rectangle splits at the path's first step.  Either the path emits the
+top row at full length m, of weight {m+1}, and leaves a (k-1) x m
+rectangle, or it closes the rightmost column, whose complement is all k
+cells, of weight t{k-1}, and leaves a k x (m-1) rectangle:
+
+    B(k, m) = {m+1} B(k-1, m) + t{k-1} B(k, m-1),  B(0, m) = B(k, 0) = 1.
+
+:func:`_first_step` is that step, and two fills use it.
+:func:`lucanomial_tiling_oracle` fills the k x m rectangle row by row in one
+list of m+1 polynomials, k*m steps.  The memo :func:`_tiling_row` holds
+B(k, n-k) for k = 0..n and builds each entry in one step from the row of
+n-1, so a sweep over n = 0..N takes one step per point.  The per-step
+polynomials are Lucas polynomials, and neither fill uses the lucanomial
+formulas of :mod:`lucanomials.lucas`.  The test suite checks the
+factorisation by full enumeration at small sizes.
 
 All enumeration orders are deterministic: partitions stream in
 lexicographically descending order, and row tilings stream square-first.
@@ -35,7 +45,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .lucas import MEMO_SIZE, lucas
-from .polys import ONE, Poly, T, ZERO
+from .polys import ONE, Poly, T
 
 __all__ = [
     "RectTiling",
@@ -348,25 +358,45 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
                 yield RectTiling._trusted(lam, rows, columns)
 
 
+def _first_step(m: int, column: Poly, down: Poly, left: Poly) -> Poly:
+    """B(k, m) for k, m >= 1, split at the boundary path's first step.
+
+    ``down`` is B(k-1, m), what the top row of length m leaves; ``left`` is
+    B(k, m-1), what the rightmost column leaves, and ``column`` = t{k-1} is
+    that column's weight.
+    """
+    return lucas(m + 1) * down + column * left
+
+
 def lucanomial_tiling_oracle(n: int, k: int) -> Poly:
     """Weight sum over all rectangle tilings of the k x (n-k) rectangle.
 
-    A transfer DP along the partition's boundary path: after i rows,
-    ``paths[x]`` is the weight sum of the path prefixes that stand at
-    column x.  A left step from x multiplies by the domino-initial
-    polynomial of the closed column's length k - i; a down step emits a row
-    of length x.  Must equal lucanomial(n, k).
+    Fills the rectangle row by row: after row i, ``sums[x]`` is B(i, x),
+    each inner entry one first step from its upper and left neighbours.
+    Must equal lucanomial(n, k).
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     m = n - k
-    paths = [ZERO] * m + [ONE]
-    for i in range(k):
-        column = row_weight_poly(k - i, domino_initial=True)
-        for x in range(m, 0, -1):
-            paths[x - 1] = paths[x - 1] + paths[x] * column
-        for x in range(m + 1):
-            paths[x] = paths[x] * row_weight_poly(x)
-    # After the last row every column still open has an empty complement,
-    # of weight 1, so each path walks left to the corner unchanged.
-    return sum(paths, ZERO)
+    sums = [ONE] * (m + 1)
+    for i in range(1, k + 1):
+        column = row_weight_poly(i, domino_initial=True)
+        for x in range(1, m + 1):
+            sums[x] = _first_step(x, column, sums[x], sums[x - 1])
+    return sums[m]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _tiling_row(n: int) -> tuple[Poly, ...]:
+    """B(k, n-k) for k = 0..n, n >= 0: row n of the triangle of weight sums.
+
+    Each inner entry is one first step from the row of n-1, which holds
+    B(k-1, n-k) and B(k, n-k-1).  A cold call recurses through every
+    smaller row; a sweep in increasing n finds the row of n-1 in the memo.
+    """
+    if n == 0:
+        return (ONE,)
+    previous = _tiling_row(n - 1)
+    inner = (_first_step(n - k, row_weight_poly(k, domino_initial=True), previous[k - 1], previous[k])
+             for k in range(1, n))
+    return (ONE, *inner, ONE)

@@ -501,6 +501,23 @@ class TestVerifyCommands:
         checks = json.loads(out)["checks"]
         assert [c["pass"] for c in checks] == [True] * 3 + [False] + [True] * 5
 
+    def test_theorem1_sweep_builds_one_row_per_n(self, capsys, monkeypatch):
+        # The sweep reads the row memo, each row one step from the row before;
+        # --n fills its one rectangle.
+        points = []
+
+        def counting(n, k, original=tilings.lucanomial_tiling_oracle):
+            points.append((n, k))
+            return original(n, k)
+
+        monkeypatch.setattr(tilings, "lucanomial_tiling_oracle", counting)
+        tilings._tiling_row.cache_clear()
+        code, out = run(capsys, "verify", "theorem1", "--n-max", "14")
+        assert code == 0 and out.endswith("\ntheorem1: 120 checks passed\n")
+        assert run(capsys, "verify", "theorem1", "--n", "14", "--k", "5")[0] == 0
+        info = tilings._tiling_row.cache_info()
+        assert (points, info.misses, info.maxsize) == ([(14, 5)], 15, lucas.MEMO_SIZE)
+
     @staticmethod
     def assert_one_failing_check(capsys, argv, text, flags):
         """argv runs one check, which fails: its exact text, exit 1, and the

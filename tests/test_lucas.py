@@ -19,6 +19,7 @@ from lucanomials.lucas import (
     lucas_factorial,
 )
 from lucanomials.polys import ONE, S, T, ZERO, Poly, divide_exact, parse
+from lucanomials.tilings import _tiling_row, lucanomial_tiling_oracle
 
 N_SWEEP = 12
 ATOM_SWEEP = 60
@@ -37,32 +38,8 @@ def pascal_triangle(n_max):
     return rows
 
 
-# Two references for lucanomial, independent of the atom product: the
-# division-free recurrence and the factorial quotient.
-def lucanomial_recurrence_oracle(n: int, k: int) -> Poly:
-    """{n choose k} from the splitting-identity recurrence, filled row by row.
-
-    Division-free and independent of the atom factorisation; must equal
-    lucanomial(n, k).  Row m holds the columns 0..min(m, k), and the column
-    past the end of the previous row is the lucanomial zero.  Row n, column k
-    reads only the columns j >= k - (n - m) of row m; the ones below are left
-    ZERO and never read.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return ZERO
-    row = [ONE]
-    for m in range(1, n + 1):
-        prev = row
-        lo = max(1, k - n + m)
-        row = [ONE] + [ZERO] * (lo - 1)
-        for j in range(lo, min(m, k) + 1):
-            above = prev[j] if j < len(prev) else ZERO
-            row.append(lucas(m - j + 1) * prev[j - 1] + T * lucas(j - 1) * above)
-    return row[k]
-
-
+# References for lucanomial, independent of the atom product: the factorial
+# quotient here, and the two fills of the tiling weight sum.
 def lucanomial_division_oracle(n: int, k: int) -> Poly:
     """{n}! / ({k}! {n-k}!) by exact division; must equal lucanomial(n, k).
 
@@ -215,22 +192,14 @@ class TestLucanomial:
         )
 
 
-class TestRecurrenceOracle:
+class TestTilingOracle:
     def test_agrees_with_atom_product(self):
         for n in range(31):
             for k in range(n + 1):
-                assert lucanomial_recurrence_oracle(n, k) == lucanomial(n, k), (n, k)
+                assert lucanomial_tiling_oracle(n, k) == lucanomial(n, k), (n, k)
 
     def test_agrees_at_60_30(self):
-        assert lucanomial_recurrence_oracle(60, 30) == lucanomial(60, 30)
-
-    def test_out_of_range_is_zero(self):
-        assert lucanomial_recurrence_oracle(4, -1) == ZERO
-        assert lucanomial_recurrence_oracle(4, 5) == ZERO
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            lucanomial_recurrence_oracle(-1, 0)
+        assert lucanomial_tiling_oracle(60, 30) == lucanomial(60, 30)
 
 
 class TestLucasAtom:
@@ -285,8 +254,10 @@ class TestDivisionOracle:
         assert all(lucanomial_division_oracle(n, n) == ONE for n in range(8))
 
     def test_agrees_with_recurrence(self):
+        # Row n of the tiling triangle is the splitting-identity recurrence
+        # {n choose k} = {n-k+1}{n-1 choose k-1} + t{k-1}{n-1 choose k}.
         assert all(
-            lucanomial_division_oracle(n, k) == lucanomial_recurrence_oracle(n, k) == lucanomial(n, k)
+            lucanomial_division_oracle(n, k) == _tiling_row(n)[k] == lucanomial(n, k)
             for n in range(N_SWEEP + 1)
             for k in range(n + 1)
         )

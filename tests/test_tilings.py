@@ -1,4 +1,4 @@
-"""Tests for partitions in rectangles, row tilings, and the weight-sum oracle."""
+"""Tests for partitions in rectangles, row tilings, and the two weight-sum fills."""
 
 import itertools
 from math import comb
@@ -11,6 +11,7 @@ from lucanomials.tilings import (
     RectTiling,
     ShapeError,
     _cut_offsets,
+    _tiling_row,
     covered_length,
     domino_initial_tilings,
     enumerate_rect_tilings,
@@ -232,25 +233,41 @@ class TestWeightSums:
                 assert lucanomial_tiling_oracle(n, k) == lucanomial(n, k), (n, k)
         assert lucanomial_tiling_oracle(40, 20) == lucanomial(40, 20)
 
+    def test_row_memo_equals_oracle_and_lucanomial(self):
+        _tiling_row.cache_clear()
+        assert len(_tiling_row(20)) == 21  # a cold call recurses through every smaller row
+        for n in range(21):
+            assert len(_tiling_row(n)) == n + 1
+            for k in range(n + 1):
+                assert _tiling_row(n)[k] == lucanomial_tiling_oracle(n, k) == lucanomial(n, k), (n, k)
+
+    @staticmethod
+    def per_partition_sum(k, m):
+        """The weight sum as one product per partition: a row polynomial per
+        part and a domino-initial polynomial per complement column."""
+        total = ZERO
+        for lam in partitions_in_rectangle(k, m):
+            term = ONE
+            for part in lam:
+                term = term * row_weight_poly(part)
+            for part in star(lam, k, m):
+                term = term * row_weight_poly(part, domino_initial=True)
+            total = total + term
+        return total
+
     def test_oracle_equals_per_partition_products(self):
-        # The boundary-path DP must sum exactly the per-partition products
-        # it replaces: one row polynomial per part, one domino-initial
-        # polynomial per complement column.
+        # The boundary-path fill must sum exactly the per-partition products
+        # it replaces.
         for n in range(11):
             for k in range(n + 1):
-                m = n - k
-                total = ZERO
-                for lam in partitions_in_rectangle(k, m):
-                    term = ONE
-                    for part in lam:
-                        term = term * row_weight_poly(part)
-                    for part in star(lam, k, m):
-                        term = term * row_weight_poly(part, domino_initial=True)
-                    total = total + term
-                assert lucanomial_tiling_oracle(n, k) == total, (n, k)
+                assert lucanomial_tiling_oracle(n, k) == self.per_partition_sum(k, n - k), (n, k)
+
+    def test_row_memo_equals_per_partition_products(self):
+        for n in range(9):
+            assert _tiling_row(n) == tuple(self.per_partition_sum(k, n - k) for k in range(n + 1)), n
 
     def test_oracle_rejects_out_of_range_k(self):
-        for n, k in ((3, -1), (3, 4)):
+        for n, k in ((3, -1), (3, 4), (-1, 0)):
             with pytest.raises(ValueError):
                 lucanomial_tiling_oracle(n, k)
 
