@@ -93,14 +93,13 @@ from . import narayana
 from .lucas import fib_factorial, fibonomial
 from .tilings import (
     DOMINO,
-    SQUARE,
     RectTiling,
     ShapeError,
     _check_rows_field,
     _cut_offsets,
     _Record,
     _json_field,
-    _linear_tilings,
+    _tile_counts,
     covered_length,
     linear_tilings,
     split_after,
@@ -163,17 +162,11 @@ class StairstepTiling(_Record):
 EMPTY_STAIRSTEP = StairstepTiling(())
 
 
-def _tile_counts(rows: tuple[str, ...]) -> tuple[int, int]:
-    tiles = "".join(rows)
-    return tiles.count(SQUARE), tiles.count(DOMINO)
-
-
 def enumerate_stairstep_tilings(m: int) -> Iterator[StairstepTiling]:
     """All stairstep tilings of size m, each exactly once; F_{m+1}! of them."""
     if m < 0:
         raise ValueError("size must be nonnegative")
-    choices = [tuple(linear_tilings(length)) for length in range(m, 0, -1)]
-    for rows in itertools.product(*choices):
+    for rows in itertools.product(*map(linear_tilings, range(m, 0, -1))):
         yield StairstepTiling(rows)
 
 
@@ -187,11 +180,13 @@ class TilingTriple(_Record):
 
     __slots__ = ("small_stair", "other_stair", "rect")
 
+    def __post_init__(self):
+        if tuple(map(type, self._values())) != (StairstepTiling, StairstepTiling, RectTiling):
+            raise ShapeError("a triple holds two StairstepTilings and a RectTiling, in that order")
+
     def tile_counts(self) -> tuple[int, int]:
-        return _tile_counts(
-            self.small_stair.rows + self.other_stair.rows
-            + self.rect.lambda_rows + self.rect.star_rows
-        )
+        rows = self.small_stair.rows + self.other_stair.rows
+        return _tile_counts(rows + self.rect.lambda_rows + self.rect.star_rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -433,8 +428,8 @@ def _image_size(n: int, k: int) -> tuple[int, int]:
     the bottoms are counted, row by row, as tuples of distinct choices per
     row are distinct.
     """
-    top_choices = [_linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
-    bottom_choices = [_linear_tilings(length) for length in range(k - 1, 0, -1)]
+    top_choices = [linear_tilings(length) for length in range(n - 1, max(k - 1, 0), -1)]
+    bottom_choices = [linear_tilings(length) for length in range(k - 1, 0, -1)]
     heads = set(_scan_heads(top_choices, n, k))
     total = math.prod(map(len, top_choices + bottom_choices))
     if total != fib_factorial(n):
@@ -521,7 +516,7 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    splits = [_split_first_row(first, k) for first in _linear_tilings(n - 1)]
+    splits = [_split_first_row(first, k) for first in linear_tilings(n - 1)]
     params = {case_tag: _remainder_params(case_tag, k) for case_tag, _ in splits}
     # T1's remainder and T2 are both of size n-2: scan once per parameter, not per pair.
     sizes = {p: _image_size(n - 1, p) for p in set(itertools.chain(*params.values()))}

@@ -88,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stairstep rows (forward) or triple JSON (inverse)")
 
     p = sub.add_parser("verify", parents=[fmt], help="run an exhaustive verifier")
-    p.add_argument("target", choices=("theorem1", "theorem2", "theorem3",
-                                      "bijection", "catalan", "classical"))
+    p.add_argument("target", choices=tuple(_TARGETS))
     p.add_argument("--n-max", type=int, default=None,
                    help="sweep bound (defaults per target)")
     p.add_argument("--n", type=int, default=None, help="check a single n")

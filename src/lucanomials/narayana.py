@@ -177,9 +177,7 @@ def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
 
 
 def _catalan_quotient(n: int, coefficient, term, quotient):
-    """coefficient(2n, n) / term(n+1) by exact division; a ValueError for n < 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """coefficient(2n, n) / term(n+1) by exact division; coefficient raises ValueError for n < 0."""
     return quotient(coefficient(2 * n, n), term(n + 1))
 
 

@@ -35,7 +35,9 @@ formulas of :mod:`lucanomials.lucas`.  The test suite checks the
 factorisation by full enumeration at small sizes.
 
 All enumeration orders are deterministic: partitions stream in
-lexicographically descending order, and row tilings stream square-first.
+lexicographically descending order, and row tilings come square-first from
+one table, :func:`linear_tilings`, a bounded memo of one tuple per length.
+:func:`_tile_counts` counts the squares and dominos of every record.
 """
 
 from __future__ import annotations
@@ -80,6 +82,12 @@ def covered_length(tiling: str) -> int:
     return len(tiling) + dominos
 
 
+def _tile_counts(rows: tuple[str, ...]) -> tuple[int, int]:
+    """(squares, dominos) over a tuple of valid row tilings."""
+    tiles = "".join(rows)
+    return tiles.count(SQUARE), tiles.count(DOMINO)
+
+
 def _check_rows_field(rows, name: str) -> None:
     # A string is a sequence of one-letter rows; a field of rows is a tuple of them.
     if isinstance(rows, str):
@@ -120,36 +128,28 @@ def split_after(tiling: str, i: int) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _linear_tilings(length: int) -> tuple[str, ...]:
-    if length == 0:
-        return ("",)
-    if length == 1:
-        return (SQUARE,)
-    return tuple(SQUARE + rest for rest in _linear_tilings(length - 1)) + tuple(
-        DOMINO + rest for rest in _linear_tilings(length - 2)
-    )
+def linear_tilings(length: int) -> tuple[str, ...]:
+    """All square/domino tilings of a strip, square-first; F_{length+1} of them.
 
-
-def linear_tilings(length: int) -> Iterator[str]:
-    """All square/domino tilings of a strip; there are F_{length+1} of them."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    yield from _linear_tilings(length)
-
-
-def domino_initial_tilings(length: int) -> Iterator[str]:
-    """Tilings whose first tile is a domino (plus the empty tiling at length 0).
-
-    There are F_{length-1} of them for length >= 1; in particular none for
-    length 1.
+    The package's one strip table: a bounded memo, one tuple per length.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        yield ""
-    elif length >= 2:
-        for rest in _linear_tilings(length - 2):
-            yield DOMINO + rest
+    if length <= 1:
+        return (SQUARE * length,)
+    return (*(SQUARE + rest for rest in linear_tilings(length - 1)),
+            *(DOMINO + rest for rest in linear_tilings(length - 2)))
+
+
+def domino_initial_tilings(length: int) -> tuple[str, ...]:
+    """Tilings whose first tile is a domino (plus the empty tiling at length 0).
+
+    There are F_{length-1} of them for length >= 1; in particular none for
+    length 1.  A negative length raises ValueError, from :func:`linear_tilings`.
+    """
+    if length == 1:
+        return ()
+    return ("",) if length == 0 else tuple(DOMINO + rest for rest in linear_tilings(length - 2))
 
 
 def row_weight_poly(length: int, domino_initial: bool = False) -> Poly:
@@ -293,11 +293,7 @@ class RectTiling(_Record):
 
     def weight(self) -> Poly:
         """Monomial s^(#squares) * t^(#dominos) over all rows and columns."""
-        squares = dominos = 0
-        for row in self.lambda_rows + self.star_rows:
-            squares += row.count(SQUARE)
-            dominos += row.count(DOMINO)
-        return Poly({(squares, dominos): 1})
+        return Poly({_tile_counts(self.lambda_rows + self.star_rows): 1})
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,10 +346,8 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
         raise ValueError("need 0 <= k <= n")
     m = n - k
     for lam in partitions_in_rectangle(k, m):
-        star_parts = star(lam, k, m)
-        row_choices = [_linear_tilings(part) for part in lam]
-        column_choices = [tuple(domino_initial_tilings(part)) for part in star_parts]
-        for rows in itertools.product(*row_choices):
+        column_choices = [domino_initial_tilings(part) for part in star(lam, k, m)]
+        for rows in itertools.product(*map(linear_tilings, lam)):
             for columns in itertools.product(*column_choices):
                 yield RectTiling._trusted(lam, rows, columns)
 

@@ -423,8 +423,8 @@ class TestVerifyCardinality:
         # The bottom rows are counted, not stored: two equal choices of the
         # second-to-last row keep the count at F_6!, but two stairsteps would
         # pass through to one image.
-        original = bijection._linear_tilings
-        monkeypatch.setattr(bijection, "_linear_tilings",
+        original = bijection.linear_tilings
+        monkeypatch.setattr(bijection, "linear_tilings",
                             lambda length: ("SS", "SS") if length == 2 else original(length))
         report = verify_cardinality(6, 3)
         assert report["injective"] is False and report["pass"] is False

@@ -126,6 +126,16 @@ class TestFieldTypes:
         assert StairstepTiling(("D", "S")).rows == ("D", "S")
         assert RectTiling((1,), ("S",), ("",)).lambda_rows == ("S",)
 
+    @pytest.mark.parametrize("fields", [
+        (1, 2, 3),
+        (STAIR, STAIR, None),
+        (STAIR, RECT, STAIR),
+        (("S",), ("S",), RECT),
+    ])
+    def test_triple_fields_must_be_records(self, fields):
+        with pytest.raises(ShapeError, match="two StairstepTilings and a RectTiling"):
+            TilingTriple(*fields)
+
     @pytest.mark.parametrize("lam", [(True,), (1, False), (1.0,), ("1",), (None,)])
     def test_rect_part_must_be_an_int(self, lam):
         rows = ("S",) * len(lam)

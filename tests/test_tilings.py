@@ -11,6 +11,7 @@ from lucanomials.tilings import (
     RectTiling,
     ShapeError,
     _cut_offsets,
+    _tile_counts,
     _tiling_row,
     covered_length,
     domino_initial_tilings,
@@ -89,9 +90,26 @@ class TestEnumeration:
         for m in range(1, 11):
             assert len(list(domino_initial_tilings(m))) == fibonacci(m - 1)
 
+    def test_linear_table_is_one_tuple_per_length(self):
+        for m in range(11):
+            rows = linear_tilings(m)
+            assert rows is linear_tilings(m)
+            assert isinstance(rows, tuple) and len(rows) == fibonacci(m + 1)
+            # Square-first: "S" sorts after "D", and no tiling of m cells is a
+            # proper prefix of another, so descending order is square-first.
+            assert list(rows) == sorted(rows, reverse=True)
+
+    def test_domino_initial_is_a_tuple(self):
+        for m in range(1, 11):
+            rows = domino_initial_tilings(m)
+            assert isinstance(rows, tuple) and len(rows) == fibonacci(m - 1)
+            assert all(row.startswith("D") for row in rows)
+
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            list(linear_tilings(-1))
+        # At the call itself: neither function is a generator.
+        for tilings in (linear_tilings, domino_initial_tilings):
+            with pytest.raises(ValueError, match="length must be nonnegative"):
+                tilings(-1)
 
 
 class TestRowWeightPoly:
@@ -325,3 +343,10 @@ class TestEnumerateRectTilings:
                     (rt.weight() for rt in enumerate_rect_tilings(n, k)), ZERO
                 )
                 assert total == lucanomial_tiling_oracle(n, k)
+
+    def test_weight_is_the_monomial_of_the_tile_counts(self):
+        for rt in enumerate_rect_tilings(6, 3):
+            rows = rt.lambda_rows + rt.star_rows
+            counts = _tile_counts(rows)
+            assert counts == (sum(r.count("S") for r in rows), sum(r.count("D") for r in rows))
+            assert rt.weight() == Poly({counts: 1})
