@@ -23,7 +23,7 @@ import sys
 from collections.abc import Callable, Iterable
 
 from . import bijection, narayana, tilings
-from .lucas import fibonomial, lucanomial, lucas_atom
+from .lucas import _INT, fibonacci, fibonomial, lucanomial, lucas_atom
 from .lucas import lucas as lucas_poly
 from .polys import Poly, int_text
 from .tilings import ShapeError
@@ -342,7 +342,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if not 0 <= args.k <= args.n:
             parser.error("need 0 <= --k <= --n")
         if args.action == "count":
-            _emit(tilings.lucanomial_tiling_oracle(args.n, args.k).evaluate(1, 1), args.format)
+            _emit(tilings._rectangle_sum(args.n, args.k, fibonacci, _INT), args.format)
         else:
             items = (rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k))
             if args.format == "json":

@@ -24,9 +24,9 @@ factorial quotient {n}!/({k}!{n-k}!).
 
 Setting s = t = 1 turns {n} into the Fibonacci number F_n, and the integer
 functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
-same code there: each algorithm is one private body that takes the ring's
-pieces (s, t, zero, the exact quotient, the product) as arguments, passed by
-module name at call time, so a wrapper on a module function sees every call.
+same code there: each algorithm is one private body over a ring record of
+(s, t, zero, one, product, exact quotient), _POLY for Z[s, t] or _INT for Z,
+and the memos it reads come by module name, so a wrapper sees every call.
 
 Memoisation.  There is one memo style: every memo in the package is a
 functools.lru_cache bounded at MEMO_SIZE entries, so no module state grows.
@@ -44,6 +44,7 @@ bound caps memory and never changes a result.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache, wraps
 from math import prod
 
@@ -87,7 +88,14 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
-def _term(n: int, term, s, t, zero, one):
+_Ring = namedtuple("_Ring", "s t zero one product quotient")
+
+# divide_exact is looked up when called, so a wrapper rebound into this module sees every call.
+_POLY = _Ring(S, T, ZERO, ONE, _balanced_product, lambda a, b: divide_exact(a, b))
+_INT = _Ring(1, 1, 0, 1, prod, _int_quotient)
+
+
+def _term(n: int, term, ring):
     """x_n of x_n = s*x_{n-1} + t*x_{n-2}, x_0 = zero, x_1 = one, by index doubling.
 
     x_{2m+1} = x_{m+1}^2 + t*x_m^2 and x_{2m} = x_m (x_{m+1} + t*x_{m-1}), x_j = term(j).
@@ -95,42 +103,42 @@ def _term(n: int, term, s, t, zero, one):
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n < 3:
-        return (zero, one, s)[n]
+        return (ring.zero, ring.one, ring.s)[n]
     a, b = term(n // 2), term(n // 2 + 1)
     if n % 2:
-        return b * b + t * (a * a)
-    return a * (b + t * term(n // 2 - 1))
+        return b * b + ring.t * (a * a)
+    return a * (b + ring.t * term(n // 2 - 1))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def lucas(n: int) -> Poly:
     """The Lucas polynomial {n}."""
-    return _term(n, lucas, S, T, ZERO, ONE)
+    return _term(n, lucas, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0, F_1 = 1."""
-    return _term(n, fibonacci, 1, 1, 0, 1)
+    return _term(n, fibonacci, _INT)
 
 
-def _factorial(n: int, term, product):
+def _factorial(n: int, term, ring):
     """term(n) * term(n-1) * ... * term(1), the empty product at n = 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return product([term(m) for m in range(1, n + 1)])
+    return ring.product([term(m) for m in range(1, n + 1)])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def lucas_factorial(n: int) -> Poly:
     """The Lucas factorial {n}!, with {0}! = 1."""
-    return _factorial(n, lucas, _balanced_product)
+    return _factorial(n, lucas, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fib_factorial(n: int) -> int:
     """F_n! = F_n * F_{n-1} * ... * F_1, with F_0! = 1."""
-    return _factorial(n, fibonacci, prod)
+    return _factorial(n, fibonacci, _INT)
 
 
 def _divisors(n: int) -> list[int]:
@@ -147,13 +155,13 @@ def _divisors(n: int) -> list[int]:
     return (small + large[::-1])[1:]
 
 
-def _atom(d: int, term, atom, quotient):
+def _atom(d: int, term, atom, ring):
     """term(d) exactly divided by atom(e) for each e | d, 1 < e < d."""
     if d < 2:
         raise ValueError("atom index must be at least 2")
     value = term(d)
     for e in _divisors(d)[:-1]:
-        value = quotient(value, atom(e))
+        value = ring.quotient(value, atom(e))
     return value
 
 
@@ -164,13 +172,13 @@ def lucas_atom(d: int) -> Poly:
     NotDivisibleError propagating from here would falsify the factorisation
     and is treated as an internal assertion failure.
     """
-    return _atom(d, lucas, lucas_atom, divide_exact)
+    return _atom(d, lucas, lucas_atom, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fibonacci_atom(d: int) -> int:
     """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
-    return _atom(d, fibonacci, fibonacci_atom, _int_quotient)
+    return _atom(d, fibonacci, fibonacci_atom, _INT)
 
 
 def _mirrored(first: int, zero):
@@ -219,7 +227,7 @@ def lucanomial(n: int, k: int) -> Poly:
     multiplied as a balanced tree; agrees with the recurrence and with the
     factorial quotient.
     """
-    return _balanced_product(_lucanomial_atoms(n, k, lucas_atom))
+    return _POLY.product(_lucanomial_atoms(n, k, lucas_atom))
 
 
 @_mirrored(0, 0)
@@ -228,4 +236,4 @@ def fibonomial(n: int, k: int) -> int:
 
     Computed as the product of the integer atoms with exponent 1.
     """
-    return prod(_lucanomial_atoms(n, k, fibonacci_atom))
+    return _INT.product(_lucanomial_atoms(n, k, fibonacci_atom))

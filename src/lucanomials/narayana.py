@@ -43,8 +43,8 @@ Outside 1 <= k <= n the two quotients raise ValueError; the others give 0.
 
 The FiboNarayana and FiboCatalan numbers are these polynomials at
 s = t = 1, and the integer functions are the same code there: as in
-:mod:`lucanomials.lucas`, each algorithm is one private body that takes the
-ring's pieces as arguments.
+:mod:`lucanomials.lucas`, each algorithm is one private body that takes
+one of the two ring records, _POLY for Z[s, t] or _INT for Z at s = t = 1.
 
 At (s, t) = (2, -1) the whole tower specializes to the classical objects
 (n, binomials, Narayana numbers, Catalan numbers), which
@@ -54,11 +54,11 @@ math.comb formulas of :func:`classical_narayana` and :func:`catalan`.
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb
 
 from .lucas import (
-    _balanced_product,
-    _int_quotient,
+    _INT,
+    _POLY,
     _mirrored,
     fibonacci,
     fibonacci_atom,
@@ -67,7 +67,7 @@ from .lucas import (
     lucas,
     lucas_atom,
 )
-from .polys import ZERO, Poly, T, divide_exact
+from .polys import ZERO, Poly
 
 __all__ = [
     "catalan",
@@ -106,8 +106,8 @@ def _catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
     return [(d, (2 * n % d < n % d) - ((n + 1) % d == 0)) for d in range(2, 2 * n + 1)]
 
 
-def _atom_powers(exponents: list[tuple[int, int]], atom, product):
-    """prod atom(d)^x over the (d, x) pairs, with product multiplying a list of atoms.
+def _atom_powers(exponents: list[tuple[int, int]], atom, ring):
+    """prod atom(d)^x over the (d, x) pairs, each list of atoms multiplied by ring.product.
 
     Every x is 0, 1 or 2; any other falsifies the factorisation and raises
     AssertionError.  The square's factor is built once and enters twice,
@@ -123,82 +123,82 @@ def _atom_powers(exponents: list[tuple[int, int]], atom, product):
             twos.append(atom(d))
         elif x:
             raise AssertionError(f"the atom P_{d} has exponent {x}, outside 0..2")
-    value = product(ones)
+    value = ring.product(ones)
     if not twos:
         return value
-    twice = product(twos)
+    twice = ring.product(twos)
     return value * twice * twice
 
 
 @_mirrored(1, 0)
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number as a product of integer atoms; 0 outside 1 <= k <= n."""
-    return _atom_powers(_narayana_atom_exponents(n, k), fibonacci_atom, prod)
+    return _atom_powers(_narayana_atom_exponents(n, k), fibonacci_atom, _INT)
 
 
 @_mirrored(1, ZERO)
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial as a product of Lucas atoms; 0 outside 1 <= k <= n."""
-    return _atom_powers(_narayana_atom_exponents(n, k), lucas_atom, _balanced_product)
+    return _atom_powers(_narayana_atom_exponents(n, k), lucas_atom, _POLY)
 
 
-def _recurrence(n: int, k: int, t, coefficient):
-    """The recurrence in the ring of t, with coefficient the lucanomial there."""
-    return coefficient(n - 1, k - 1) ** 2 + t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
+def _recurrence(n: int, k: int, coefficient, ring):
+    """The recurrence in ring, with coefficient the lucanomial there."""
+    return coefficient(n - 1, k - 1) ** 2 + ring.t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
 @_mirrored(1, 0)
 def fibonarayana_recurrence(n: int, k: int) -> int:
     """FiboNarayana number via the paper's integer recurrence; 0 outside 1 <= k <= n."""
-    return _recurrence(n, k, 1, fibonomial)
+    return _recurrence(n, k, fibonomial, _INT)
 
 
 @_mirrored(1, ZERO)
 def generalized_narayana_recurrence(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the paper's recurrence; 0 outside 1 <= k <= n."""
-    return _recurrence(n, k, T, lucanomial)
+    return _recurrence(n, k, lucanomial, _POLY)
 
 
-def _quotient(n: int, k: int, coefficient, term, quotient):
+def _quotient(n: int, k: int, coefficient, term, ring):
     """(coefficient(n,k) * coefficient(n,k-1)) / term(n) by exact division."""
-    return quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
+    return ring.quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
 
 
 @_mirrored(1, None)
 def fibonarayana_definition_oracle(n: int, k: int) -> int:
     """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
-    return _quotient(n, k, fibonomial, fibonacci, _int_quotient)
+    return _quotient(n, k, fibonomial, fibonacci, _INT)
 
 
 @_mirrored(1, None)
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
     """({n,k} * {n,k-1}) / {n} by exact division; must equal the atom product."""
-    return _quotient(n, k, lucanomial, lucas, divide_exact)
+    return _quotient(n, k, lucanomial, lucas, _POLY)
 
 
-def _catalan_quotient(n: int, coefficient, term, quotient):
+def _catalan_quotient(n: int, coefficient, term, ring):
     """coefficient(2n, n) / term(n+1) by exact division; coefficient raises ValueError for n < 0."""
-    return quotient(coefficient(2 * n, n), term(n + 1))
+    return ring.quotient(coefficient(2 * n, n), term(n + 1))
 
 
 def fibocatalan(n: int) -> int:
     """FiboCatalan number fibonomial(2n, n) / F_{n+1}, as a product of integer atoms."""
-    return _atom_powers(_catalan_atom_exponents(n), fibonacci_atom, prod)
+    return _atom_powers(_catalan_atom_exponents(n), fibonacci_atom, _INT)
 
 
 def generalized_catalan(n: int) -> Poly:
     """Generalized Catalan polynomial {2n choose n} / {n+1}, as a product of Lucas atoms."""
-    return _atom_powers(_catalan_atom_exponents(n), lucas_atom, _balanced_product)
+    return _atom_powers(_catalan_atom_exponents(n), lucas_atom, _POLY)
 
 
 def fibocatalan_definition_oracle(n: int) -> int:
     """fibonomial(2n, n) / F_{n+1} by exact division."""
-    return _catalan_quotient(n, fibonomial, fibonacci, _int_quotient)
+    return _catalan_quotient(n, fibonomial, fibonacci, _INT)
 
 
 def generalized_catalan_definition_oracle(n: int) -> Poly:
     """{2n choose n} / {n+1} by exact division; must equal the atom product."""
-    return _catalan_quotient(n, lucanomial, lucas, divide_exact)
+    return _catalan_quotient(n, lucanomial, lucas, _POLY)
 
 
 def classical_narayana(n: int, k: int) -> int:
@@ -207,14 +207,14 @@ def classical_narayana(n: int, k: int) -> int:
         raise ValueError("n must be positive")
     if not 1 <= k <= n:
         return 0
-    return _int_quotient(comb(n, k) * comb(n, k - 1), n)
+    return _INT.quotient(comb(n, k) * comb(n, k - 1), n)
 
 
 def catalan(n: int) -> int:
     """Classical Catalan number C(2n, n)/(n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _int_quotient(comb(2 * n, n), n + 1)
+    return _INT.quotient(comb(2 * n, n), n + 1)
 
 
 def classical_specialization_report(n_max: int) -> dict:

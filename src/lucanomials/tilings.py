@@ -25,14 +25,14 @@ cells, of weight t{k-1}, and leaves a k x (m-1) rectangle:
 
     B(k, m) = {m+1} B(k-1, m) + t{k-1} B(k, m-1),  B(0, m) = B(k, 0) = 1.
 
-:func:`_first_step` is that step, and two fills use it.
-:func:`lucanomial_tiling_oracle` fills the k x m rectangle row by row in one
-list of m+1 polynomials, k*m steps.  The memo :func:`_tiling_row` holds
-B(k, n-k) for k = 0..n and builds each entry in one step from the row of
-n-1, so a sweep over n = 0..N takes one step per point.  The per-step
-polynomials are Lucas polynomials, and neither fill uses the lucanomial
-formulas of :mod:`lucanomials.lucas`.  The test suite checks the
-factorisation by full enumeration at small sizes.
+Two fills take that step.  :func:`_rectangle_sum` fills the k x m
+rectangle row by row in one list of m+1 values, k*m steps, in a ring of
+:mod:`lucanomials.lucas`: in Z[s, t] it is :func:`lucanomial_tiling_oracle`,
+and ``tilings count`` runs it in Z, with F_x for {x}, so it counts the
+tilings with no polynomial built.  The memo :func:`_tiling_row` holds
+B(k, n-k) in Z[s, t] for k = 0..n, each entry one step from the row of n-1,
+so a sweep over n = 0..N takes one step per point.  Neither fill uses the
+lucanomial formulas; the tests check the factorisation by enumeration.
 
 All enumeration orders are deterministic: partitions stream in
 lexicographically descending order, and row tilings come square-first from
@@ -46,7 +46,7 @@ import itertools
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .lucas import MEMO_SIZE, lucas
+from .lucas import _POLY, MEMO_SIZE, lucas
 from .polys import ONE, Poly, T
 
 __all__ = [
@@ -352,32 +352,27 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
                 yield RectTiling._trusted(lam, rows, columns)
 
 
-def _first_step(m: int, column: Poly, down: Poly, left: Poly) -> Poly:
-    """B(k, m) for k, m >= 1, split at the boundary path's first step.
+def _rectangle_sum(n: int, k: int, term, ring):
+    """B(k, n-k) in ring, with term(x) = {x} there.
 
-    ``down`` is B(k-1, m), what the top row of length m leaves; ``left`` is
-    B(k, m-1), what the rightmost column leaves, and ``column`` = t{k-1} is
-    that column's weight.
-    """
-    return lucas(m + 1) * down + column * left
-
-
-def lucanomial_tiling_oracle(n: int, k: int) -> Poly:
-    """Weight sum over all rectangle tilings of the k x (n-k) rectangle.
-
-    Fills the rectangle row by row: after row i, ``sums[x]`` is B(i, x),
-    each inner entry one first step from its upper and left neighbours.
-    Must equal lucanomial(n, k).
+    Fills row by row: after row i, ``sums[x]`` is B(i, x), one first step
+    from B(i-1, x), which the top row leaves, and B(i, x-1), which the
+    rightmost column of weight t{i-1} leaves.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     m = n - k
-    sums = [ONE] * (m + 1)
+    sums = [ring.one] * (m + 1)
     for i in range(1, k + 1):
-        column = row_weight_poly(i, domino_initial=True)
+        column = ring.t * term(i - 1)
         for x in range(1, m + 1):
-            sums[x] = _first_step(x, column, sums[x], sums[x - 1])
+            sums[x] = term(x + 1) * sums[x] + column * sums[x - 1]
     return sums[m]
+
+
+def lucanomial_tiling_oracle(n: int, k: int) -> Poly:
+    """The k x (n-k) rectangle fill in Z[s, t]: its tiling weight sum, equal to lucanomial(n, k)."""
+    return _rectangle_sum(n, k, lucas, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -391,6 +386,5 @@ def _tiling_row(n: int) -> tuple[Poly, ...]:
     if n == 0:
         return (ONE,)
     previous = _tiling_row(n - 1)
-    inner = (_first_step(n - k, row_weight_poly(k, domino_initial=True), previous[k - 1], previous[k])
-             for k in range(1, n))
+    inner = (lucas(n - k + 1) * previous[k - 1] + T * lucas(k - 1) * previous[k] for k in range(1, n))
     return (ONE, *inner, ONE)

@@ -697,7 +697,9 @@ class TestKernelTraffic:
         *(["catalan", "--n", "9", "--mode", mode] for mode in ("fibo", "general", "classical")),
     ]
 
-    def test_no_signed_row_products(self, capsys, monkeypatch):
+    @staticmethod
+    def record_products(monkeypatch) -> dict:
+        """Per kernel, one entry per product it forms: whether both rows are nonnegative."""
         products = {"_mul_schoolbook": [], "_mul_kronecker": []}
         for name, seen in products.items():
             def recording(a, b, original=getattr(polys, name), seen=seen):
@@ -705,11 +707,20 @@ class TestKernelTraffic:
                 return original(a, b)
 
             monkeypatch.setattr(polys, name, recording)
-        # Cold memos, so that the commands form every product they need here.
+        return products
+
+    @staticmethod
+    def clear_memos() -> list:
+        """Empty every memo, so that a command forms every product it needs; return them."""
         memos = [value for module in (lucas, narayana, tilings)
                  for value in vars(module).values() if hasattr(value, "cache_clear")]
         for memo in memos:
             memo.cache_clear()
+        return memos
+
+    def test_no_signed_row_products(self, capsys, monkeypatch):
+        products = self.record_products(monkeypatch)
+        memos = self.clear_memos()
         # Every sequence and (n, k) family carries its memo, so the loop above reaches it.
         families = [lucas.lucas, lucas.fibonacci, lucas.lucanomial, lucas.fibonomial,
                     narayana.fibonarayana, narayana.generalized_narayana,
@@ -722,6 +733,14 @@ class TestKernelTraffic:
             assert run(capsys, *argv)[0] == 0, argv
         assert all(products.values())  # both kernels ran
         assert all(map(all, products.values()))
+
+    def test_tilings_count_forms_no_poly_product(self, capsys, monkeypatch):
+        # The count fills the rectangle in Z, so not even {x} is built as a Poly.
+        products = self.record_products(monkeypatch)
+        self.clear_memos()
+        assert run(capsys, "tilings", "count", "--n", "12", "--k", "6") == (
+            0, f"{fibonomial_quotient(12, 6)}\n")
+        assert products == {"_mul_schoolbook": [], "_mul_kronecker": []}
 
 
 class TestModuleState:

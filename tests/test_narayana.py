@@ -1,12 +1,12 @@
 """Tests for FiboNarayana, generalized Narayana, and Catalan-style numbers."""
 
-from math import comb, prod
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucanomials import cli, narayana
+from lucanomials import cli, narayana, tilings
 from lucanomials.cli import _TARGETS, main
 from lucanomials.narayana import (
     _atom_powers,
@@ -27,8 +27,9 @@ from lucanomials.narayana import (
     generalized_narayana_recurrence,
 )
 from lucanomials.lucas import (
+    _INT,
+    _POLY,
     MEMO_SIZE,
-    _balanced_product,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -252,6 +253,9 @@ RING_PAIRS = {
     "catalan_definition_oracle": (fibocatalan_definition_oracle,
                                   generalized_catalan_definition_oracle,
                                   [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
+    "tiling_sum": (lambda n, k: tilings._rectangle_sum(n, k, fibonacci, _INT),
+                   tilings.lucanomial_tiling_oracle,
+                   [(n, k) for n in range(RING_N_MAX + 1) for k in range(n + 1)], [(3, 4), (3, -1)]),
 }
 
 
@@ -265,6 +269,10 @@ def test_int_route_is_poly_route_at_one_one(pair):
         for fn in (int_fn, poly_fn):
             with pytest.raises(ValueError):
                 fn(*a)
+
+
+def test_int_tiling_sum_is_the_fibonomial_past_the_poly_range():
+    assert tilings._rectangle_sum(300, 150, fibonacci, _INT) == fibonomial(300, 150)
 
 
 EXPONENT_N_MAX = 300
@@ -302,13 +310,13 @@ class TestAtomProduct:
         # C(3) = {6,3}/{4}: {6,3} = P_2 P_4 P_5 P_6, {4} = P_2 P_4.
         assert _catalan_atom_exponents(3) == [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
 
-    @pytest.mark.parametrize("atom,product", [(lucas_atom, _balanced_product), (fibonacci_atom, prod)])
-    def test_forced_negative_exponent_raises(self, atom, product):
+    @pytest.mark.parametrize("atom,ring", [(lucas_atom, _POLY), (fibonacci_atom, _INT)], ids=["poly", "int"])
+    def test_forced_negative_exponent_raises(self, atom, ring):
         with pytest.raises(AssertionError, match="exponent -1"):
-            _atom_powers([(2, 1), (3, -1)], atom, product)
+            _atom_powers([(2, 1), (3, -1)], atom, ring)
         with pytest.raises(AssertionError, match="exponent 3"):
-            _atom_powers([(2, 3)], atom, product)
-        assert _atom_powers([(3, 2), (4, 1), (5, 0)], atom, product) == (
+            _atom_powers([(2, 3)], atom, ring)
+        assert _atom_powers([(3, 2), (4, 1), (5, 0)], atom, ring) == (
             atom(3) ** 2 * atom(4))
 
     def test_forced_negative_exponent_raises_from_the_public_functions(self, monkeypatch):
