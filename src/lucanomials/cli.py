@@ -23,7 +23,7 @@ import sys
 from collections.abc import Callable, Iterable
 
 from . import bijection, narayana, tilings
-from .lucas import _INT, fibonacci, fibonomial, lucanomial, lucas_atom
+from .lucas import _INT, fibonomial, lucanomial, lucas_atom
 from .lucas import lucas as lucas_poly
 from .polys import Poly, int_text
 from .tilings import ShapeError
@@ -186,29 +186,18 @@ def _classical_line(report: dict) -> str:
     return f"classical n_max={report['n_max']} {status}"
 
 
-class _Checks:
-    """The checks a target makes at each n: check(n, k) for every k in ks(n),
-    or, where ks is None, the one check(n) for each n >= the target's first."""
-
-    def __init__(self, ks: Callable[[int], range] | None, check: Callable[..., dict]):
-        self.ks = ks
-        self.check = check
-
-    def at(self, n: int, first: int) -> list[tuple[int, ...]]:
-        if self.ks is None:
-            return [(n,)] if n >= first else []
-        return [(n, k) for k in self.ks(n)]
-
-
 class _Target:
-    """One row of the verify table."""
+    """One row of the verify table: at each n it makes check(n, k) for every
+    k in ks(n), or, where ks is None, the one check(n) for each n >= first."""
 
-    def __init__(self, default: int, first: int, checks: _Checks, single: _Checks | None = None,
+    def __init__(self, default: int, first: int, ks: Callable[[int], range] | None,
+                 check: Callable[..., dict], single: tuple[Callable, Callable] | None = None,
                  text: Callable[[dict], str] | None = None):
         self.default = default  # --n-max when neither --n-max nor --n is given
         self.first = first  # the smallest n of the sweep
-        self.checks = checks
-        self.single = single or checks  # the checks of --n
+        self.ks = ks
+        self.check = check
+        self.single = single  # the (ks, check) of --n, where it is not the sweep's
         # One text line per report and no summary line.  A target with its own
         # line runs one cumulative check: the check at n covers every n' <= n.
         self.text = text
@@ -219,40 +208,32 @@ class _Target:
 _TARGETS = {
     # A sweep shares each row of tiling sums among its points and builds it a
     # step from the row before; --n fills only its own rectangle, one row at a time.
-    "theorem1": _Target(
-        16, 0,
-        _Checks(lambda n: range(0, n + 1), _two_routes(
-            lambda n, k: tilings._tiling_row(n)[k], lambda n, k: lucanomial(n, k))),
-        single=_Checks(lambda n: range(0, n + 1), _two_routes(
-            lambda n, k: tilings.lucanomial_tiling_oracle(n, k), lambda n, k: lucanomial(n, k))),
-    ),
-    "theorem2": _Target(
-        25, 2,
-        _Checks(lambda n: range(1, n + 1), _two_routes(
-            lambda n, k: narayana.fibonarayana_recurrence(n, k),
-            lambda n, k: narayana.fibonarayana_definition_oracle(n, k),
-            nonneg=lambda value, _, n, k: value > 0, reported=True)),
+    "theorem1": _Target(16, 0, lambda n: range(0, n + 1), _two_routes(
+        lambda n, k: tilings._tiling_row(n)[k], lambda n, k: lucanomial(n, k)),
+        single=(lambda n: range(0, n + 1), _two_routes(
+            lambda n, k: tilings.lucanomial_tiling_oracle(n, k), lambda n, k: lucanomial(n, k)))),
+    "theorem2": _Target(25, 2, lambda n: range(1, n + 1), _two_routes(
+        lambda n, k: narayana.fibonarayana_recurrence(n, k),
+        lambda n, k: narayana.fibonarayana_definition_oracle(n, k),
+        nonneg=lambda value, _, n, k: value > 0, reported=True),
         # Exhaustive realization of the identity at one (n, k) by pair
         # decomposition; it scans the F_{n-1}! stairsteps of size n-2 once
         # per column parameter, storing only the heads of each scan.
-        single=_Checks(lambda n: range(1, n),
-                       lambda n, k: bijection.verify_pair_decomposition(n, k)),
-    ),
-    "theorem3": _Target(12, 2, _Checks(lambda n: range(1, n + 1), _two_routes(
+        single=(lambda n: range(1, n), lambda n, k: bijection.verify_pair_decomposition(n, k))),
+    "theorem3": _Target(12, 2, lambda n: range(1, n + 1), _two_routes(
         lambda n, k: narayana.generalized_narayana_recurrence(n, k),
         lambda n, k: narayana.generalized_narayana_definition_oracle(n, k),
         nonneg=lambda value, _, n, k: (value.is_nonneg()
                                        and _atoms_nonneg(narayana._narayana_atom_exponents(n, k))),
-        reported=True))),
-    "bijection": _Target(6, 2, _Checks(lambda n: range(1, n),
-                                       lambda n, k: bijection.verify_cardinality(n, k))),
-    "catalan": _Target(8, 0, _Checks(None, _two_routes(
+        reported=True)),
+    "bijection": _Target(6, 2, lambda n: range(1, n), lambda n, k: bijection.verify_cardinality(n, k)),
+    "catalan": _Target(8, 0, None, _two_routes(
         lambda n: narayana.fibocatalan_definition_oracle(n),
         lambda n: narayana.generalized_catalan(n),
         agree=lambda value, poly: poly.evaluate(1, 1) == value,
         nonneg=lambda _, poly, n: (poly.is_nonneg()
-                                   and _atoms_nonneg(narayana._catalan_atom_exponents(n)))))),
-    "classical": _Target(15, 1, _Checks(None, lambda n: narayana.classical_specialization_report(n)),
+                                   and _atoms_nonneg(narayana._catalan_atom_exponents(n))))),
+    "classical": _Target(15, 1, None, lambda n: narayana.classical_specialization_report(n),
                          text=_classical_line),
 }
 
@@ -260,29 +241,29 @@ _TARGETS = {
 def _run_verify(args, parser: argparse.ArgumentParser) -> int:
     target = _TARGETS[args.target]
     single = args.n is not None
-    family = target.single if single else target.checks
+    ks, check = target.single if single and target.single else (target.ks, target.check)
     if args.n_max is not None and args.n_max < 0:
         parser.error("--n-max must be nonnegative")
     if single and args.n_max is not None:
         parser.error("--n-max cannot be combined with --n")
     if args.k is not None and not single:
         parser.error("--k requires --n")
-    if args.k is not None and family.ks is None:
+    if args.k is not None and ks is None:
         parser.error(f"--k does not apply to verify {args.target}")
     if single and args.n < 0:
         parser.error("--n must be nonnegative")
     n_max = target.default if args.n_max is None else args.n_max
     n = args.n if single else n_max
     ns = [n] if single or target.text else range(target.first, n + 1)
-    points = [p for m in ns for p in family.at(m, target.first)]
+    points = ([(m,) for m in ns if m >= target.first] if ks is None
+              else [(m, k) for m in ns for k in ks(m)])
     if not points:
         parser.error(f"verify {args.target} has no check at {'--n' if single else '--n-max'} {n}")
     if args.k is not None:
         if (n, args.k) not in points:
-            ks = family.ks(n)
-            parser.error(f"need {ks.start} <= --k <= {ks.stop - 1} at --n {n}")
+            parser.error(f"need {ks(n).start} <= --k <= {ks(n).stop - 1} at --n {n}")
         points = [(n, args.k)]
-    checks = (family.check(*p) for p in points)
+    checks = (check(*p) for p in points)
     return _emit_checks(args.target, checks, args.format, target.text)
 
 
@@ -342,7 +323,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if not 0 <= args.k <= args.n:
             parser.error("need 0 <= --k <= --n")
         if args.action == "count":
-            _emit(tilings._rectangle_sum(args.n, args.k, fibonacci, _INT), args.format)
+            _emit(tilings._rectangle_sum(args.n, args.k, _INT), args.format)
         else:
             items = (rt.to_json_dict() for rt in tilings.enumerate_rect_tilings(args.n, args.k))
             if args.format == "json":

@@ -24,9 +24,11 @@ factorial quotient {n}!/({k}!{n-k}!).
 
 Setting s = t = 1 turns {n} into the Fibonacci number F_n, and the integer
 functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
-same code there: each algorithm is one private body over a ring record of
-(s, t, zero, one, product, exact quotient), _POLY for Z[s, t] or _INT for Z,
-and the memos it reads come by module name, so a wrapper sees every call.
+same code there: each algorithm is one private body that takes a ring
+record alone, of (s, t, zero, one, product, exact quotient) and the ring's
+memos ({n} or F_n, the atom, lucanomial or fibonomial), _POLY for Z[s, t]
+or _INT for Z; the memos it reads come by module name, so a wrapper sees
+every call.
 
 Memoisation.  There is one memo style: every memo in the package is a
 functools.lru_cache bounded at MEMO_SIZE entries, so no module state grows.
@@ -88,57 +90,61 @@ def _balanced_product(factors: list[Poly]) -> Poly:
     return factors[0]
 
 
-_Ring = namedtuple("_Ring", "s t zero one product quotient")
+_Ring = namedtuple("_Ring", "s t zero one product quotient term atom coefficient")
 
-# divide_exact is looked up when called, so a wrapper rebound into this module sees every call.
-_POLY = _Ring(S, T, ZERO, ONE, _balanced_product, lambda a, b: divide_exact(a, b))
-_INT = _Ring(1, 1, 0, 1, prod, _int_quotient)
+# divide_exact and the memos ({n} or F_n, the atom, the coefficient) are looked
+# up when called, so a wrapper rebound into this module sees every call.
+_POLY = _Ring(S, T, ZERO, ONE, _balanced_product, lambda a, b: divide_exact(a, b),
+              lambda n: lucas(n), lambda d: lucas_atom(d), lambda n, k: lucanomial(n, k))
+_INT = _Ring(1, 1, 0, 1, prod, _int_quotient,
+             lambda n: fibonacci(n), lambda d: fibonacci_atom(d), lambda n, k: fibonomial(n, k))
 
 
-def _term(n: int, term, ring):
+def _term(n: int, ring):
     """x_n of x_n = s*x_{n-1} + t*x_{n-2}, x_0 = zero, x_1 = one, by index doubling.
 
-    x_{2m+1} = x_{m+1}^2 + t*x_m^2 and x_{2m} = x_m (x_{m+1} + t*x_{m-1}), x_j = term(j).
+    x_{2m+1} = x_{m+1}^2 + t*x_m^2 and x_{2m} = x_m (x_{m+1} + t*x_{m-1}), x_j = ring.term(j).
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n < 3:
         return (ring.zero, ring.one, ring.s)[n]
-    a, b = term(n // 2), term(n // 2 + 1)
+    a, b = ring.term(n // 2), ring.term(n // 2 + 1)
     if n % 2:
         return b * b + ring.t * (a * a)
-    return a * (b + ring.t * term(n // 2 - 1))
+    return a * (b + ring.t * ring.term(n // 2 - 1))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def lucas(n: int) -> Poly:
     """The Lucas polynomial {n}."""
-    return _term(n, lucas, _POLY)
+    return _term(n, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0, F_1 = 1."""
-    return _term(n, fibonacci, _INT)
+    return _term(n, _INT)
 
 
-def _factorial(n: int, term, ring):
-    """term(n) * term(n-1) * ... * term(1), the empty product at n = 0."""
+def _factorial(n: int, ring):
+    """x_n * x_{n-1} * ... * x_1 with x_j = ring.term(j), the empty product at n = 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    term = ring.term
     return ring.product([term(m) for m in range(1, n + 1)])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def lucas_factorial(n: int) -> Poly:
     """The Lucas factorial {n}!, with {0}! = 1."""
-    return _factorial(n, lucas, _POLY)
+    return _factorial(n, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fib_factorial(n: int) -> int:
     """F_n! = F_n * F_{n-1} * ... * F_1, with F_0! = 1."""
-    return _factorial(n, fibonacci, _INT)
+    return _factorial(n, _INT)
 
 
 def _divisors(n: int) -> list[int]:
@@ -155,13 +161,13 @@ def _divisors(n: int) -> list[int]:
     return (small + large[::-1])[1:]
 
 
-def _atom(d: int, term, atom, ring):
-    """term(d) exactly divided by atom(e) for each e | d, 1 < e < d."""
+def _atom(d: int, ring):
+    """ring.term(d) exactly divided by ring.atom(e) for each e | d, 1 < e < d."""
     if d < 2:
         raise ValueError("atom index must be at least 2")
-    value = term(d)
+    value = ring.term(d)
     for e in _divisors(d)[:-1]:
-        value = ring.quotient(value, atom(e))
+        value = ring.quotient(value, ring.atom(e))
     return value
 
 
@@ -172,13 +178,13 @@ def lucas_atom(d: int) -> Poly:
     NotDivisibleError propagating from here would falsify the factorisation
     and is treated as an internal assertion failure.
     """
-    return _atom(d, lucas, lucas_atom, _POLY)
+    return _atom(d, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def fibonacci_atom(d: int) -> int:
     """The integer atom P_d(1, 1), d >= 2: F_d exactly divided by the atoms of its proper divisors."""
-    return _atom(d, fibonacci, fibonacci_atom, _INT)
+    return _atom(d, _INT)
 
 
 def _mirrored(first: int, zero):
@@ -209,13 +215,14 @@ def _mirrored(first: int, zero):
     return decorate
 
 
-def _lucanomial_atoms(n: int, k: int, atom) -> list:
-    """atom(d) for each P_d dividing {n choose k}, 0 <= k <= n, each with exponent 1.
+def _lucanomial_atoms(n: int, k: int, ring) -> list:
+    """ring.atom(d) for each P_d dividing {n choose k}, 0 <= k <= n, each with exponent 1.
 
     The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
     is 0 for every d > n.  It is 1 exactly when adding k and n-k carries in
     the last base-d digit, that is when n mod d < k mod d.
     """
+    atom = ring.atom
     return [atom(d) for d in range(2, n + 1) if n % d < k % d]
 
 
@@ -227,7 +234,7 @@ def lucanomial(n: int, k: int) -> Poly:
     multiplied as a balanced tree; agrees with the recurrence and with the
     factorial quotient.
     """
-    return _POLY.product(_lucanomial_atoms(n, k, lucas_atom))
+    return _POLY.product(_lucanomial_atoms(n, k, _POLY))
 
 
 @_mirrored(0, 0)
@@ -236,4 +243,4 @@ def fibonomial(n: int, k: int) -> int:
 
     Computed as the product of the integer atoms with exponent 1.
     """
-    return _INT.product(_lucanomial_atoms(n, k, fibonacci_atom))
+    return _INT.product(_lucanomial_atoms(n, k, _INT))

@@ -44,7 +44,9 @@ Outside 1 <= k <= n the two quotients raise ValueError; the others give 0.
 The FiboNarayana and FiboCatalan numbers are these polynomials at
 s = t = 1, and the integer functions are the same code there: as in
 :mod:`lucanomials.lucas`, each algorithm is one private body that takes
-one of the two ring records, _POLY for Z[s, t] or _INT for Z at s = t = 1.
+one of the two ring records alone, _POLY for Z[s, t] or _INT for Z at
+s = t = 1.  The record names the atom, the term and the coefficient of its
+ring, so no body here names a memo of :mod:`lucanomials.lucas`.
 
 At (s, t) = (2, -1) the whole tower specializes to the classical objects
 (n, binomials, Narayana numbers, Catalan numbers), which
@@ -56,17 +58,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .lucas import (
-    _INT,
-    _POLY,
-    _mirrored,
-    fibonacci,
-    fibonacci_atom,
-    fibonomial,
-    lucanomial,
-    lucas,
-    lucas_atom,
-)
+from .lucas import _INT, _POLY, _mirrored, lucanomial, lucas
 from .polys import ZERO, Poly
 
 __all__ = [
@@ -106,8 +98,8 @@ def _catalan_atom_exponents(n: int) -> list[tuple[int, int]]:
     return [(d, (2 * n % d < n % d) - ((n + 1) % d == 0)) for d in range(2, 2 * n + 1)]
 
 
-def _atom_powers(exponents: list[tuple[int, int]], atom, ring):
-    """prod atom(d)^x over the (d, x) pairs, each list of atoms multiplied by ring.product.
+def _atom_powers(exponents: list[tuple[int, int]], ring):
+    """prod ring.atom(d)^x over the (d, x) pairs, each list of atoms multiplied by ring.product.
 
     Every x is 0, 1 or 2; any other falsifies the factorisation and raises
     AssertionError.  The square's factor is built once and enters twice,
@@ -115,6 +107,7 @@ def _atom_powers(exponents: list[tuple[int, int]], atom, ring):
     of the small ones with the square, which the multiply kernel takes
     slower than these two.
     """
+    atom = ring.atom
     ones, twos = [], []
     for d, x in exponents:
         if x == 1:
@@ -133,72 +126,73 @@ def _atom_powers(exponents: list[tuple[int, int]], atom, ring):
 @_mirrored(1, 0)
 def fibonarayana(n: int, k: int) -> int:
     """FiboNarayana number as a product of integer atoms; 0 outside 1 <= k <= n."""
-    return _atom_powers(_narayana_atom_exponents(n, k), fibonacci_atom, _INT)
+    return _atom_powers(_narayana_atom_exponents(n, k), _INT)
 
 
 @_mirrored(1, ZERO)
 def generalized_narayana(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial as a product of Lucas atoms; 0 outside 1 <= k <= n."""
-    return _atom_powers(_narayana_atom_exponents(n, k), lucas_atom, _POLY)
+    return _atom_powers(_narayana_atom_exponents(n, k), _POLY)
 
 
-def _recurrence(n: int, k: int, coefficient, ring):
-    """The recurrence in ring, with coefficient the lucanomial there."""
+def _recurrence(n: int, k: int, ring):
+    """The recurrence in ring, with ring.coefficient the lucanomial there."""
+    coefficient = ring.coefficient
     return coefficient(n - 1, k - 1) ** 2 + ring.t * coefficient(n - 1, k) * coefficient(n - 1, k - 2)
 
 
 @_mirrored(1, 0)
 def fibonarayana_recurrence(n: int, k: int) -> int:
     """FiboNarayana number via the paper's integer recurrence; 0 outside 1 <= k <= n."""
-    return _recurrence(n, k, fibonomial, _INT)
+    return _recurrence(n, k, _INT)
 
 
 @_mirrored(1, ZERO)
 def generalized_narayana_recurrence(n: int, k: int) -> Poly:
     """Generalized Narayana polynomial via the paper's recurrence; 0 outside 1 <= k <= n."""
-    return _recurrence(n, k, lucanomial, _POLY)
+    return _recurrence(n, k, _POLY)
 
 
-def _quotient(n: int, k: int, coefficient, term, ring):
-    """(coefficient(n,k) * coefficient(n,k-1)) / term(n) by exact division."""
-    return ring.quotient(coefficient(n, k) * coefficient(n, k - 1), term(n))
+def _quotient(n: int, k: int, ring):
+    """(ring.coefficient(n,k) * ring.coefficient(n,k-1)) / ring.term(n) by exact division."""
+    return ring.quotient(ring.coefficient(n, k) * ring.coefficient(n, k - 1), ring.term(n))
 
 
 @_mirrored(1, None)
 def fibonarayana_definition_oracle(n: int, k: int) -> int:
     """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
-    return _quotient(n, k, fibonomial, fibonacci, _INT)
+    return _quotient(n, k, _INT)
 
 
 @_mirrored(1, None)
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
     """({n,k} * {n,k-1}) / {n} by exact division; must equal the atom product."""
-    return _quotient(n, k, lucanomial, lucas, _POLY)
+    return _quotient(n, k, _POLY)
 
 
-def _catalan_quotient(n: int, coefficient, term, ring):
-    """coefficient(2n, n) / term(n+1) by exact division; coefficient raises ValueError for n < 0."""
-    return ring.quotient(coefficient(2 * n, n), term(n + 1))
+def _catalan_quotient(n: int, ring):
+    """ring.coefficient(2n, n) / ring.term(n+1) by exact division; a ValueError for n < 0."""
+    return ring.quotient(ring.coefficient(2 * n, n), ring.term(n + 1))
 
 
 def fibocatalan(n: int) -> int:
     """FiboCatalan number fibonomial(2n, n) / F_{n+1}, as a product of integer atoms."""
-    return _atom_powers(_catalan_atom_exponents(n), fibonacci_atom, _INT)
+    return _atom_powers(_catalan_atom_exponents(n), _INT)
 
 
 def generalized_catalan(n: int) -> Poly:
     """Generalized Catalan polynomial {2n choose n} / {n+1}, as a product of Lucas atoms."""
-    return _atom_powers(_catalan_atom_exponents(n), lucas_atom, _POLY)
+    return _atom_powers(_catalan_atom_exponents(n), _POLY)
 
 
 def fibocatalan_definition_oracle(n: int) -> int:
     """fibonomial(2n, n) / F_{n+1} by exact division."""
-    return _catalan_quotient(n, fibonomial, fibonacci, _INT)
+    return _catalan_quotient(n, _INT)
 
 
 def generalized_catalan_definition_oracle(n: int) -> Poly:
     """{2n choose n} / {n+1} by exact division; must equal the atom product."""
-    return _catalan_quotient(n, lucanomial, lucas, _POLY)
+    return _catalan_quotient(n, _POLY)
 
 
 def classical_narayana(n: int, k: int) -> int:

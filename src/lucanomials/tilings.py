@@ -26,12 +26,13 @@ cells, of weight t{k-1}, and leaves a k x (m-1) rectangle:
     B(k, m) = {m+1} B(k-1, m) + t{k-1} B(k, m-1),  B(0, m) = B(k, 0) = 1.
 
 Two fills take that step.  :func:`_rectangle_sum` fills the k x m
-rectangle row by row in one list of m+1 values, k*m steps, in a ring of
-:mod:`lucanomials.lucas`: in Z[s, t] it is :func:`lucanomial_tiling_oracle`,
-and ``tilings count`` runs it in Z, with F_x for {x}, so it counts the
-tilings with no polynomial built.  The memo :func:`_tiling_row` holds
-B(k, n-k) in Z[s, t] for k = 0..n, each entry one step from the row of n-1,
-so a sweep over n = 0..N takes one step per point.  Neither fill uses the
+rectangle row by row in one list of m+1 values, k*m steps, in a ring
+record of :mod:`lucanomials.lucas`, which also names the ring's {x}: in
+Z[s, t] it is :func:`lucanomial_tiling_oracle`, and ``tilings count`` runs
+it in Z, where {x} is F_x, so it counts the tilings with no polynomial
+built.  The memo :func:`_tiling_row` holds B(k, n-k) in Z[s, t] for
+k = 0..n, each entry one step from the row of n-1, so a sweep over
+n = 0..N takes one step per point.  Neither fill uses the
 lucanomial formulas; the tests check the factorisation by enumeration.
 
 All enumeration orders are deterministic: partitions stream in
@@ -352,8 +353,8 @@ def enumerate_rect_tilings(n: int, k: int) -> Iterator[RectTiling]:
                 yield RectTiling._trusted(lam, rows, columns)
 
 
-def _rectangle_sum(n: int, k: int, term, ring):
-    """B(k, n-k) in ring, with term(x) = {x} there.
+def _rectangle_sum(n: int, k: int, ring):
+    """B(k, n-k) in ring, with ring.term(x) the {x} of that ring.
 
     Fills row by row: after row i, ``sums[x]`` is B(i, x), one first step
     from B(i-1, x), which the top row leaves, and B(i, x-1), which the
@@ -362,6 +363,7 @@ def _rectangle_sum(n: int, k: int, term, ring):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     m = n - k
+    term = ring.term
     sums = [ring.one] * (m + 1)
     for i in range(1, k + 1):
         column = ring.t * term(i - 1)
@@ -372,7 +374,7 @@ def _rectangle_sum(n: int, k: int, term, ring):
 
 def lucanomial_tiling_oracle(n: int, k: int) -> Poly:
     """The k x (n-k) rectangle fill in Z[s, t]: its tiling weight sum, equal to lucanomial(n, k)."""
-    return _rectangle_sum(n, k, lucas, _POLY)
+    return _rectangle_sum(n, k, _POLY)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

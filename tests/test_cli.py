@@ -140,7 +140,7 @@ class TestLargeValues:
         # n = 204 is the first row of the verify theorem2 sweep whose values
         # pass Python's 4300-digit int-to-str limit.  The report holds the
         # ints; a failing line and the JSON check print them in full.
-        report = cli._TARGETS["theorem2"].checks.check(204, 102)
+        report = cli._TARGETS["theorem2"].check(204, 102)
         expected = decimal(report["lhs"])
         assert len(expected) > 4300 and report["lhs"] == report["rhs"]
         report["pass"] = False
@@ -471,8 +471,8 @@ class TestVerifyCommands:
     def test_failing_check_mid_sweep(self, capsys, monkeypatch):
         # One failing check among nine: the text lines after it, the summary
         # and the JSON object are the bytes the sweep always printed.
-        checks = cli._TARGETS["theorem3"].checks
-        original = checks.check
+        target = cli._TARGETS["theorem3"]
+        original = target.check
 
         def failing_at_3_2(n, k):
             report = original(n, k)
@@ -480,7 +480,7 @@ class TestVerifyCommands:
                 report["oracle_agrees"] = report["pass"] = False
             return report
 
-        monkeypatch.setattr(checks, "check", failing_at_3_2)
+        monkeypatch.setattr(target, "check", failing_at_3_2)
         assert run(capsys, "verify", "theorem3", "--n-max", "4") == (1, (
             "theorem3 n=2 k=1 ok\n"
             "theorem3 n=2 k=2 ok\n"
@@ -564,15 +564,15 @@ class TestVerifyCommands:
             {"lhs": "6", "rhs": "7", "injective": True, "surjective": False, "pass": False})
 
     def test_text_lines_are_printed_as_checks_run(self, capsys, monkeypatch):
-        checks = cli._TARGETS["theorem3"].checks
-        original = checks.check
+        target = cli._TARGETS["theorem3"]
+        original = target.check
 
         def broken_at_4_1(n, k):
             if (n, k) == (4, 1):
                 raise RuntimeError("stop")
             return original(n, k)
 
-        monkeypatch.setattr(checks, "check", broken_at_4_1)
+        monkeypatch.setattr(target, "check", broken_at_4_1)
         with pytest.raises(RuntimeError):
             main(["verify", "theorem3", "--n-max", "4"])
         lines = capsys.readouterr().out.splitlines()

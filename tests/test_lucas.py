@@ -7,6 +7,7 @@ from math import comb, gcd, log2
 import pytest
 
 from lucanomials.lucas import (
+    _INT,
     MEMO_SIZE,
     _lucanomial_atoms,
     fib_factorial,
@@ -238,10 +239,12 @@ class TestLucasAtom:
                 fibonacci_atom(d)
 
     def test_atom_product_picks_the_floor_exponent_ones(self):
-        # The carry test picks the d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
+        # The carry test picks the d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1;
+        # a fake atom, P_d = d, shows which.
+        ring = _INT._replace(atom=lambda d: d)
         for n in range(301):
             for k in range(n + 1):
-                picked = _lucanomial_atoms(n, k, lambda d: d)
+                picked = _lucanomial_atoms(n, k, ring)
                 expected = [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
                 assert picked == expected, (n, k)
 
