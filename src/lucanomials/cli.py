@@ -9,9 +9,9 @@ verification finds a counterexample, and 2 on usage errors.  Run as the
 (``... | head -1``) stops writing and exits with status 1, with no
 traceback on stderr.
 
-``verify`` runs the rows of :data:`_TARGETS`; :func:`_two_routes` builds
-every check that compares two routes.  Reports hold ints and Polys, which
-become text only where they are printed.
+The rows of :data:`_VALUES` (value commands) and :data:`_TARGETS` (``verify``)
+are namedtuple records; :func:`_two_routes` builds every two-route check.
+Reports hold ints and Polys, which become text only where they are printed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import operator
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 
 from . import bijection, narayana, tilings
@@ -37,16 +38,18 @@ def _dump(obj) -> str:
 
 # A value command: help, least --n, whether it takes --k, and its value per
 # --mode (key None: no --mode); names are looked up at call time, as in _TARGETS.
+_Value = namedtuple("_Value", "help least_n takes_k modes")
+
 _VALUES = {
-    "lucas": ("Lucas polynomial {n}", 0, False, {None: lambda a: lucas_poly(a.n)}),
-    "lucanomial": ("lucanomial {n choose k}", 0, True, {None: lambda a: lucanomial(a.n, a.k)}),
-    "fibonomial": ("fibonomial coefficient", 0, True, {None: lambda a: fibonomial(a.n, a.k)}),
-    "narayana": ("Narayana-style numbers", 1, True, {
+    "lucas": _Value("Lucas polynomial {n}", 0, False, {None: lambda a: lucas_poly(a.n)}),
+    "lucanomial": _Value("lucanomial {n choose k}", 0, True, {None: lambda a: lucanomial(a.n, a.k)}),
+    "fibonomial": _Value("fibonomial coefficient", 0, True, {None: lambda a: fibonomial(a.n, a.k)}),
+    "narayana": _Value("Narayana-style numbers", 1, True, {
         "fibo": lambda a: narayana.fibonarayana(a.n, a.k),
         "general": lambda a: narayana.generalized_narayana(a.n, a.k),
         "classical": lambda a: narayana.classical_narayana(a.n, a.k),
     }),
-    "catalan": ("Catalan-style numbers", 0, False, {
+    "catalan": _Value("Catalan-style numbers", 0, False, {
         "fibo": lambda a: narayana.fibocatalan(a.n),
         "general": lambda a: narayana.generalized_catalan(a.n),
         "classical": lambda a: narayana.catalan(a.n),
@@ -67,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (text, _, takes_k, values) in _VALUES.items():
-        p = sub.add_parser(name, parents=[fmt], help=text)
+    for name, value in _VALUES.items():
+        p = sub.add_parser(name, parents=[fmt], help=value.help)
         p.add_argument("--n", type=int, required=True)
-        if takes_k:
+        if value.takes_k:
             p.add_argument("--k", type=int, required=True)
-        if None not in values:
-            p.add_argument("--mode", choices=tuple(values), default="fibo")
+        if None not in value.modes:
+            p.add_argument("--mode", choices=tuple(value.modes), default="fibo")
 
     p = sub.add_parser("tilings", parents=[fmt], help="rectangle tilings of k x (n-k)")
     p.add_argument("action", choices=("count", "list"))
@@ -186,21 +189,12 @@ def _classical_line(report: dict) -> str:
     return f"classical n_max={report['n_max']} {status}"
 
 
-class _Target:
-    """One row of the verify table: at each n it makes check(n, k) for every
-    k in ks(n), or, where ks is None, the one check(n) for each n >= first."""
-
-    def __init__(self, default: int, first: int, ks: Callable[[int], range] | None,
-                 check: Callable[..., dict], single: tuple[Callable, Callable] | None = None,
-                 text: Callable[[dict], str] | None = None):
-        self.default = default  # --n-max when neither --n-max nor --n is given
-        self.first = first  # the smallest n of the sweep
-        self.ks = ks
-        self.check = check
-        self.single = single  # the (ks, check) of --n, where it is not the sweep's
-        # One text line per report and no summary line.  A target with its own
-        # line runs one cumulative check: the check at n covers every n' <= n.
-        self.text = text
+# A verify row: at each n >= first it makes check(n, k) for every k in ks(n), or
+# check(n) where ks is None; default is --n-max when neither --n-max nor --n is
+# given; single is the (ks, check) of --n, where it is not the sweep's; text
+# makes one line per report and no summary line: a target with its own line
+# runs one cumulative check, whose check at n covers every n' <= n.
+_Target = namedtuple("_Target", "default first ks check single text", defaults=(None, None))
 
 
 # The routes call through the modules at run time, never through a reference
@@ -314,10 +308,10 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
 
 def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     if args.command in _VALUES:
-        _, least_n, _, values = _VALUES[args.command]
-        if args.n < least_n:
-            parser.error(f"--n must be {'positive' if least_n else 'nonnegative'}")
-        _emit(values[getattr(args, "mode", None)](args), args.format)
+        value = _VALUES[args.command]
+        if args.n < value.least_n:
+            parser.error(f"--n must be {'positive' if value.least_n else 'nonnegative'}")
+        _emit(value.modes[getattr(args, "mode", None)](args), args.format)
         return 0
     if args.command == "tilings":
         if not 0 <= args.k <= args.n:

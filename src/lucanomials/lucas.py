@@ -27,8 +27,8 @@ functions (fibonacci, fib_factorial, fibonacci_atom, fibonomial) are the
 same code there: each algorithm is one private body that takes a ring
 record alone, of (s, t, zero, one, product, exact quotient) and the ring's
 memos ({n} or F_n, the atom, lucanomial or fibonomial), _POLY for Z[s, t]
-or _INT for Z; the memos it reads come by module name, so a wrapper sees
-every call.
+or _INT for Z, and returns the whole value, products included; the memos
+it reads come by module name, so a wrapper sees every call.
 
 Memoisation.  There is one memo style: every memo in the package is a
 functools.lru_cache bounded at MEMO_SIZE entries, so no module state grows.
@@ -190,10 +190,10 @@ def fibonacci_atom(d: int) -> int:
 def _mirrored(first: int, zero):
     """The public function of a family f(n, k) = f(n, n+first-k), made from its body.
 
-    It raises ValueError for n < first, returns zero for k outside first..n
-    (or raises ValueError when zero is None), and otherwise calls the body
-    at (n, min(k, n+first-k)) through an lru_cache bounded at MEMO_SIZE,
-    whose cache_info and cache_clear it carries; __wrapped__ is the body.
+    It raises ValueError for n < first, returns zero for k outside first..n,
+    as every route of the family does there, and otherwise calls the body at
+    (n, min(k, n+first-k)) through an lru_cache bounded at MEMO_SIZE, whose
+    cache_info and cache_clear it carries; __wrapped__ is the body.
     """
     def decorate(body):
         memo = lru_cache(maxsize=MEMO_SIZE)(body)
@@ -203,8 +203,6 @@ def _mirrored(first: int, zero):
             if n < first:
                 raise ValueError(f"need n >= {first}")
             if not first <= k <= n:
-                if zero is None:
-                    raise ValueError(f"need {first} <= k <= n")
                 return zero
             return memo(n, min(k, n + first - k))
 
@@ -215,15 +213,15 @@ def _mirrored(first: int, zero):
     return decorate
 
 
-def _lucanomial_atoms(n: int, k: int, ring) -> list:
-    """ring.atom(d) for each P_d dividing {n choose k}, 0 <= k <= n, each with exponent 1.
+def _lucanomial(n: int, k: int, ring):
+    """{n choose k} in ring, 0 <= k <= n: the product of ring.atom(d) over the d of exponent 1.
 
     The exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 0 or 1, and it
     is 0 for every d > n.  It is 1 exactly when adding k and n-k carries in
     the last base-d digit, that is when n mod d < k mod d.
     """
     atom = ring.atom
-    return [atom(d) for d in range(2, n + 1) if n % d < k % d]
+    return ring.product([atom(d) for d in range(2, n + 1) if n % d < k % d])
 
 
 @_mirrored(0, ZERO)
@@ -234,7 +232,7 @@ def lucanomial(n: int, k: int) -> Poly:
     multiplied as a balanced tree; agrees with the recurrence and with the
     factorial quotient.
     """
-    return _POLY.product(_lucanomial_atoms(n, k, _POLY))
+    return _lucanomial(n, k, _POLY)
 
 
 @_mirrored(0, 0)
@@ -243,4 +241,4 @@ def fibonomial(n: int, k: int) -> int:
 
     Computed as the product of the integer atoms with exponent 1.
     """
-    return _INT.product(_lucanomial_atoms(n, k, _INT))
+    return _lucanomial(n, k, _INT)

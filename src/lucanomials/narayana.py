@@ -39,7 +39,8 @@ Every route gives N(n, k) = N(n, n+1-k), so lucas._mirrored makes each of
 the six Narayana functions (the atom product, the recurrence and the
 quotient, in each ring) from its body with first = 1: one value per mirror
 pair, memoised on (n, min(k, n+1-k)) by an lru_cache bounded at MEMO_SIZE.
-Outside 1 <= k <= n the two quotients raise ValueError; the others give 0.
+Every route gives 0 outside 1 <= k <= n, by the lucanomial zero convention,
+and raises ValueError for n < 1.
 
 The FiboNarayana and FiboCatalan numbers are these polynomials at
 s = t = 1, and the integer functions are the same code there: as in
@@ -158,15 +159,15 @@ def _quotient(n: int, k: int, ring):
     return ring.quotient(ring.coefficient(n, k) * ring.coefficient(n, k - 1), ring.term(n))
 
 
-@_mirrored(1, None)
+@_mirrored(1, 0)
 def fibonarayana_definition_oracle(n: int, k: int) -> int:
-    """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division."""
+    """(fibonomial(n,k) * fibonomial(n,k-1)) / F_n by exact division; 0 outside 1 <= k <= n."""
     return _quotient(n, k, _INT)
 
 
-@_mirrored(1, None)
+@_mirrored(1, ZERO)
 def generalized_narayana_definition_oracle(n: int, k: int) -> Poly:
-    """({n,k} * {n,k-1}) / {n} by exact division; must equal the atom product."""
+    """({n,k} * {n,k-1}) / {n} by exact division; 0 outside 1 <= k <= n, as the atom product."""
     return _quotient(n, k, _POLY)
 
 

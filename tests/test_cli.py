@@ -480,7 +480,7 @@ class TestVerifyCommands:
                 report["oracle_agrees"] = report["pass"] = False
             return report
 
-        monkeypatch.setattr(target, "check", failing_at_3_2)
+        monkeypatch.setitem(cli._TARGETS, "theorem3", target._replace(check=failing_at_3_2))
         assert run(capsys, "verify", "theorem3", "--n-max", "4") == (1, (
             "theorem3 n=2 k=1 ok\n"
             "theorem3 n=2 k=2 ok\n"
@@ -572,7 +572,7 @@ class TestVerifyCommands:
                 raise RuntimeError("stop")
             return original(n, k)
 
-        monkeypatch.setattr(target, "check", broken_at_4_1)
+        monkeypatch.setitem(cli._TARGETS, "theorem3", target._replace(check=broken_at_4_1))
         with pytest.raises(RuntimeError):
             main(["verify", "theorem3", "--n-max", "4"])
         lines = capsys.readouterr().out.splitlines()

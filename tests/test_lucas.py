@@ -9,7 +9,7 @@ import pytest
 from lucanomials.lucas import (
     _INT,
     MEMO_SIZE,
-    _lucanomial_atoms,
+    _lucanomial,
     fib_factorial,
     fibonacci,
     fibonacci_atom,
@@ -240,11 +240,11 @@ class TestLucasAtom:
 
     def test_atom_product_picks_the_floor_exponent_ones(self):
         # The carry test picks the d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1;
-        # a fake atom, P_d = d, shows which.
-        ring = _INT._replace(atom=lambda d: d)
+        # a fake atom, P_d = (d,), whose product concatenates, shows which.
+        ring = _INT._replace(atom=lambda d: (d,), product=lambda atoms: sum(atoms, ()))
         for n in range(301):
             for k in range(n + 1):
-                picked = _lucanomial_atoms(n, k, ring)
+                picked = list(_lucanomial(n, k, ring))
                 expected = [d for d in range(2, n + 1) if n // d - k // d - (n - k) // d]
                 assert picked == expected, (n, k)
 

@@ -38,7 +38,7 @@ from lucanomials.lucas import (
     MEMO_SIZE,
     _atom,
     _factorial,
-    _lucanomial_atoms,
+    _lucanomial,
     _mirrored,
     _term,
     fib_factorial,
@@ -159,8 +159,7 @@ class TestFibonarayana:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             fibonarayana(0, 1)
-        with pytest.raises(ValueError):
-            fibonarayana_definition_oracle(4, 0)
+        assert fibonarayana_definition_oracle(4, 0) == 0
 
 
 class TestGeneralizedNarayana:
@@ -257,8 +256,8 @@ RING_PAIRS = {
                    [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(-1, n + 2)],
                    [(0, 1), (-1, 0)]),
     "definition_oracle": (fibonarayana_definition_oracle, generalized_narayana_definition_oracle,
-                          [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(1, n + 1)],
-                          [(5, 0), (5, 6), (0, 1)]),
+                          [(n, k) for n in range(1, RING_N_MAX + 1) for k in range(-1, n + 2)],
+                          [(0, 1), (-1, 0)]),
     "catalan": (fibocatalan, generalized_catalan,
                 [(n,) for n in range(RING_N_MAX + 1)], [(-1,)]),
     "catalan_definition_oracle": (fibocatalan_definition_oracle,
@@ -282,6 +281,36 @@ def test_int_route_is_poly_route_at_one_one(pair):
                 fn(*a)
 
 
+# The first n and the routes, in both rings, of each family lucas._mirrored makes.
+MIRRORED_FAMILIES = {
+    "coefficient": (0, (lucanomial, fibonomial)),
+    "narayana": (1, (generalized_narayana, generalized_narayana_recurrence,
+                     generalized_narayana_definition_oracle, fibonarayana,
+                     fibonarayana_recurrence, fibonarayana_definition_oracle)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MIRRORED_FAMILIES))
+def test_every_route_of_a_family_agrees_on_every_k(family):
+    """At each (n, k), every route gives one value (a Poly compared at s = t = 1),
+    or every route raises ValueError."""
+    first, routes = MIRRORED_FAMILIES[family]
+    disagreements = []
+    for n in range(first - 2, 13):
+        for k in range(-2, n + 4):
+            values, raised = set(), 0
+            for route in routes:
+                try:
+                    value = route(n, k)
+                except ValueError:
+                    raised += 1
+                else:
+                    values.add(value.evaluate(1, 1) if isinstance(value, Poly) else value)
+            if (raised, len(values)) not in ((0, 1), (len(routes), 0)):
+                disagreements.append((n, k))
+    assert disagreements == []
+
+
 def test_int_tiling_sum_is_the_fibonomial_past_the_poly_range():
     assert tilings._rectangle_sum(300, 150, _INT) == fibonomial(300, 150)
 
@@ -300,7 +329,7 @@ def classical_atom(d):
 
 @_mirrored(0, 0)
 def classical_coefficient(n, k):
-    return CLASSICAL.product(_lucanomial_atoms(n, k, CLASSICAL))
+    return _lucanomial(n, k, CLASSICAL)
 
 
 CLASSICAL = _INT._replace(s=2, t=-1, term=classical_term, atom=classical_atom,
