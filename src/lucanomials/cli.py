@@ -120,7 +120,7 @@ def _rendered(c: dict) -> dict:
 
 
 def _check_line(name: str, c: dict) -> str:
-    where = " ".join(f"{key}={c[key]}" for key in ("n", "k") if key in c)
+    where = f"n={c['n']} k={c['k']}" if "k" in c else f"n={c['n']}"
     if c["pass"]:
         return f"{name} {where} ok"
     return f"{name} {where} FAIL lhs={_text(c['lhs'])} rhs={_text(c['rhs'])}"
@@ -248,9 +248,9 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n must be nonnegative")
     n_max = target.default if args.n_max is None else args.n_max
     n = args.n if single else n_max
-    ns = [n] if single or target.text else range(target.first, n + 1)
-    points = ([(m,) for m in ns if m >= target.first] if ks is None
-              else [(m, k) for m in ns for k in ks(m)])
+    ns = [m for m in ([n] if single or target.text else range(target.first, n + 1))
+          if m >= target.first]
+    points = [(m,) for m in ns] if ks is None else [(m, k) for m in ns for k in ks(m)]
     if not points:
         parser.error(f"verify {args.target} has no check at {'--n' if single else '--n-max'} {n}")
     if args.k is not None:

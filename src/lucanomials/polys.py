@@ -11,11 +11,15 @@ that weight in ascending powers of t.  Each row starts and ends with a
 nonzero coefficient and may hold zeros inside; a weight with no terms has
 no row.  That form is canonical, so equality is plain dict equality.
 
-Multiplication takes one row product per pair of rows.  Short, sparse or
-signed rows take the pairwise loop; the rest, one big-number product of
-the rows packed by Kronecker substitution, in CPython ints or, for the
-largest products, in libmpdec decimals.  The two packed tiers take only
-nonnegative rows, as every Lucas object and atom has, and share:
+Multiplication takes one row product per pair of rows.  A row of one slot
+is a monomial c s^i t^j, such as T, S, ONE or a coerced int, and its
+product with a row is that row scaled by c, at the summed weight and t
+offset; with c = 1 it is the same list, since no row list is ever changed
+in place.  Of the other pairs, short, sparse or signed rows take the
+pairwise loop; the rest, one big-number product of the rows packed by
+Kronecker substitution, in CPython ints or, for the largest products, in
+libmpdec decimals.  The two packed tiers take only nonnegative rows, as
+every Lucas object and atom has, and share:
 
 * Slots.  The coefficient at t^te goes to slot te - t_min of its row, so
   the product of two rows is read off its slots with no key to rebuild.
@@ -130,7 +134,9 @@ class Poly:
     `*` and division all allocate O(N) for it.  The pairwise loop
     multiplies such sparse rows in time linear in their lengths plus the
     pairs of nonzero terms.  It also takes every row pair with a negative
-    coefficient, since the packed tiers take nonnegative rows only.
+    coefficient, since the packed tiers take nonnegative rows only.  A row
+    of one slot, a monomial, takes neither: its product with a row is that
+    row scaled, in one pass, or that row's own list when the scale is 1.
     """
 
     __slots__ = ("_rows",)
@@ -216,7 +222,12 @@ class Poly:
         out: dict[int, Row] = {}
         for wa, (la, a) in self._rows.items():
             for wb, (lb, b) in other._rows.items():
-                if (min(len(a), len(b)) <= SCHOOLBOOK_MAX_TERMS
+                if len(a) == 1 or len(b) == 1:
+                    # A monomial c s^i t^j scales the other row; c = 1 shares its list.
+                    (c,), row = (a, b) if len(a) == 1 else (b, a)
+                    if c != 1:
+                        row = [c * x for x in row]
+                elif (min(len(a), len(b)) <= SCHOOLBOOK_MAX_TERMS
                         or len(a) + len(b) - 1 > (len(a) - a.count(0)) * (len(b) - b.count(0))
                         or min(a) < 0 or min(b) < 0):
                     row = _mul_schoolbook(a, b)

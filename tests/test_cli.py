@@ -659,6 +659,15 @@ class TestVerifyCommands:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("k_flags", [(), ("--k", "1")])
+    @pytest.mark.parametrize("target", [name for name, row in cli._TARGETS.items() if row.first >= 1])
+    def test_n_below_the_first_checked_n_is_usage_error(self, capsys, target, k_flags):
+        # --n checks only n >= first, as a sweep does.
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, "verify", target, "--n", str(cli._TARGETS[target].first - 1), *k_flags)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_single_n_checks_every_k(self, capsys):
         # theorem2 checks the pair decomposition and bijection the
         # cardinality at every 1 <= k <= n - 1.

@@ -540,3 +540,19 @@ class TestClassicalSpecialization:
     def test_report_invalid_bound(self):
         with pytest.raises(ValueError):
             classical_specialization_report(0)
+
+    @pytest.mark.parametrize("name,check,ks", [
+        ("lucanomial", "binomial", range(5, 10)),
+        ("generalized_narayana_recurrence", "narayana", range(6, 10)),
+    ])
+    def test_a_fault_past_the_middle_is_reported(self, monkeypatch, name, check, ks):
+        # A mirror pair shares one memo object, which the report evaluates
+        # once; a wrong object on the far side of the pair is still compared.
+        real = getattr(narayana, name)
+        for bad_k in ks:
+            def planted(n, k, bad_k=bad_k):
+                value = real(n, k)
+                return value + 1 if (n, k) == (9, bad_k) else value
+
+            monkeypatch.setattr(narayana, name, planted)
+            assert classical_specialization_report(12)["first_failure"] == {"n": 9, "check": check}

@@ -289,6 +289,48 @@ class TestKroneckerKernel:
         assert [signed * a, a * signed, signed * signed] == expected
 
 
+def row_lists(p):
+    """A copy of p's rows, to show that no later operation changes them in place."""
+    return {weight: (lo, list(row)) for weight, (lo, row) in p._rows.items()}
+
+
+class TestMonomialProducts:
+    """A one-slot row scales the other row, sharing its list when the scale is 1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, -1]), big_coefficients),
+        exponents,
+        exponents,
+        wide_polys(homogeneous=False, min_terms=1),
+        wide_polys(homogeneous=False, min_terms=1),
+    )
+    def test_matches_the_pairwise_loop_and_leaves_rows_unchanged(self, c, se, te, p, q):
+        monomial = Poly({(se, te): c})
+        before = row_lists(monomial), row_lists(p), row_lists(q)
+        product = monomial * p
+        rows = row_lists(product)
+        assert product == p * monomial == schoolbook(monomial, p)
+        if (se, te) == (0, 0):
+            assert c * p == p * c == product
+        assert product + q == schoolbook(monomial, p) + q
+        assert product - q == schoolbook(monomial, p) - q
+        assert q - product == -(product - q)
+        assert product + product == schoolbook(2 * monomial, p)
+        assert (row_lists(monomial), row_lists(p), row_lists(q)) == before
+        assert row_lists(product) == rows
+
+    def test_loop_and_kernel_are_not_called(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pairwise loop or kernel called")
+
+        a = Poly({(20 - 2 * j, j): j + 1 for j in range(11)})
+        expected = [schoolbook(T, a), schoolbook(-3 * S**2, a), schoolbook(a, Poly({(0, 0): 5}))]
+        monkeypatch.setattr(polys, "_mul_schoolbook", refuse)
+        monkeypatch.setattr(polys, "_mul_kronecker", refuse)
+        assert [T * a, (-3 * S**2) * a, a * 5] == expected
+
+
 def tier_args(p, q):
     """The arguments the kernel passes to either tier for p * q, each nonnegative and of one weight."""
     [(_, a)] = p._rows.values()
