@@ -12,16 +12,24 @@ traceback on stderr.
 The rows of :data:`_VALUES` (value commands) and :data:`_TARGETS` (``verify``)
 are namedtuple records; :func:`_two_routes` builds every two-route check.
 Reports hold ints and Polys, which become text only where they are printed.
+
+The command line is read from the same tables: :data:`_COMMANDS` gives each
+command's positional and flags, and :class:`_Parser` reads an argument list
+as argparse read this grammar (``--n 4`` or ``--n=4``, unique prefixes of
+long flags, flags before or after the positional, the last of a repeated
+flag winning, negative numbers as values).  It renders ``--help`` as fixed
+text, whatever the terminal's width, and the usage line of every error.
 """
 
 from __future__ import annotations
 
-import argparse
 import operator
 import os
+import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from types import SimpleNamespace
 
 from . import bijection, narayana, tilings
 from .lucas import _INT, fibonomial, lucanomial, lucas_atom
@@ -55,48 +63,6 @@ _VALUES = {
         "classical": lambda a: narayana.catalan(a.n),
     }),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text",
-                     help="output format (default: text)")
-
-    parser = argparse.ArgumentParser(
-        prog="lucanomials",
-        description="Exact Lucas polynomials, lucanomial and fibonomial "
-                    "coefficients, Narayana and Catalan analogues, rectangle "
-                    "tilings, and the stairstep bijection.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, value in _VALUES.items():
-        p = sub.add_parser(name, parents=[fmt], help=value.help)
-        p.add_argument("--n", type=int, required=True)
-        if value.takes_k:
-            p.add_argument("--k", type=int, required=True)
-        if None not in value.modes:
-            p.add_argument("--mode", choices=tuple(value.modes), default="fibo")
-
-    p = sub.add_parser("tilings", parents=[fmt], help="rectangle tilings of k x (n-k)")
-    p.add_argument("action", choices=("count", "list"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("bijection", parents=[fmt], help="apply the stairstep bijection")
-    p.add_argument("action", choices=("forward", "inverse"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--input", required=True, metavar="FILE",
-                   help="stairstep rows (forward) or triple JSON (inverse)")
-
-    p = sub.add_parser("verify", parents=[fmt], help="run an exhaustive verifier")
-    p.add_argument("target", choices=tuple(_TARGETS))
-    p.add_argument("--n-max", type=int, default=None,
-                   help="sweep bound (defaults per target)")
-    p.add_argument("--n", type=int, default=None, help="check a single n")
-    p.add_argument("--k", type=int, default=None, help="check a single k")
-    return parser
 
 
 def _text(value: Poly | int) -> str:
@@ -232,7 +198,234 @@ _TARGETS = {
 }
 
 
-def _run_verify(args, parser: argparse.ArgumentParser) -> int:
+# An argument: a flag (--name) or a positional (a name without dashes), its
+# value (int, a tuple of choices, or the metavar of a string), whether it is
+# required, its default and its help.
+_Arg = namedtuple("_Arg", "name value required default help", defaults=(False, None, ""))
+
+# A command: its help and its arguments after --format, the positional (if
+# any) first; their order is the order of a "required" error.
+_Command = namedtuple("_Command", "help arguments")
+
+_FORMAT = _Arg("--format", ("text", "json"), default="text", help="output format (default: text)")
+_N = _Arg("--n", int, True)
+_K = _Arg("--k", int, True)
+
+
+def _value_command(value: _Value) -> _Command:
+    arguments = (_N, _K) if value.takes_k else (_N,)
+    if None not in value.modes:
+        arguments += (_Arg("--mode", tuple(value.modes), default="fibo", help="which analogue (default: fibo)"),)
+    return _Command(value.help, arguments)
+
+
+_COMMANDS = {name: _value_command(value) for name, value in _VALUES.items()} | {
+    "tilings": _Command("rectangle tilings of k x (n-k)", (_Arg("action", ("count", "list"), True), _N, _K)),
+    "bijection": _Command("apply the stairstep bijection", (
+        _Arg("action", ("forward", "inverse"), True), _N, _K,
+        _Arg("--input", "FILE", True, help="stairstep rows (forward) or triple JSON (inverse)"))),
+    "verify": _Command("run an exhaustive verifier", (
+        _Arg("target", tuple(_TARGETS), True),
+        _Arg("--n-max", int, help="sweep bound (defaults per target)"),
+        _Arg("--n", int, help="check a single n"),
+        _Arg("--k", int, help="check a single k"))),
+}
+
+_DESCRIPTION = """\
+Exact Lucas polynomials, lucanomial and fibonomial coefficients, Narayana and
+Catalan analogues, rectangle tilings, and the stairstep bijection.
+"""
+
+_WIDTH = 78  # of the usage line; help is fixed text, whatever the terminal
+
+
+def _dest(argument: _Arg) -> str:
+    return argument.name.lstrip("-").replace("-", "_")
+
+
+def _meta(argument: _Arg) -> str:
+    """How an argument's value is shown: {a,b} for choices, else its metavar."""
+    if argument.value is int:
+        return _dest(argument).upper()
+    return "{" + ",".join(argument.value) + "}" if isinstance(argument.value, tuple) else argument.value
+
+
+def _rows(title: str, rows: list[tuple[str, str]]) -> str:
+    """A help section: each entry with its help from column 24, or on the next line."""
+    lines = [f"{title}:"]
+    for left, right in rows:
+        left = f"  {left}"
+        if len(left) > 22 and right:
+            lines += [left, " " * 24 + right]
+        else:
+            lines.append(f"{left:<24}{right}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+class _Parser:
+    """The grammar of one command, or of the top level (command None), read
+    from :data:`_COMMANDS`.  It reads an argument list as argparse did and
+    renders the help and the usage line of every error."""
+
+    def __init__(self, command: str | None = None):
+        self.command = command
+        if command is None:
+            self.prog, arguments = "lucanomials", (_Arg("command", tuple(_COMMANDS), True),)
+        else:
+            self.prog, arguments = f"lucanomials {command}", (_FORMAT, *_COMMANDS[command].arguments)
+        self.arguments = arguments
+        self.options = {"-h": None, "--help": None} | {a.name: a for a in arguments if a.name[0] == "-"}
+        self.positional = next((a for a in arguments if a.name[0] != "-"), None)
+
+    def error(self, message: str) -> None:
+        sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
+
+    def usage(self) -> str:
+        parts = ["[-h]"]
+        for flag in self.options.values():
+            if flag is not None:
+                used = f"{flag.name} {_meta(flag)}"
+                parts.append(used if flag.required else f"[{used}]")
+        if self.positional is not None:
+            parts.append(_meta(self.positional))
+        if self.command is None:
+            parts.append("...")
+        indent = " " * len(f"usage: {self.prog}")
+        lines = [f"usage: {self.prog}"]
+        for part in parts:
+            if len(lines[-1]) + 1 + len(part) > _WIDTH and lines[-1] != indent:
+                lines.append(indent)
+            lines[-1] += " " + part
+        return "\n".join(lines) + "\n"
+
+    def help(self) -> str:
+        if self.command is None:
+            sections = [_DESCRIPTION, _rows("commands", [(name, c.help) for name, c in _COMMANDS.items()])]
+        else:
+            sections = [_COMMANDS[self.command].help + "\n"]
+            if self.positional is not None:
+                sections.append(_rows("positional arguments", [(_meta(self.positional), "")]))
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{flag.name} {_meta(flag)}", flag.help) for flag in self.options.values() if flag]
+        sections.append(_rows("options", rows))
+        return "\n".join([self.usage(), *sections])
+
+    def show_help(self, name: str, attached: str | None) -> None:
+        """-h or --help: print the help and exit 0.  A value attached to --help
+        is an error; one attached to -h must be more h's (-hh is -h -h)."""
+        if attached is not None:
+            left = attached.lstrip("h") if name == "-h" else attached
+            if name == "--help" or left or not attached:
+                self.error(f"argument -h/--help: ignored explicit argument {left!r}")
+        sys.stdout.write(self.help())
+        sys.exit(0)
+
+    def read(self, arg: str) -> tuple[str | None, str | None] | None:
+        """One token before any ``--``: None for a value, else (option string,
+        attached value), the option None when this grammar has no such option.
+        Long options may be abbreviated to a unique prefix."""
+        if arg in self.options:
+            return arg, None
+        if not arg.startswith("-") or len(arg) == 1:
+            return None
+        name, eq, attached = arg.partition("=")
+        if eq and name in self.options:
+            return name, attached
+        if arg[1] == "-":
+            found = [(option, attached if eq else None) for option in self.options if option.startswith(name)]
+        else:
+            found = [(option, arg[2:]) for option in self.options if option == arg[:2]]
+        if len(found) > 1:
+            self.error(f"ambiguous option: {arg} could match {', '.join(option for option, _ in found)}")
+        if found:
+            return found[0]
+        # A negative number or a token with a space is a value (compiled on first use).
+        return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+    def scan(self, argv: list[str]) -> list:
+        """What each token is: read(token) before the first ``--``, that
+        ``--`` itself, then None (a value) for every token after it."""
+        kinds = []
+        for i, arg in enumerate(argv):
+            if arg == "--":
+                return kinds + ["--"] + [None] * (len(argv) - i - 1)
+            kinds.append(self.read(arg))
+        return kinds
+
+    def convert(self, argument: _Arg, text: str) -> int | str:
+        if argument.value is int:
+            try:
+                return int(text)
+            except ValueError:
+                self.error(f"argument {argument.name}: invalid int value: {text!r}")
+        if isinstance(argument.value, tuple) and text not in argument.value:
+            choices = ", ".join(map(repr, argument.value))
+            self.error(f"argument {argument.name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+
+    def parse(self, argv: list[str]) -> tuple[dict, list[str]]:
+        """A command's argument values, and the tokens it does not take."""
+        kinds = self.scan(argv)
+        values = {_dest(argument): argument.default for argument in self.arguments}
+        positional, extras = self.positional, []
+        i = 0
+        while i < len(argv):
+            kind = kinds[i]
+            if kind is None or kind == "--":
+                # The positional takes one value, with the '--' just before or after it.
+                start = i + (kind == "--")
+                if positional is None or start == len(argv):
+                    extras.append(argv[i])
+                    i += 1
+                    continue
+                values[positional.name] = self.convert(positional, argv[start])
+                positional = None
+                i = start + 1 + (start + 1 < len(argv) and kinds[start + 1] == "--")
+                continue
+            name, attached = kind
+            if name is None:
+                extras.append(argv[i])
+            elif self.options[name] is None:
+                self.show_help(name, attached)
+            else:
+                if attached is None:
+                    if i + 1 == len(argv) or kinds[i + 1] is not None:
+                        self.error(f"argument {name}: expected one argument")
+                    i += 1
+                    attached = argv[i]
+                values[_dest(self.options[name])] = self.convert(self.options[name], attached)
+            i += 1
+        # A given value is never None, so None marks an argument not given.
+        missing = [a.name for a in self.arguments if a.required and values[_dest(a)] is None]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return values, extras
+
+
+def _parse(argv: list[str]) -> tuple[SimpleNamespace, _Parser]:
+    """The arguments of a command line, read as argparse did, and the
+    grammar of its command, whose ``error`` reports a usage error."""
+    top = _Parser()
+    extras = []
+    for i, kind in enumerate(top.scan(argv)):
+        if kind is None or kind == "--" and i + 1 < len(argv):
+            # The command takes every token after it, even a leading '--' as its name.
+            parser = _Parser(top.convert(top.positional, argv[i]))
+            values, more = parser.parse(argv[i + 1:])
+            break
+        if kind == "--" or kind[0] is None:
+            extras.append(argv[i])
+        else:
+            top.show_help(*kind)
+    else:
+        top.error("the following arguments are required: command")
+    if extras + more:
+        top.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return SimpleNamespace(command=parser.command, **values), parser
+
+
+def _run_verify(args, parser: _Parser) -> int:
     target = _TARGETS[args.target]
     single = args.n is not None
     ks, check = target.single if single and target.single else (target.ks, target.check)
@@ -261,7 +454,7 @@ def _run_verify(args, parser: argparse.ArgumentParser) -> int:
     return _emit_checks(args.target, checks, args.format, target.text)
 
 
-def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
+def _run_bijection(args, parser: _Parser) -> int:
     if not 1 <= args.k <= args.n - 1:
         parser.error("need 1 <= --k <= --n - 1")
     # Open whatever path is given, so a pipe such as /dev/stdin is input too.
@@ -306,7 +499,7 @@ def _run_bijection(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _dispatch(args, parser: argparse.ArgumentParser) -> int:
+def _dispatch(args, parser: _Parser) -> int:
     if args.command in _VALUES:
         value = _VALUES[args.command]
         if args.n < value.least_n:
@@ -332,8 +525,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, parser = _parse(sys.argv[1:] if argv is None else list(argv))
     return _dispatch(args, parser)
 
 

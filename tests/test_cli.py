@@ -597,7 +597,7 @@ class TestVerifyCommands:
             ("verify", "classical", "--n", "3", "--k", "9"),
             ("verify", "theorem1", "--n", "2", "--n-max", "9"),
             ("verify", "bijection", "--n", "4", "--k", "2", "--n-max", "5"),
-            # Every other flag a subcommand does not define is an argparse error.
+            # Every other flag a subcommand does not define is a usage error.
             ("lucas", "--n", "3", "--k", "1"),
             ("lucas", "--n", "3", "--mode", "fibo"),
             ("catalan", "--n", "3", "--k", "2"),

@@ -16,7 +16,8 @@ import lucanomials
 from lucanomials.cli import main
 
 SRC = str(Path(lucanomials.__file__).resolve().parent.parent)
-NEVER_LOADED = ("dataclasses", "inspect", "json", "typing", "pathlib", "decimal", "_decimal")
+NEVER_LOADED = ("dataclasses", "inspect", "json", "typing", "pathlib", "decimal", "_decimal",
+                "argparse", "gettext", "locale", "shutil")
 
 
 def fresh(*args: str) -> str:
@@ -37,6 +38,29 @@ def in_process(capsys, *argv: str) -> str:
 def test_import_loads_no_heavy_module():
     code = f"import sys, lucanomials.cli; print([m for m in {NEVER_LOADED!r} if m in sys.modules])"
     assert fresh("-c", code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["lucas", "--n", "4"], 0),
+        (["lucas", "--n", "3", "--k", "1"], 2),  # a usage error: the usage line is rendered
+        (["verify", "theorem1", "--n", "x"], 2),
+    ],
+)
+def test_command_run_loads_no_heavy_module(argv, code):
+    # The whole run, parse and dispatch included, not only the import.
+    script = (
+        "import contextlib, io, sys\n"
+        "from lucanomials.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"print(code, [m for m in {NEVER_LOADED!r} if m in sys.modules])\n"
+    )
+    assert fresh("-c", script) == f"{code} []\n"
 
 
 @pytest.mark.parametrize(
