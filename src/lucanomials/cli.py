@@ -17,8 +17,10 @@ The command line is read from the same tables: :data:`_COMMANDS` gives each
 command's positional and flags, and :class:`_Parser` reads an argument list
 as argparse read this grammar (``--n 4`` or ``--n=4``, unique prefixes of
 long flags, flags before or after the positional, the last of a repeated
-flag winning, negative numbers as values).  It renders ``--help`` as fixed
-text, whatever the terminal's width, and the usage line of every error.
+flag winning, negative numbers as values).  The top level is one more
+grammar, whose positional is the command: the command's grammar reads every
+token after it, so one walk reads both levels.  It renders ``--help`` as
+fixed text, whatever the terminal's width, and the usage line of every error.
 """
 
 from __future__ import annotations
@@ -343,16 +345,6 @@ class _Parser:
         # A negative number or a token with a space is a value (compiled on first use).
         return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
 
-    def scan(self, argv: list[str]) -> list:
-        """What each token is: read(token) before the first ``--``, that
-        ``--`` itself, then None (a value) for every token after it."""
-        kinds = []
-        for i, arg in enumerate(argv):
-            if arg == "--":
-                return kinds + ["--"] + [None] * (len(argv) - i - 1)
-            kinds.append(self.read(arg))
-        return kinds
-
     def convert(self, argument: _Arg, text: str) -> int | str:
         if argument.value is int:
             try:
@@ -364,9 +356,12 @@ class _Parser:
             self.error(f"argument {argument.name}: invalid choice: {text!r} (choose from {choices})")
         return text
 
-    def parse(self, argv: list[str]) -> tuple[dict, list[str]]:
-        """A command's argument values, and the tokens it does not take."""
-        kinds = self.scan(argv)
+    def parse(self, argv: list[str]) -> tuple[_Parser, dict, list[str]]:
+        """The grammar that read the command, its values, and the tokens
+        neither level takes; every token after the first ``--`` is a value."""
+        cut = argv.index("--") if "--" in argv else len(argv)
+        kinds = [self.read(arg) for arg in argv[:cut]]
+        kinds += ["--"] * (cut < len(argv)) + [None] * (len(argv) - cut - 1)
         values = {_dest(argument): argument.default for argument in self.arguments}
         positional, extras = self.positional, []
         i = 0
@@ -379,6 +374,10 @@ class _Parser:
                     extras.append(argv[i])
                     i += 1
                     continue
+                if self.command is None:
+                    # The command's grammar reads every token after it, even a leading '--' as its name.
+                    parser, values, more = _Parser(self.convert(positional, argv[i])).parse(argv[i + 1:])
+                    return parser, values, extras + more
                 values[positional.name] = self.convert(positional, argv[start])
                 positional = None
                 i = start + 1 + (start + 1 < len(argv) and kinds[start + 1] == "--")
@@ -400,28 +399,16 @@ class _Parser:
         missing = [a.name for a in self.arguments if a.required and values[_dest(a)] is None]
         if missing:
             self.error(f"the following arguments are required: {', '.join(missing)}")
-        return values, extras
+        return self, values, extras
 
 
 def _parse(argv: list[str]) -> tuple[SimpleNamespace, _Parser]:
     """The arguments of a command line, read as argparse did, and the
     grammar of its command, whose ``error`` reports a usage error."""
     top = _Parser()
-    extras = []
-    for i, kind in enumerate(top.scan(argv)):
-        if kind is None or kind == "--" and i + 1 < len(argv):
-            # The command takes every token after it, even a leading '--' as its name.
-            parser = _Parser(top.convert(top.positional, argv[i]))
-            values, more = parser.parse(argv[i + 1:])
-            break
-        if kind == "--" or kind[0] is None:
-            extras.append(argv[i])
-        else:
-            top.show_help(*kind)
-    else:
-        top.error("the following arguments are required: command")
-    if extras + more:
-        top.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    parser, values, extras = top.parse(argv)
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(command=parser.command, **values), parser
 
 
@@ -429,16 +416,12 @@ def _run_verify(args, parser: _Parser) -> int:
     target = _TARGETS[args.target]
     single = args.n is not None
     ks, check = target.single if single and target.single else (target.ks, target.check)
-    if args.n_max is not None and args.n_max < 0:
-        parser.error("--n-max must be nonnegative")
     if single and args.n_max is not None:
         parser.error("--n-max cannot be combined with --n")
     if args.k is not None and not single:
         parser.error("--k requires --n")
     if args.k is not None and ks is None:
         parser.error(f"--k does not apply to verify {args.target}")
-    if single and args.n < 0:
-        parser.error("--n must be nonnegative")
     n_max = target.default if args.n_max is None else args.n_max
     n = args.n if single else n_max
     ns = [m for m in ([n] if single or target.text else range(target.first, n + 1))

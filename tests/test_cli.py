@@ -637,7 +637,11 @@ class TestVerifyCommands:
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, "verify", target, *flags)
         assert excinfo.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        if flags[1] == "-1":
+            # A negative bound is a bound with no check, and the error names its flag.
+            assert err.splitlines()[-1].endswith(f"has no check at {' '.join(flags)}")
 
     @pytest.mark.parametrize(
         "argv",

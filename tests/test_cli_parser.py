@@ -178,13 +178,19 @@ def test_written_argument_lists(argv):
         ["narayana", "--mode"],
         ["", "lucas"],
         ["-"],
+        ["--"],
+        ["--", "--"],
+        ["-x"],
+        ["-x", "lucas", "--n", "4", "-y"],
+        ["-h", "-x"],
     ],
     ids=lambda argv: repr(argv)[:60],
 )
 def test_corner_cases(argv):
     # Among them: a leading --format is a usage error, a negative --n
-    # reaches the range check, the 5000-digit --n is an int() error, and the
-    # last of a repeated flag wins.
+    # reaches the range check, the 5000-digit --n is an int() error, the
+    # last of a repeated flag wins, a leading '--' is the command's name, and
+    # the top level's unrecognized tokens come before the command's.
     assert_same(argv)
 
 
