@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import narayana
 from .lucas import fib_factorial, fibonomial
@@ -256,31 +256,12 @@ def _finish(state: tuple, height: int) -> tuple[tuple[str, ...], ...]:
     return lam + ("",) * missing_down, star + ("",) * c, other
 
 
-def _first_pass(state: tuple, choices: list, n: int, height: int) -> Iterator[tuple]:
-    """The state after rows 0..len(choices)-1 for every choice of them, in
-    itertools.product order.  The walk is depth-first, so each event runs
-    once per prefix.  It keeps a stack instead of recursing: its depth is
-    len(choices), n - max(k, 1) - 1 in :func:`forward`, which passes the
-    default recursion limit of 1000 for one stairstep of size 1199 at k = 1."""
-    last = len(choices) - 1
-    if last < 0:
-        yield state
-        return
-    states = [state]  # states[i]: the state before row i
-    pending = [iter(choices[0])]  # pending[i]: the choices of row i not yet walked
-    while pending:
-        depth = len(pending) - 1
-        for row in pending[depth]:
-            state = _event(states[depth], row, n - 1 - depth, height)
-            if depth == last:
-                yield state
-            else:
-                states.append(state)
-                pending.append(iter(choices[depth + 1]))
-                break
-        else:
-            pending.pop()
-            states.pop()
+def _next_states(states: Iterable[tuple], choices, length: int, height: int) -> Iterable[tuple]:
+    """The state after the next row, of ``length`` cells, for each state before
+    it and each of the row's ``choices``, in itertools.product order.  A row of
+    one choice is read at once, so one stairstep's scan nests no generators."""
+    states = (_event(state, row, length, height) for state in states for row in choices)
+    return list(states) if len(choices) == 1 else states
 
 
 def _scan_heads(choices: list, n: int, k: int) -> Iterator[str]:
@@ -294,11 +275,12 @@ def _scan_heads(choices: list, n: int, k: int) -> Iterator[str]:
     the bottom rows verbatim.
 
     The scan reads rows 0, 1, ... once each, in order, before it wraps to
-    the rows it has cut.  :func:`_first_pass` runs the events of all rows
-    but the last once per prefix.  The rest of the scan, the last row and
-    the wrap-around, depends only on the state without its emitted fields,
-    so it runs once per such state and choice of the last row, memoised for
-    this call.
+    the rows it has cut.  So the states after all rows but the last come
+    from one :func:`_next_states` generator per row, each reading the states
+    the row before it yields: every event of that first pass runs once per
+    prefix.  The rest of the scan, the last row and the wrap-around, depends
+    only on the state without its emitted fields, so it runs once per such
+    state and choice of the last row, memoised for this call.
     """
     height = n - k
     start = (k, 0, height - 1, (), (), (), ())
@@ -308,8 +290,11 @@ def _scan_heads(choices: list, n: int, k: int) -> Iterator[str]:
         return
     *inner, last = choices
     last_length = n - len(choices)
+    states: Iterable[tuple] = [start]
+    for depth, row_choices in enumerate(inner):
+        states = _next_states(states, row_choices, n - 1 - depth, height)
     ends: dict[tuple, list[tuple[tuple[str, ...], ...]]] = {}
-    for state in _first_pass(start, inner, n, height):
+    for state in states:
         key = state[:4]
         tails = ends.get(key)
         if tails is None:
@@ -462,17 +447,13 @@ def verify_cardinality(n: int, k: int) -> dict:
     }
 
 
-def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str]]:
-    """Case tag and flanking pieces of T1's first row at the cells k-1|k boundary."""
+def _split_first_row(first: str, k: int) -> tuple[str, tuple[str, str], int, int]:
+    """Case tag, flanking pieces of T1's first row at the cells k-1|k boundary,
+    and the column parameters that T1's remainder and T2 map forward with."""
     if _cut_offsets(first)[k - 1] < 0:  # a domino covers cells k-1 and k
         left, tail = split_after(first, k - 2)
-        return "domino", (left, tail[1:])
-    return "no_domino", split_after(first, k - 1)
-
-
-def _remainder_params(case_tag: str, k: int) -> tuple[int, int]:
-    """Column parameters that T1's remainder and T2 map forward with."""
-    return (k - 2, k) if case_tag == "domino" else (k - 1, k - 1)
+        return "domino", (left, tail[1:]), k - 2, k
+    return "no_domino", split_after(first, k - 1), k - 1, k - 1
 
 
 def decompose_pair(
@@ -492,8 +473,7 @@ def decompose_pair(
         raise ShapeError(f"second tiling has size {t2.size}, expected {n - 2}")
     if not 1 <= k <= n - 1:
         raise ShapeError(f"need 1 <= k <= {n - 1}")
-    case_tag, parts = _split_first_row(t1.rows[0], k)
-    k1, k2 = _remainder_params(case_tag, k)
+    case_tag, parts, k1, k2 = _split_first_row(t1.rows[0], k)
     rest = StairstepTiling(t1.rows[1:])
     return case_tag, parts, forward(rest, k1), forward(t2, k2)
 
@@ -517,12 +497,10 @@ def verify_pair_decomposition(n: int, k: int) -> dict:
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     splits = [_split_first_row(first, k) for first in linear_tilings(n - 1)]
-    params = {case_tag: _remainder_params(case_tag, k) for case_tag, _ in splits}
     # T1's remainder and T2 are both of size n-2: scan once per parameter, not per pair.
-    sizes = {p: _image_size(n - 1, p) for p in set(itertools.chain(*params.values()))}
+    sizes = {p: _image_size(n - 1, p) for p in {q for split in splits for q in split[2:]}}
     counts = {"no_domino": 0, "domino": 0}
-    for case_tag, _ in splits:
-        k1, k2 = params[case_tag]
+    for case_tag, _, k1, k2 in splits:
         counts[case_tag] += sizes[k1][0] * sizes[k2][0]
     total = sum(counts.values())
     injective = len(set(splits)) == len(splits) and all(a == b for a, b in sizes.values())

@@ -473,7 +473,7 @@ def _run_bijection(args, parser: _Parser) -> int:
     try:
         triple = bijection.TilingTriple.from_json_dict(json.loads(text))
         tiling = bijection.inverse(triple, args.n, args.k)
-    except (json.JSONDecodeError, ValueError, ShapeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         parser.error(f"--input is not an invertible triple for (n={args.n}, k={args.k}): {exc}")
     if args.format == "json":
         print(_dump({"rows": list(tiling.rows)}))

@@ -555,6 +555,25 @@ class TestVerifyPairDecomposition:
         # scans T2 at parameter 7 = n - 1, where the scan reads no row.
         assert verify_pair_decomposition(8, k) == pair_report(8, k)
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_one_scan_per_column_parameter(self, monkeypatch, n):
+        # Both remainders are scanned once per column parameter the cases
+        # use, not once per first row: k-1 alone at k = 1, where no domino
+        # can cross the boundary, else k-2 (domino), k-1 (no domino) and k.
+        calls = Counter()
+        original = bijection._image_size
+
+        def counted(m, p):
+            calls[m, p] += 1
+            return original(m, p)
+
+        monkeypatch.setattr(bijection, "_image_size", counted)
+        for k in range(1, n):
+            calls.clear()
+            assert verify_pair_decomposition(n, k) == pair_report(n, k), k
+            params = {k - 1} if k == 1 else {k - 2, k - 1, k}
+            assert calls == Counter((n - 1, p) for p in params), k
+
     def test_key_collision_breaks_injectivity(self, monkeypatch):
         # Give one size-2 stairstep the scan of the other: every count still
         # matches, but the pair map is no longer injective.
